@@ -264,8 +264,7 @@ def check_fc_atoms(system, twist=None):
             hypothesis_ok = False
     failures = []
     checked = 0
-    for x in sorted(tw.enumerate_twisted(system, twist),
-                    key=lambda v: (system.length(v), system.reduced_word(v))):
+    for x in tw._by_word(system, tw.enumerate_twisted(system, twist)):
         if not is_fully_commutative(system, x):
             continue
         checked += 1
@@ -299,8 +298,7 @@ def check_braid_classes(system, twist=None):
     twist = tw._twist_key(system, twist)
     failures = []
     checked = 0
-    for x in sorted(tw.enumerate_twisted(system, twist),
-                    key=lambda v: (system.length(v), system.reduced_word(v))):
+    for x in tw._by_word(system, tw.enumerate_twisted(system, twist)):
         words = set(tw.involution_words(system, x, twist=twist))
         checked += 1
         got = involution_braid_class(system, min(words), twist)

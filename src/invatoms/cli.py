@@ -3,13 +3,16 @@
 atoms, words, and hecke answer single queries; poset and classes export
 the type A structures; verify re-runs the module checkers; sweep spreads
 the minimal-length comparison over worker processes. Exit codes: 0 for
-success, 1 when a verification reports failures, 2 for usage errors.
+success, 1 when a verification reports failures, 2 for usage errors, 3 for
+internal errors.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import braid as br
@@ -257,16 +260,20 @@ def _sweep_worker(payload):
     return report["pairs_checked"], report["failures"]
 
 
+def _sweep_chunks(invs, jobs):
+    """Round-robin split of invs over jobs workers, at most one per CPU."""
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    return [invs[i::jobs] for i in range(jobs) if invs[i::jobs]]
+
+
 def _cmd_sweep(args):
     system = cx.build_system(args.system)
-    jobs = max(1, args.jobs)
     reports = []
     for t in twist_list(system, args.twist):
-        if jobs == 1:
+        chunks = _sweep_chunks(tw.enumerate_twisted(system, t), args.jobs)
+        if len(chunks) == 1:
             raw = tw.check_conjecture(system, t)
         else:
-            invs = tw.enumerate_twisted(system, t)
-            chunks = [invs[i::jobs] for i in range(jobs) if invs[i::jobs]]
             pairs = 0
             failures = []
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -349,7 +356,8 @@ def build_parser():
 
     sweep_p = sub.add_parser("sweep", help="minimal-length comparison across processes")
     add_common(sweep_p, twist_default="auto")
-    sweep_p.add_argument("--jobs", type=int, default=1, help="worker process count")
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="worker process count (at most the CPU count)")
 
     return parser
 
@@ -362,9 +370,13 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.verb](args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: keep it apart from exits 1 and 2
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

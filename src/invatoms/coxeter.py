@@ -52,7 +52,9 @@ class CoxeterSystem:
         self._build_roots(root_cap)
         self._elements = None
         self._element_index = None
-        self._bruhat_cache = {}
+        self._order_above = 0  # |W| is known to exceed this
+        self._id_table = None
+        self._bruhat_cache = {}  # id-pair key -> Bruhat comparison, filled by the id table
         self._twist_perm_cache = {}
         self._pair_root_cache = None
 
@@ -166,17 +168,19 @@ class CoxeterSystem:
         return tuple(g[i] for i in w)
 
     def reduced_word(self, w):
-        """The lexicographically smallest reduced word for w."""
+        """The lexicographically smallest reduced word for w.
+
+        Peels the smallest left descent each step. A left descent s of w is
+        a right descent of w^-1 and (s w)^-1 = w^-1 s, so the walk runs on
+        w^-1 with right multiplication only.
+        """
         out = []
         p = self.num_positive
         winv = self.inverse(w)
-        while w != self.identity:
-            for s in range(self.rank):
-                if winv[s] >= p:  # s is a left descent of w
-                    out.append(s + 1)
-                    w = self.left_mult(s + 1, w)
-                    winv = self.inverse(w)
-                    break
+        while winv != self.identity:
+            s = next(i + 1 for i in range(self.rank) if winv[i] >= p)
+            out.append(s)
+            winv = self.right_mult(winv, s)
         return tuple(out)
 
     def reduced_words(self, w):
@@ -211,26 +215,22 @@ class CoxeterSystem:
     # -- orders ----------------------------------------------------------
 
     def bruhat_leq(self, u, w):
-        """Bruhat order comparison by the lifting recursion."""
-        if u == w:
-            return True
-        key = (u, w)
-        got = self._bruhat_cache.get(key)
-        if got is not None:
-            return got
-        lu, lw = self.length(u), self.length(w)
-        if lu >= lw:
-            self._bruhat_cache[key] = False
-            return False
+        """Bruhat order comparison by the lifting property.
+
+        Strips the first right descent s of w each step, from u too when it
+        is a descent of u. This root-permutation route needs no enumeration,
+        so it serves groups of any size; scans over a whole group use the
+        cached comparison of ElementTable instead.
+        """
         p = self.num_positive
-        s = next(i + 1 for i in range(self.rank) if w[i] >= p)
-        ws = self.right_mult(w, s)
-        if u[s - 1] >= p:
-            res = self.bruhat_leq(self.right_mult(u, s), ws)
-        else:
-            res = self.bruhat_leq(u, ws)
-        self._bruhat_cache[key] = res
-        return res
+        while u != w:
+            if self.length(u) >= self.length(w):
+                return False
+            s = next(i + 1 for i in range(self.rank) if w[i] >= p)
+            if u[s - 1] >= p:
+                u = self.right_mult(u, s)
+            w = self.right_mult(w, s)
+        return True
 
     def weak_leq_right(self, u, w):
         """Right weak order: u <= w iff l(u) + l(inverse(u) w) = l(w)."""
@@ -242,23 +242,50 @@ class CoxeterSystem:
     def elements(self):
         """All group elements in BFS order from the identity (cached)."""
         if self._elements is None:
-            seen = {self.identity: 0}
-            order = [self.identity]
-            head = 0
-            while head < len(order):
-                w = order[head]
-                head += 1
-                for s in range(1, self.rank + 1):
-                    ws = self.right_mult(w, s)
-                    if ws not in seen:
-                        seen[ws] = len(order)
-                        order.append(ws)
-            self._elements = tuple(order)
-            self._element_index = seen
+            self._enumerate(None)
         return self._elements
 
     def order(self):
         return len(self.elements())
+
+    def order_at_most(self, cap):
+        """Whether |W| <= cap, enumerating at most cap + 1 elements to decide."""
+        if self._elements is None:
+            if cap < 1 or cap <= self._order_above:
+                return False
+            if not self._enumerate(cap):
+                self._order_above = cap
+                return False
+        return len(self._elements) <= cap
+
+    def _enumerate(self, limit):
+        """BFS over right multiplication from the identity. Stores elements()
+        and returns True, or returns False once more than limit turn up."""
+        seen = {self.identity: 0}
+        order = [self.identity]
+        head = 0
+        while head < len(order):
+            w = order[head]
+            head += 1
+            for s in range(1, self.rank + 1):
+                ws = self.right_mult(w, s)
+                if ws not in seen:
+                    seen[ws] = len(order)
+                    order.append(ws)
+                    if limit is not None and len(order) > limit:
+                        return False
+        self._elements = tuple(order)
+        self._element_index = seen
+        return True
+
+    def id_table(self):
+        """The integer-id tables of the whole group, built on first use.
+
+        Enumerates the group: callers bound its order first.
+        """
+        if self._id_table is None:
+            self._id_table = ElementTable(self)
+        return self._id_table
 
     def longest_element(self, J=None):
         """The longest element of the standard parabolic subgroup on J (default: all of S)."""
@@ -314,33 +341,45 @@ class CoxeterSystem:
 
     def twist_root_perm(self, twist):
         """The root index relabeling induced by a generator permutation."""
-        twist = normalize_twist(self, twist)
-        got = self._twist_perm_cache.get(twist)
-        if got is not None:
-            return got
-        n = self.rank
-        p = self.num_positive
-        inv = [0] * n
-        for i, im in enumerate(twist):
-            inv[im - 1] = i
-        rho = [0] * (2 * p)
-        for i in range(p):
-            v = self.roots[i]
-            w = np.array([v[inv[j]] for j in range(n)])
-            j = self._root_index[tuple(np.round(w, _DEDUP_DECIMALS) + 0.0)]
-            rho[i] = j
-            rho[i + p] = j + p
-        rho = tuple(rho)
-        self._twist_perm_cache[twist] = rho
-        return rho
+        return self._twist_perms(twist)[0]
+
+    def _twist_perms(self, twist):
+        """The relabeling rho and its inverse, cached under the twist as given
+        (validated on a miss only) and under its normalized form."""
+        cache = self._twist_perm_cache
+        try:
+            return cache[twist]
+        except (KeyError, TypeError):  # a miss, or an unhashable twist such as a list
+            pass
+        key = normalize_twist(self, twist)
+        got = cache.get(key)
+        if got is None:
+            n = self.rank
+            p = self.num_positive
+            inv = [0] * n
+            for i, im in enumerate(key):
+                inv[im - 1] = i
+            rho = [0] * (2 * p)
+            for i in range(p):
+                v = self.roots[i]
+                w = np.array([v[inv[j]] for j in range(n)])
+                j = self._root_index[tuple(np.round(w, _DEDUP_DECIMALS) + 0.0)]
+                rho[i] = j
+                rho[i + p] = j + p
+            rho_inv = [0] * (2 * p)
+            for i, j in enumerate(rho):
+                rho_inv[j] = i
+            got = cache[key] = (tuple(rho), tuple(rho_inv))
+        try:
+            cache[twist] = got
+        except TypeError:
+            pass
+        return got
 
     def apply_twist(self, w, twist):
         """The image of w under the diagram automorphism given by twist."""
-        rho = self.twist_root_perm(twist)
-        rho_inv = [0] * len(rho)
-        for i, j in enumerate(rho):
-            rho_inv[j] = i
-        return tuple(rho[w[rho_inv[i]]] for i in range(len(rho)))
+        rho, rho_inv = self._twist_perms(twist)
+        return tuple(rho[w[i]] for i in rho_inv)
 
     def pair_positive_roots(self, s, t):
         """Indices of the positive roots of the rank two subsystem on {s, t}."""
@@ -362,6 +401,84 @@ class CoxeterSystem:
 
     def __repr__(self):
         return "CoxeterSystem(%s, rank=%d)" % (self.name or "custom", self.rank)
+
+
+class ElementTable:
+    """Integer ids for the elements of a finite system, with Cayley tables.
+
+    Ids follow the BFS order of ``elements()``, so length never decreases
+    with id. For the element w with id i and a generator s:
+
+    - ``length[i]`` is l(w); bit s-1 of ``descents[i]`` is set when s is a
+      right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
+    - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
+    - ``word[i]`` is the lex-min reduced word of w and ``sort_rank[i]``
+      the position of i in (length, word) order;
+    - ``twisted(twist)[i]`` is the id of the twisted image of w.
+
+    Bruhat comparisons of ids are cached in the system's ``_bruhat_cache``.
+    """
+
+    def __init__(self, system):
+        elements = system.elements()
+        index = system._element_index
+        p = system.num_positive
+        n = len(elements)
+        gens = range(system.rank)
+        self.elements = elements
+        self.index = index
+        self.length = [system.length(w) for w in elements]
+        self.descents = [sum(1 << s for s in gens if w[s] >= p) for w in elements]
+        self.first_descent = [(d & -d).bit_length() - 1 for d in self.descents]
+        self.right = [[index[system.right_mult(w, s + 1)] for w in elements] for s in gens]
+        inv = [index[system.inverse(w)] for w in elements]
+        # s w = (w^-1 s)^-1
+        self.left = [[inv[r[j]] for j in inv] for r in self.right]
+        length, left = self.length, self.left
+        word = [()] * n
+        for i in range(1, n):
+            s = next(s for s in gens if length[left[s][i]] < length[i])
+            word[i] = (s + 1,) + word[left[s][i]]
+        self.word = word
+        self.sort_rank = [0] * n
+        for pos, i in enumerate(sorted(range(n), key=lambda i: (length[i], word[i]))):
+            self.sort_rank[i] = pos
+        self._twisted = {}
+        self._bruhat = system._bruhat_cache
+
+    def twisted(self, twist):
+        """Ids of the twisted images, for a normalized twist: w* = (ws)* s*."""
+        got = self._twisted.get(twist)
+        if got is None:
+            right, first = self.right, self.first_descent
+            got = [0] * len(self.elements)
+            for i in range(1, len(got)):
+                s = first[i]
+                got[i] = right[twist[s] - 1][got[right[s][i]]]
+            self._twisted[twist] = got
+        return got
+
+    def bruhat_leq(self, u, w):
+        """Bruhat order on ids, by the lifting property (cached)."""
+        length = self.length
+        if length[u] >= length[w]:
+            return u == w
+        key = u * len(length) + w
+        got = self._bruhat.get(key)
+        if got is None:
+            descents, first, right = self.descents, self.first_descent, self.right
+            a, b = u, w
+            while a != b and length[a] < length[b]:
+                s = first[b]
+                if descents[a] >> s & 1:
+                    a = right[s][a]
+                b = right[s][b]
+            got = self._bruhat[key] = a == b
+        return got
+
+    def by_rank(self, ids):
+        """The elements with the given ids, in (length, lex-min word) order."""
+        return tuple(self.elements[i] for i in sorted(ids, key=self.sort_rank.__getitem__))
 
 
 def normalize_twist(system, twist):
@@ -438,9 +555,10 @@ def coxeter_matrix_from_name(name):
     elif family == "E":
         if n not in (6, 7, 8):
             raise ValueError("invalid matrix: unknown system name %r" % name)
-        # node 1 hangs off node 3 of the chain 2-4-5-...-n (Bourbaki numbering)
-        bonds = {(i, i + 1): 3 for i in range(1, n - 1)}
+        # Bourbaki numbering: the chain 1-3-4-...-n with node 2 attached to node 4
+        bonds = {(i, i + 1): 3 for i in range(2, n - 1)}
         bonds[(0, 2)] = 3
+        bonds[(1, 3)] = 3
     elif family == "F":
         if n != 4:
             raise ValueError("invalid matrix: unknown system name %r" % name)

@@ -12,6 +12,8 @@ variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 """
 
+import itertools
+
 from .coxeter import normalize_twist, is_involutive_twist
 
 ENUMERATION_CAP = 50000
@@ -22,11 +24,41 @@ def _caches(system, twist):
     return store.setdefault(twist, {})
 
 
+def _id_table(system):
+    """The system's id table; ValueError when the group is above the cap.
+
+    Deciding that enumerates at most ENUMERATION_CAP + 1 elements.
+    """
+    if not system.order_at_most(ENUMERATION_CAP):
+        raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
+    return system.id_table()
+
+
+def _by_word(system, ws):
+    """ws in (length, lex-min reduced word) order: by the id table's sort rank
+    within the cap, by the words themselves above it."""
+    if system.order_at_most(ENUMERATION_CAP):
+        t = system.id_table()
+        return sorted(ws, key=lambda w: t.sort_rank[t.index[w]])
+    return sorted(ws, key=lambda w: (system.length(w), system.reduced_word(w)))
+
+
 def _twist_key(system, twist):
-    twist = normalize_twist(system, twist)
-    if not is_involutive_twist(system, twist):
+    """The twist as a validated tuple; each twist as given is validated once
+    per system."""
+    keys = system.__dict__.setdefault("_twist_keys", {})
+    try:
+        return keys[twist]
+    except (KeyError, TypeError):  # a new twist, or an unhashable one such as a list
+        pass
+    key = normalize_twist(system, twist)
+    if not is_involutive_twist(system, key):
         raise ValueError("invalid twist: not involutive")
-    return twist
+    try:
+        keys[twist] = key
+    except TypeError:
+        pass
+    return key
 
 
 def star(system, w, twist=None):
@@ -181,24 +213,29 @@ def _down_set(system, y, twist):
 def hecke_table(system, base, twist=None):
     """base folded against every group element, keyed by element (cached).
 
-    Only available when the group is small enough to enumerate.
+    Only available when the group is small enough to enumerate. The fold
+    runs on ids in id order, so each element extends a shorter one by its
+    first right descent.
     """
     twist = _twist_key(system, twist)
-    _check_member(system, base, twist)
     cache = _caches(system, twist).setdefault("hecke_table", {})
     got = cache.get(base)
     if got is not None:
         return got
-    if system.order() > ENUMERATION_CAP:
-        raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
-    p = system.num_positive
-    table = {}
-    for w in system.elements():  # BFS order, so length is monotone
-        if w == system.identity:
-            table[w] = base
-            continue
-        s = next(i + 1 for i in range(system.rank) if w[i] >= p)
-        table[w] = _dact(system, table[system.right_mult(w, s)], s, twist)
+    _check_member(system, base, twist)
+    t = _id_table(system)
+    right, left, descents, first = t.right, t.left, t.descents, t.first_descent
+    images = [t.index[base]] * len(t.elements)
+    for w in range(1, len(images)):
+        s = first[w]
+        x = images[right[s][w]]
+        if not descents[x] >> s & 1:  # the conjugation step on an ascent
+            lx, xr = left[twist[s] - 1][x], right[s][x]
+            x = xr if lx == xr else right[s][lx]
+        images[w] = x
+    elements = t.elements
+    # built in id order, which hecke_atoms relies on
+    table = {w: elements[i] for w, i in zip(elements, images)}
     cache[base] = table
     return table
 
@@ -209,8 +246,8 @@ def hecke_atoms(system, y, x=None, twist=None):
     if x is None:
         x = system.identity
     table = hecke_table(system, x, twist)
-    out = [w for w, img in table.items() if img == y]
-    return tuple(sorted(out, key=lambda w: (system.length(w), system.reduced_word(w))))
+    return system.id_table().by_rank(
+        w for w, img in enumerate(table.values()) if img == y)
 
 
 def atoms(system, y, x=None, twist=None):
@@ -220,15 +257,13 @@ def atoms(system, y, x=None, twist=None):
         x = system.identity
     _check_member(system, x, twist)
     _check_member(system, y, twist)
-    if system.order() <= ENUMERATION_CAP:
-        hk = hecke_atoms(system, y, x, twist)
-        if not hk:
-            return ()
-        lmin = system.length(hk[0])
-        out = [w for w in hk if system.length(w) == lmin]
-    else:
-        out = sorted(_atoms_rec(system, y, x, twist, {}), key=system.reduced_word)
-    return tuple(out)
+    if not system.order_at_most(ENUMERATION_CAP):
+        return tuple(_by_word(system, _atoms_rec(system, y, x, twist, {})))
+    hk = hecke_atoms(system, y, x, twist)
+    if not hk:
+        return ()
+    lmin = system.length(hk[0])
+    return tuple(itertools.takewhile(lambda w: system.length(w) == lmin, hk))
 
 
 def _atoms_rec(system, y, x, twist, memo):
@@ -263,33 +298,52 @@ def involution_words(system, y, x=None, twist=None):
     return tuple(sorted(out))
 
 
-def bruhat_hecke(system, y, x=None, twist=None):
-    """All w with w* y <= x w in Bruhat order (the conjectural Hecke atom superset)."""
+def _bruhat_scan(system, y, x, twist):
+    """The id table and an iterator over the ids w with w* y <= x w in Bruhat
+    order, in id order and so by length."""
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
     _check_member(system, x, twist)
     _check_member(system, y, twist)
-    if system.order() > ENUMERATION_CAP:
-        raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
-    out = []
-    for w in system.elements():
-        lhs = system.multiply(system.apply_twist(w, twist), y)
-        rhs = system.multiply(x, w)
-        if system.bruhat_leq(lhs, rhs):
-            out.append(w)
-    return tuple(sorted(out, key=lambda w: (system.length(w), system.reduced_word(w))))
+    t = _id_table(system)
+    star = t.twisted(twist)
+    by_y = [t.right[s - 1] for s in t.word[t.index[y]]]
+    # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
+    by_x = [t.left[s - 1] for s in reversed(t.word[t.index[x]])]
+    leq = t.bruhat_leq
+
+    def hits():
+        for w, lhs in enumerate(star):
+            for r in by_y:
+                lhs = r[lhs]
+            rhs = w
+            for left in by_x:
+                rhs = left[rhs]
+            if leq(lhs, rhs):
+                yield w
+
+    return t, hits()
+
+
+def bruhat_hecke(system, y, x=None, twist=None):
+    """All w with w* y <= x w in Bruhat order (the conjectural Hecke atom superset)."""
+    t, hits = _bruhat_scan(system, y, x, twist)
+    return t.by_rank(hits)
 
 
 def bruhat_atoms(system, y, x=None, twist=None):
-    """Minimal length elements of the conjectural Bruhat characterization."""
-    bh = bruhat_hecke(system, y, x, twist)
-    if not bh:
-        return ()
-    lmin = system.length(bh[0])
-    return tuple(
-        sorted((w for w in bh if system.length(w) == lmin), key=system.reduced_word)
-    )
+    """Minimal length elements of the conjectural Bruhat characterization.
+
+    Stops scanning after the first length that has a hit.
+    """
+    t, hits = _bruhat_scan(system, y, x, twist)
+    out = []
+    for w in hits:
+        if out and t.length[w] > t.length[out[0]]:
+            break
+        out.append(w)
+    return t.by_rank(out)
 
 
 def _word_list(system, ws):

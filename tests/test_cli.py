@@ -159,3 +159,25 @@ def test_element_keywords(capsys):
     code, _, err = run(capsys, "words", "--system", "B3", "--y", "wfpf")
     assert code == 2
     assert "type A chain" in err
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "hecke", broken)
+    code, _, err = run(capsys, "hecke", "--system", "B3", "--y", "1,2,1")
+    assert code == 3
+    assert "internal error: KeyError" in err
+
+
+def test_sweep_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    invs = tuple(range(10))
+    chunks = cli._sweep_chunks(invs, 64)
+    assert len(chunks) == 2
+    assert sorted(v for c in chunks for v in c) == list(invs)
+    assert len(cli._sweep_chunks(invs, 1)) == 1
+    assert len(cli._sweep_chunks(invs, 0)) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert len(cli._sweep_chunks(invs, 8)) == 1

@@ -1,8 +1,22 @@
 import itertools
+import math
 
 import pytest
 
 import invatoms.coxeter as cx
+import invatoms.twisted as tw
+
+# degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
+# Groups, section 3.7): |W| is their product, |Phi+| the sum of d - 1
+DEGREES = {
+    "A1": (2,), "A2": (2, 3), "A5": (2, 3, 4, 5, 6),
+    "B2": (2, 4), "B3": (2, 4, 6), "B5": (2, 4, 6, 8, 10), "C3": (2, 4, 6),
+    "D4": (2, 4, 4, 6), "D5": (2, 4, 5, 6, 8),
+    "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12), "G2": (2, 6), "H3": (2, 6, 10), "H4": (2, 12, 20, 30),
+    "I2(5)": (2, 5), "I2(8)": (2, 8),
+}
 
 
 def test_orders_of_standard_systems():
@@ -196,3 +210,63 @@ def test_matrix_text_parsing():
     assert system.order() == 10
     with pytest.raises(ValueError, match="invalid matrix"):
         cx.parse_matrix_text("rank 2\n1 5")
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_named_systems_match_their_invariants(name):
+    system = cx.build_system(name)
+    degrees = DEGREES[name]
+    assert system.rank == len(degrees)
+    assert system.num_positive == sum(d - 1 for d in degrees)
+    for s in range(1, system.rank + 1):
+        for t in range(s + 1, system.rank + 1):
+            st = system.multiply(system.generator(s), system.generator(t))
+            w = system.identity
+            for _ in range(system.bond(s, t)):
+                w = system.multiply(w, st)
+            assert w == system.identity
+    order = math.prod(degrees)
+    if order <= tw.ENUMERATION_CAP:  # E6, E7 and E8 are above it
+        assert system.order() == order
+
+
+def test_order_at_most_stops_at_cap_plus_one():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    seen = []
+    real = system.right_mult
+    system.right_mult = lambda w, s: seen.append(w) or real(w, s)
+    assert not system.order_at_most(100)
+    assert len(set(seen)) <= 101 and system._elements is None
+    seen.clear()
+    assert not system.order_at_most(50)  # known from the first check
+    assert seen == []
+    assert system.order_at_most(384) and system.order() == 384
+
+
+def test_element_table_agrees_with_the_root_permutations():
+    system = cx.build_system("A3")
+    t = system.id_table()
+    elements = system.elements()
+    twist = (3, 2, 1)
+    star = t.twisted(twist)
+    for i, w in enumerate(elements):
+        assert t.length[i] == system.length(w)
+        assert t.word[i] == system.reduced_word(w)
+        assert elements[star[i]] == system.apply_twist(w, twist)
+        for s in range(1, system.rank + 1):
+            assert elements[t.right[s - 1][i]] == system.right_mult(w, s)
+            assert elements[t.left[s - 1][i]] == system.left_mult(s, w)
+            assert (t.descents[i] >> (s - 1) & 1) == (s in system.descents_right(w))
+        for j, v in enumerate(elements):
+            assert t.bruhat_leq(i, j) == _subword_leq(system, w, v)
+    by_word = sorted(elements, key=lambda w: (system.length(w), system.reduced_word(w)))
+    assert t.by_rank(range(len(elements))) == tuple(by_word)
+
+
+def test_apply_twist_validates_each_new_twist():
+    system = cx.build_system("A3")
+    w = system.product((1, 2))
+    assert system.apply_twist(w, [3, 2, 1]) == system.apply_twist(w, (3, 2, 1))
+    assert system.apply_twist(w, None) == w
+    with pytest.raises(ValueError, match="invalid twist"):
+        system.apply_twist(w, (2, 1, 3))

@@ -3,6 +3,8 @@ import pytest
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
+from test_coxeter import _subword_leq
+
 
 def _filter_route(system, twist=None):
     # twisted involutions by the defining equation instead of the BFS
@@ -135,6 +137,53 @@ def test_conjecture_checker_restricted_to_some_targets():
     parts = [tw.check_conjecture(system, ys=invs[i::3]) for i in range(3)]
     assert sum(p["pairs_checked"] for p in parts) == full["pairs_checked"]
     assert all(p["failures"] == [] for p in parts)
+
+
+@pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None)])
+def test_bruhat_hecke_matches_a_direct_computation(name, twist):
+    # w* y <= x w from multiply, apply_twist and the subword oracle alone,
+    # for every pair of twisted involutions, comparable or not
+    system = cx.build_system(name)
+    elements = system.elements()
+    key = twist or tuple(range(1, system.rank + 1))
+    star = {w: system.apply_twist(w, key) for w in elements}
+    leq = {}
+
+    def below(u, v):
+        if (u, v) not in leq:
+            leq[u, v] = (system.length(u) <= system.length(v)
+                         and _subword_leq(system, u, v))
+        return leq[u, v]
+
+    invs = tw.enumerate_twisted(system, twist)
+    for x in invs:
+        for y in invs:
+            direct = {w for w in elements
+                      if below(system.multiply(star[w], y), system.multiply(x, w))}
+            got = tw.bruhat_hecke(system, y, x, twist)
+            assert set(got) == direct and len(got) == len(direct)
+            assert [system.length(w) for w in got] == sorted(
+                system.length(w) for w in got)
+            lmin = min((system.length(w) for w in direct), default=None)
+            assert set(tw.bruhat_atoms(system, y, x, twist)) == {
+                w for w in direct if system.length(w) == lmin}
+
+
+def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
+    monkeypatch.setattr(tw, "ENUMERATION_CAP", 100)
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    seen = set()
+    real = system.right_mult
+    monkeypatch.setattr(system, "right_mult", lambda w, s: seen.add(w) or real(w, s))
+    y = system.product((1, 2, 1))
+    with pytest.raises(ValueError, match="too large"):
+        tw.bruhat_hecke(system, y)
+    with pytest.raises(ValueError, match="too large"):
+        tw.hecke_table(system, system.identity)
+    assert len(seen) <= 101 and system._elements is None
+    # atoms falls back to the descent recursion on root permutations
+    assert tw.atoms(system, y) == tw.atoms(cx.build_system("B4"), y)
+    assert system._elements is None and system._id_table is None
 
 
 def test_bruhat_descriptions_of_hecke_sets_and_atoms():
