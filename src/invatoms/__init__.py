@@ -11,7 +11,6 @@ from .coxeter import (
     CoxeterSystem,
     build_system,
     coxeter_matrix_from_name,
-    diagram_automorphisms,
     element_to_permutation,
     is_type_a_chain,
     normalize_twist,
@@ -77,6 +76,21 @@ from .braid import (
     m_star,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CoxeterSystem", "build_system", "coxeter_matrix_from_name",
+    "element_to_permutation", "is_type_a_chain", "normalize_twist", "parse_matrix_text",
+    "permutation_to_element", "atoms", "bruhat_atoms", "bruhat_hecke",
+    "check_bruhat_descriptions", "check_central_closure", "check_conjecture",
+    "check_duality", "dact", "dact_word", "dual_twist", "enumerate_twisted",
+    "hat_length", "hecke_atoms", "involution_words", "rtimes", "weak_leq_T",
+    "atoms_perm", "atoms_fpf_perm", "enumerate_involutions", "fpf_base",
+    "hecke_atoms_perm", "is_atom_absolute", "is_atom_colored", "is_atom_fpf",
+    "is_atom_general", "is_atom_longest", "atom_poset", "atom_poset_fpf",
+    "chinese_class", "fpf_class", "hat0", "hat0_fpf", "hat1", "hat1_fpf",
+    "is_321_avoiding", "poset_is_lattice", "poset_to_dot", "poset_to_json",
+    "prec_A_leq", "prec_Afpf_leq", "verify_chinese", "verify_fpf", "braid_class",
+    "check_braid_classes", "check_fc_atoms", "fpf_class_words", "hu_zhang_class",
+    "involution_braid_class", "is_fully_commutative", "m_star",
+]

@@ -11,8 +11,6 @@ one extra family of moves on the first two letters.
 Words are tuples of 1-based generator indices.
 """
 
-from collections import deque
-
 from . import coxeter as cx
 from . import twisted as tw
 
@@ -48,21 +46,9 @@ def braid_neighbors(system, word):
     return out
 
 
-def _closure(seed, neighbors):
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
-
-
 def braid_class(system, word):
     """The closure of word under the alternating-block swaps."""
-    return _closure(_word(word), lambda u: braid_neighbors(system, u))
+    return cx.closure(_word(word), lambda u: braid_neighbors(system, u))
 
 
 # -- truncated block lengths ----------------------------------------------------
@@ -148,8 +134,8 @@ def involution_braid_neighbors(system, word, twist=None):
 def involution_braid_class(system, word, twist=None):
     """The closure of word under the prefix-truncated block swaps."""
     twist = tw._twist_key(system, twist)
-    return _closure(_word(word),
-                    lambda u: involution_braid_neighbors(system, u, twist))
+    return cx.closure(_word(word),
+                      lambda u: involution_braid_neighbors(system, u, twist))
 
 
 def empty_prefix_class(system, word, twist=None):
@@ -174,7 +160,7 @@ def empty_prefix_class(system, word, twist=None):
                 out.append(left + u[m:])
         return out
 
-    return _closure(word, neighbors)
+    return cx.closure(word, neighbors)
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -196,7 +182,7 @@ def hu_zhang_class(system, word):
             out.append((u[1], u[0]) + u[2:])
         return out
 
-    return _closure(word, neighbors)
+    return cx.closure(word, neighbors)
 
 
 def fpf_class_words(system, word):
@@ -215,7 +201,7 @@ def fpf_class_words(system, word):
                 out.append((u[0], other) + u[2:])
         return out
 
-    return _closure(word, neighbors)
+    return cx.closure(word, neighbors)
 
 
 # -- fully commutative elements ------------------------------------------------------
@@ -281,9 +267,9 @@ def check_fc_atoms(system, twist=None):
         if problem is not None:
             failures.append({"x": list(system.reduced_word(x)), "problem": problem})
     return {
-        "system": system.name,
+        "system": system.name or "custom",
         "hypothesis_ok": hypothesis_ok,
-        "fully_commutative_checked": checked,
+        "pairs_checked": checked,
         "failures": failures,
     }
 
@@ -309,7 +295,7 @@ def check_braid_classes(system, twist=None):
                 "extra": len(got - words),
             })
     return {
-        "system": system.name,
-        "involutions_checked": checked,
+        "system": system.name or "custom",
+        "pairs_checked": checked,
         "failures": failures,
     }

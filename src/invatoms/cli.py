@@ -122,7 +122,7 @@ def parse_twist(system, text):
 
 def twist_list(system, text):
     if text == "auto":
-        return [tuple(t) for t in cx.diagram_automorphisms(system)]
+        return [tuple(t) for t in system.diagram_automorphisms()]
     return [parse_twist(system, text)]
 
 
@@ -165,33 +165,27 @@ def _default_start(system, args):
     return None
 
 
-def _cmd_atoms(args):
+# the JSON answer to a single (x, y) query, by output key
+_ANSWERS = {
+    "atoms": lambda system, *q: _words(system, tw.atoms(system, *q)),
+    "hecke_atoms": lambda system, *q: _words(system, tw.hecke_atoms(system, *q)),
+    "words": lambda system, *q: [list(w) for w in tw.involution_words(system, *q)],
+}
+
+# pair verb -> (help, the output keys it answers)
+_PAIR_VERBS = {
+    "atoms": ("atoms and Hecke atoms from x to y", ("atoms", "hecke_atoms")),
+    "words": ("transforming words from x to y", ("words",)),
+    "hecke": ("Hecke atoms from x to y", ("hecke_atoms",)),
+}
+
+
+def _cmd_pair(args):
     system = cx.build_system(args.system)
     twist = parse_twist(system, args.twist)
     y = parse_element(system, args.y)
     x = _default_start(system, args)
-    _emit({
-        "atoms": _words(system, tw.atoms(system, y, x, twist)),
-        "hecke_atoms": _words(system, tw.hecke_atoms(system, y, x, twist)),
-    })
-    return 0
-
-
-def _cmd_words(args):
-    system = cx.build_system(args.system)
-    twist = parse_twist(system, args.twist)
-    y = parse_element(system, args.y)
-    x = _default_start(system, args)
-    _emit({"words": [list(w) for w in tw.involution_words(system, y, x, twist)]})
-    return 0
-
-
-def _cmd_hecke(args):
-    system = cx.build_system(args.system)
-    twist = parse_twist(system, args.twist)
-    y = parse_element(system, args.y)
-    x = _default_start(system, args)
-    _emit({"hecke_atoms": _words(system, tw.hecke_atoms(system, y, x, twist))})
+    _emit({key: _ANSWERS[key](system, y, x, twist) for key in _PAIR_VERBS[args.verb][1]})
     return 0
 
 
@@ -219,38 +213,41 @@ def _cmd_classes(args):
     return 0
 
 
+def _report(system, twist, raw):
+    """A checker report led by the system and the twist it ran under."""
+    report = {"system": raw["system"], "twist": _twist_name(system, twist)}
+    report.update((key, value) for key, value in raw.items() if key != "system")
+    return report
+
+
+def _finish(args, reports):
+    """Print the reports, one text line each or one JSON list; 1 if any failed."""
+    if args.json:
+        _emit(reports)
+    else:
+        for r in reports:
+            print(_report_line(r))
+    return 1 if any(r["failures"] for r in reports) else 0
+
+
 def _cmd_verify(args):
     system = cx.build_system(args.system)
-    reports = []
     if args.what in ("chinese", "fpf"):
         if args.twist not in ("id", None):
             raise UsageError("the %s sweep has no twist; drop --twist" % args.what)
         if not cx.is_type_a_chain(system):
             raise UsageError("the %s sweep needs a symmetric group (type A chain)" % args.what)
         n = system.rank + 1
-        reports.append(od.verify_chinese(n) if args.what == "chinese" else od.verify_fpf(n))
-    else:
-        checkers = {
-            "conjecture": lambda t: tw.check_conjecture(system, t),
-            "braid": lambda t: br.check_braid_classes(system, t),
-            "duality": lambda t: tw.check_duality(system, system.longest_element(), t),
-            "b-prime": lambda t: tw.check_bruhat_descriptions(system, t),
-            "fc": lambda t: br.check_fc_atoms(system, t),
-        }
-        for t in twist_list(system, args.twist):
-            raw = checkers[args.what](t)
-            report = {"system": raw.get("system"), "twist": _twist_name(system, t)}
-            for key, value in raw.items():
-                if key != "system":
-                    report[key] = value
-            reports.append(report)
-    failed = sum(len(r["failures"]) for r in reports)
-    if args.json:
-        _emit(reports)
-    else:
-        for r in reports:
-            print(_report_line(r))
-    return 1 if failed else 0
+        return _finish(args, [od.verify_chinese(n) if args.what == "chinese" else od.verify_fpf(n)])
+    checkers = {
+        "conjecture": lambda t: tw.check_conjecture(system, t),
+        "braid": lambda t: br.check_braid_classes(system, t),
+        "duality": lambda t: tw.check_duality(system, system.longest_element(), t),
+        "b-prime": lambda t: tw.check_bruhat_descriptions(system, t),
+        "fc": lambda t: br.check_fc_atoms(system, t),
+    }
+    return _finish(args, [_report(system, t, checkers[args.what](t))
+                          for t in twist_list(system, args.twist)])
 
 
 def _sweep_worker(payload):
@@ -283,22 +280,12 @@ def _cmd_sweep(args):
                     failures.extend(bad)
             raw = {"system": system.name or "custom", "pairs_checked": pairs,
                    "failures": failures}
-        report = {"system": raw["system"], "twist": _twist_name(system, t),
-                  "pairs_checked": raw["pairs_checked"], "failures": raw["failures"]}
-        reports.append(report)
-    failed = sum(len(r["failures"]) for r in reports)
-    if args.json:
-        _emit(reports)
-    else:
-        for r in reports:
-            print(_report_line(r))
-    return 1 if failed else 0
+        reports.append(_report(system, t, raw))
+    return _finish(args, reports)
 
 
 _HANDLERS = {
-    "atoms": _cmd_atoms,
-    "words": _cmd_words,
-    "hecke": _cmd_hecke,
+    **{verb: _cmd_pair for verb in _PAIR_VERBS},
     "poset": _cmd_poset,
     "classes": _cmd_classes,
     "verify": _cmd_verify,
@@ -332,9 +319,8 @@ def build_parser():
         p.add_argument("--fpf", action="store_true",
                        help="start from the fixed-point-free base instead of the identity")
 
-    add_pair(sub.add_parser("atoms", help="atoms and Hecke atoms from x to y"))
-    add_pair(sub.add_parser("words", help="transforming words from x to y"))
-    add_pair(sub.add_parser("hecke", help="Hecke atoms from x to y"))
+    for verb, (help_text, _) in _PAIR_VERBS.items():
+        add_pair(sub.add_parser(verb, help=help_text))
 
     poset_p = sub.add_parser("poset", help="atom order of an involution in a symmetric group")
     poset_p.add_argument("--x", required=True, help="involution (cycles or one-line)")

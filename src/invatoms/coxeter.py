@@ -10,12 +10,36 @@ Generators are numbered 1..rank everywhere in the public interface.
 """
 
 import itertools
+import math
+import numbers
+from collections import deque
 from functools import lru_cache
-
-import numpy as np
 
 DEFAULT_ROOT_CAP = 10000
 _DEDUP_DECIMALS = 9
+
+
+def closure(seed, neighbors):
+    """Everything reachable from seed by repeated neighbors steps, as a set (BFS)."""
+    seen = {seed}
+    queue = deque([seed])
+    while queue:
+        for v in neighbors(queue.popleft()):
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def _root_key(v):
+    return tuple(round(x, _DEDUP_DECIMALS) + 0.0 for x in v)
+
+
+def _reflect(row, v, s):
+    """The reflection s_s(v) = v - 2 B(alpha_s, v) alpha_s, given row = B(alpha_s, -)."""
+    w = list(v)
+    w[s] -= 2.0 * sum(b * x for b, x in zip(row, v))
+    return tuple(w)
 
 
 def _validate_matrix(matrix):
@@ -29,7 +53,7 @@ def _validate_matrix(matrix):
     for i in range(n):
         for j in range(n):
             v = m[i][j]
-            if not isinstance(v, (int, np.integer)):
+            if not isinstance(v, numbers.Integral):
                 raise ValueError("invalid matrix: entries must be integers")
             if i == j and v != 1:
                 raise ValueError("invalid matrix: diagonal entries must be 1")
@@ -56,40 +80,26 @@ class CoxeterSystem:
         self._id_table = None
         self._bruhat_cache = {}  # id-pair key -> Bruhat comparison, filled by the id table
         self._twist_perm_cache = {}
-        self._pair_root_cache = None
 
     def _build_roots(self, root_cap):
         n = self.rank
-        bform = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                m = self.matrix[i][j]
-                # an entry of 0 encodes an infinite bond
-                bform[i][j] = -1.0 if m == 0 else -np.cos(np.pi / m)
+        # an entry of 0 encodes an infinite bond
+        bform = tuple(tuple(-1.0 if m == 0 else -math.cos(math.pi / m) for m in row)
+                      for row in self.matrix)
         self.bilinear_form = bform
 
-        def key(v):
-            return tuple(np.round(v, _DEDUP_DECIMALS) + 0.0)
-
-        roots = []
-        index = {}
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            index[key(v)] = len(roots)
-            roots.append(v)
+        roots = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+        index = {_root_key(v): i for i, v in enumerate(roots)}
         frontier = list(range(n))
         while frontier:
             nxt = []
             for ri in frontier:
                 v = roots[ri]
-                coeffs = 2.0 * (bform @ v)
                 for s in range(n):
-                    w = v.copy()
-                    w[s] -= coeffs[s]
+                    w = _reflect(bform[s], v, s)
                     if w[s] < -1e-9:
                         continue  # crossed to a negative root (only happens for v = alpha_s)
-                    k = key(w)
+                    k = _root_key(w)
                     if k not in index:
                         index[k] = len(roots)
                         roots.append(w)
@@ -107,19 +117,23 @@ class CoxeterSystem:
         gens = []
         for s in range(n):
             perm = [0] * (2 * p)
-            coeffs_col = 2.0 * bform[s]
             for i in range(p):
-                v = roots[i]
-                if i == s:
-                    perm[i] = s + p
-                else:
-                    w = v.copy()
-                    w[s] -= float(coeffs_col @ v)
-                    perm[i] = index[key(w)]
+                perm[i] = s + p if i == s else self._root_id(_reflect(bform[s], roots[i], s))
                 perm[i + p] = (perm[i] + p) % (2 * p)
+            if any(perm[j] != i for i, j in enumerate(perm)):
+                raise ValueError("root construction failed: generator %d is not an "
+                                 "involution on the %d roots found" % (s + 1, 2 * p))
             gens.append(tuple(perm))
         self._gen_perms = gens
         self.identity = tuple(range(2 * p))
+
+    def _root_id(self, v):
+        """The index of the positive root v; a miss means rounding split a root."""
+        got = self._root_index.get(_root_key(v))
+        if got is None:
+            raise ValueError("root construction failed: an image of a root is not among "
+                             "the %d positive roots found" % self.num_positive)
+        return got
 
     def generator(self, s):
         """The element s_i for i in 1..rank."""
@@ -362,8 +376,7 @@ class CoxeterSystem:
             rho = [0] * (2 * p)
             for i in range(p):
                 v = self.roots[i]
-                w = np.array([v[inv[j]] for j in range(n)])
-                j = self._root_index[tuple(np.round(w, _DEDUP_DECIMALS) + 0.0)]
+                j = self._root_id([v[inv[k]] for k in range(n)])
                 rho[i] = j
                 rho[i + p] = j + p
             rho_inv = [0] * (2 * p)
@@ -380,24 +393,6 @@ class CoxeterSystem:
         """The image of w under the diagram automorphism given by twist."""
         rho, rho_inv = self._twist_perms(twist)
         return tuple(rho[w[i]] for i in rho_inv)
-
-    def pair_positive_roots(self, s, t):
-        """Indices of the positive roots of the rank two subsystem on {s, t}."""
-        if self._pair_root_cache is None:
-            self._pair_root_cache = {}
-        key = (min(s, t), max(s, t))
-        got = self._pair_root_cache.get(key)
-        if got is not None:
-            return got
-        n = self.rank
-        idxs = []
-        for i in range(self.num_positive):
-            v = self.roots[i]
-            if all(abs(v[j]) < 1e-9 for j in range(n) if j + 1 not in (s, t)):
-                idxs.append(i)
-        res = tuple(idxs)
-        self._pair_root_cache[key] = res
-        return res
 
     def __repr__(self):
         return "CoxeterSystem(%s, rank=%d)" % (self.name or "custom", self.rank)
@@ -668,64 +663,3 @@ def element_to_permutation(system, w):
     for s in system.reduced_word(w):
         seq[s - 1], seq[s] = seq[s], seq[s - 1]
     return tuple(seq)
-
-
-# -- module-level views of the element operations ----------------------------
-# Every operation lives on CoxeterSystem; these let callers thread the system
-# explicitly, which reads better in sweeps that mix several systems.
-
-
-def multiply(system, u, v):
-    return system.multiply(u, v)
-
-
-def inverse(system, w):
-    return system.inverse(w)
-
-
-def length(system, w):
-    return system.length(w)
-
-
-def descents_right(system, w):
-    return system.descents_right(w)
-
-
-def descents_left(system, w):
-    return system.descents_left(w)
-
-
-def demazure_product(system, u, v):
-    return system.demazure_product(u, v)
-
-
-def bruhat_leq(system, u, w):
-    return system.bruhat_leq(u, w)
-
-
-def weak_leq_right(system, u, w):
-    return system.weak_leq_right(u, w)
-
-
-def reduced_word(system, w):
-    return system.reduced_word(w)
-
-
-def reduced_words(system, w):
-    return system.reduced_words(w)
-
-
-def diagram_automorphisms(system):
-    return system.diagram_automorphisms()
-
-
-def apply_twist(system, t, w):
-    return system.apply_twist(w, t)
-
-
-def longest_element(system, J=None):
-    return system.longest_element(J)
-
-
-def restrict_to_component(system, w, J):
-    return system.restrict_to_component(w, J)

@@ -14,8 +14,7 @@ Permutations are one-line tuples as in the typea module; the class and
 order closures accept arbitrary integer sequences.
 """
 
-from collections import deque
-
+from . import coxeter as cx
 from . import typea as ta
 
 CHINESE_SWEEP_CAP = 7
@@ -53,16 +52,7 @@ def chinese_neighbors(seq):
 
 def chinese_class(seq):
     """The full equivalence class of seq under the three-letter relation."""
-    start = _seq(seq)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in chinese_neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    return cx.closure(_seq(seq), chinese_neighbors)
 
 
 def _partition_into_classes(universe, class_of):
@@ -77,19 +67,14 @@ def _partition_into_classes(universe, class_of):
     return classes
 
 
-def verify_chinese(n):
-    """Match the class partition of S_n against the inverted Hecke atom sets.
-
-    Returns a report dict; an empty failures list means every class equals
-    the inverted Hecke atom set of the involution its members fold to.
-    """
-    if n > CHINESE_SWEEP_CAP:
-        raise ValueError("n too large for the Chinese sweep (max %d)" % CHINESE_SWEEP_CAP)
-    table = ta.hecke_image_table(n)
+def _verify_classes(n, base, class_of):
+    """The report of verify_chinese and verify_fpf: the partition of S_n by
+    class_of against the inverted Hecke atom sets of base."""
+    table = ta.hecke_image_table(n, base)
     by_target = {}
     for w, img in table.items():
         by_target.setdefault(img, set()).add(ta.inverse_perm(w))
-    classes = _partition_into_classes(table, chinese_class)
+    classes = _partition_into_classes(table, class_of)
     failures = []
     for cls in classes:
         u = min(cls)
@@ -113,6 +98,17 @@ def verify_chinese(n):
         "involutions": len(by_target),
         "failures": failures,
     }
+
+
+def verify_chinese(n):
+    """Match the class partition of S_n against the inverted Hecke atom sets.
+
+    Returns a report dict; an empty failures list means every class equals
+    the inverted Hecke atom set of the involution its members fold to.
+    """
+    if n > CHINESE_SWEEP_CAP:
+        raise ValueError("n too large for the Chinese sweep (max %d)" % CHINESE_SWEEP_CAP)
+    return _verify_classes(n, None, chinese_class)
 
 
 # -- the fixed-point-free relation -------------------------------------------
@@ -145,15 +141,7 @@ def fpf_class(seq):
     start = _seq(seq)
     if len(start) % 2:
         raise ValueError("sequence has odd length")
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in fpf_neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    return cx.closure(start, fpf_neighbors)
 
 
 def verify_fpf(n2):
@@ -162,34 +150,7 @@ def verify_fpf(n2):
         raise ValueError("sequence has odd length")
     if n2 > FPF_SWEEP_CAP:
         raise ValueError("2n too large for the FPF sweep (max %d)" % FPF_SWEEP_CAP)
-    table = ta.hecke_image_table(n2, ta.fpf_base(n2))
-    by_target = {}
-    for w, img in table.items():
-        by_target.setdefault(img, set()).add(ta.inverse_perm(w))
-    classes = _partition_into_classes(table, fpf_class)
-    failures = []
-    for cls in classes:
-        u = min(cls)
-        target = table[ta.inverse_perm(u)]
-        expected = frozenset(by_target.get(target, ()))
-        if cls != expected:
-            failures.append({
-                "involution": list(target),
-                "class_size": len(cls),
-                "hecke_size": len(expected),
-            })
-    if len(classes) != len(by_target):
-        failures.append({
-            "involution": None,
-            "class_size": len(classes),
-            "hecke_size": len(by_target),
-        })
-    return {
-        "n": n2,
-        "classes": len(classes),
-        "involutions": len(by_target),
-        "failures": failures,
-    }
+    return _verify_classes(n2, ta.fpf_base(n2), fpf_class)
 
 
 # -- the atom orders ----------------------------------------------------------
@@ -216,28 +177,10 @@ def _up_steps_fpf(seq):
     return out
 
 
-def _reaches(start, goal, steps):
-    start, goal = _seq(start), _seq(goal)
-    if len(start) != len(goal) or sorted(start) != sorted(goal):
-        return False
-    if start == goal:
-        return True
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in steps(u):
-            if v == goal:
-                return True
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return False
-
-
 def prec_A_leq(u, v):
     """Whether v is reachable from u by upward three-letter moves."""
-    return _reaches(u, v, _up_steps)
+    u, v = _seq(u), _seq(v)
+    return sorted(u) == sorted(v) and v in cx.closure(u, _up_steps)
 
 
 def prec_Afpf_leq(u, v):
@@ -245,7 +188,7 @@ def prec_Afpf_leq(u, v):
     u, v = _seq(u), _seq(v)
     if len(u) % 2 or len(v) % 2:
         raise ValueError("sequence has odd length")
-    return _reaches(u, v, _up_steps_fpf)
+    return sorted(u) == sorted(v) and v in cx.closure(u, _up_steps_fpf)
 
 
 # -- extremal atoms -----------------------------------------------------------
@@ -396,16 +339,14 @@ def _transitive_reduce(nodes, edges, rank_of):
 
 
 def _build_poset(bottom, steps, rank_of):
-    seen = {bottom}
-    queue = deque([bottom])
     edges = set()
-    while queue:
-        u = queue.popleft()
-        for v in steps(u):
-            edges.add((u, v))
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+
+    def record(u):
+        out = steps(u)
+        edges.update((u, v) for v in out)
+        return out
+
+    seen = cx.closure(bottom, record)
     ranks = {u: rank_of(u) for u in seen}
     for u, v in edges:
         if ranks[v] <= ranks[u]:

@@ -14,7 +14,7 @@ which matches conjugating by the 0-Hecke product instead.
 
 import itertools
 
-from .coxeter import normalize_twist, is_involutive_twist
+from .coxeter import closure, is_involutive_twist, normalize_twist
 
 ENUMERATION_CAP = 50000
 
@@ -191,23 +191,12 @@ def weak_leq_T(system, x, y, twist=None):
 def _down_set(system, y, twist):
     cache = _caches(system, twist).setdefault("down", {})
     got = cache.get(y)
-    if got is not None:
-        return got
-    p = system.num_positive
-    seen = {y}
-    frontier = [y]
-    while frontier:
-        nxt = []
-        for z in frontier:
-            for s in range(1, system.rank + 1):
-                if z[s - 1] >= p:
-                    z2 = _rtimes(system, z, s, twist)
-                    if z2 not in seen:
-                        seen.add(z2)
-                        nxt.append(z2)
-        frontier = nxt
-    cache[y] = frozenset(seen)
-    return cache[y]
+    if got is None:
+        p = system.num_positive
+        steps = range(1, system.rank + 1)
+        got = cache[y] = frozenset(closure(
+            y, lambda z: [_rtimes(system, z, s, twist) for s in steps if z[s - 1] >= p]))
+    return got
 
 
 def hecke_table(system, base, twist=None):

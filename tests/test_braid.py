@@ -61,7 +61,7 @@ def test_rewriting_closure_spans_every_word_set():
     for name, twist, checked in [("A3", None, 10), ("A3", (3, 2, 1), 10),
                                  ("B2", None, 6), ("B3", None, 20)]:
         report = br.check_braid_classes(cx.build_system(name), twist)
-        assert report["involutions_checked"] == checked
+        assert report["pairs_checked"] == checked
         assert report["failures"] == []
 
 
@@ -133,7 +133,17 @@ def test_fully_commutative_involutions_have_a_lone_atom():
     for name, checked in [("A4", 10), ("B3", 10)]:
         report = br.check_fc_atoms(cx.build_system(name))
         assert report["hypothesis_ok"]
-        assert report["fully_commutative_checked"] == checked
+        assert report["pairs_checked"] == checked
+        assert report["failures"] == []
+
+
+def test_braid_checkers_name_a_matrix_built_system_custom():
+    system = cx.build_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
+    # the matrix of A3: 10 involutions, 6 of them fully commutative
+    for report, checked in [(br.check_braid_classes(system), 10),
+                            (br.check_fc_atoms(system), 6)]:
+        assert report["system"] == "custom"
+        assert report["pairs_checked"] == checked
         assert report["failures"] == []
 
 

@@ -60,7 +60,7 @@ def test_verify_json_reports(capsys):
     code, out, _ = run(capsys, "verify", "braid", "--system", "A3", "--json")
     assert code == 0
     reports = json.loads(out)
-    assert reports[0]["involutions_checked"] == 10
+    assert reports[0]["pairs_checked"] == 10
     assert reports[0]["failures"] == []
 
 
@@ -159,6 +159,12 @@ def test_element_keywords(capsys):
     code, _, err = run(capsys, "words", "--system", "B3", "--y", "wfpf")
     assert code == 2
     assert "type A chain" in err
+
+
+def test_failed_root_construction_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "words", "--system", "I2(5000)", "--y", "1")
+    assert code == 2
+    assert "root construction failed" in err
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):
