@@ -23,32 +23,53 @@ def _word(letters):
     return tuple(int(a) for a in letters)
 
 
+def _blocks(triples):
+    """The block-swap table {m: {block: swapped block}} of (s, t, m) triples:
+    the alternating blocks sts... and tst... of length m swap."""
+    table = {}
+    for s, t, m in triples:
+        left, right = _alternating(s, t, m), _alternating(t, s, m)
+        swaps = table.setdefault(m, {})
+        swaps[left], swaps[right] = right, left
+    return table
+
+
+def _swaps(word, j, blocks, out):
+    """Append to out every word one table swap at position j away from word."""
+    for m, swaps in blocks.items():
+        other = swaps.get(word[j:j + m])
+        if other is not None:
+            out.append(word[:j] + other + word[j + m:])
+
+
+def _pairs(system):
+    rank = system.rank
+    return [(s, t) for s in range(1, rank + 1) for t in range(s + 1, rank + 1)]
+
+
 # -- ordinary braid relations --------------------------------------------------
+
+
+def _braid_blocks(system):
+    return _blocks((s, t, system.bond(s, t)) for s, t in _pairs(system))
+
+
+def _braid_moves(word, blocks):
+    out = []
+    for j in range(len(word)):
+        _swaps(word, j, blocks, out)
+    return out
 
 
 def braid_neighbors(system, word):
     """Words one alternating-block swap away from word."""
-    word = _word(word)
-    out = []
-    rank = system.rank
-    for s in range(1, rank + 1):
-        for t in range(s + 1, rank + 1):
-            m = system.bond(s, t)
-            if m < 2 or m > len(word):
-                continue
-            left, right = _alternating(s, t, m), _alternating(t, s, m)
-            for j in range(len(word) - m + 1):
-                block = word[j:j + m]
-                if block == left:
-                    out.append(word[:j] + right + word[j + m:])
-                elif block == right:
-                    out.append(word[:j] + left + word[j + m:])
-    return out
+    return _braid_moves(_word(word), _braid_blocks(system))
 
 
 def braid_class(system, word):
     """The closure of word under the alternating-block swaps."""
-    return cx.closure(_word(word), lambda u: braid_neighbors(system, u))
+    blocks = _braid_blocks(system)
+    return cx.closure(_word(word), lambda u: _braid_moves(u, blocks))
 
 
 # -- truncated block lengths ----------------------------------------------------
@@ -78,32 +99,24 @@ def theta_prefix(system, prefix, twist=None):
 
 
 def _theta_for(system, u, twist):
-    cache = tw._caches(system, twist).setdefault("theta", {})
-    theta = cache.get(u)
-    if theta is None:
-        uinv = system.inverse(u)
+    uinv = system.inverse(u)
 
-        def theta(g):
-            return system.apply_twist(system.multiply(system.multiply(u, g), uinv), twist)
+    def theta(g):
+        return system.apply_twist(system.multiply(system.multiply(u, g), uinv), twist)
 
-        theta.base = u
-        cache[u] = theta
+    theta.base = u
     return theta
 
 
-def _m_star_for(system, u, twist):
-    """Truncated lengths for every generator pair after a prefix folding to u."""
+def _truncated_blocks(system, u, twist):
+    """The block-swap table after a prefix folding to u (cached per fold)."""
     cache = tw._caches(system, twist).setdefault("m_star", {})
-    table = cache.get(u)
-    if table is None:
+    blocks = cache.get(u)
+    if blocks is None:
         theta = _theta_for(system, u, twist)
-        table = {}
-        rank = system.rank
-        for s in range(1, rank + 1):
-            for t in range(s + 1, rank + 1):
-                table[s, t] = m_star(system, s, t, theta)
-        cache[u] = table
-    return table
+        blocks = cache[u] = _blocks(
+            (s, t, m_star(system, s, t, theta)) for s, t in _pairs(system))
+    return blocks
 
 
 # -- involution braid relations --------------------------------------------------
@@ -114,20 +127,10 @@ def involution_braid_neighbors(system, word, twist=None):
     twist = tw._twist_key(system, twist)
     word = _word(word)
     out = []
-    folds = [system.identity]
-    for a in word:
-        folds.append(tw._dact(system, folds[-1], a, twist))
-    for j in range(len(word)):
-        table = _m_star_for(system, folds[j], twist)
-        for (s, t), m in table.items():
-            if j + m > len(word):
-                continue
-            left, right = _alternating(s, t, m), _alternating(t, s, m)
-            block = word[j:j + m]
-            if block == left:
-                out.append(word[:j] + right + word[j + m:])
-            elif block == right:
-                out.append(word[:j] + left + word[j + m:])
+    u = system.identity
+    for j, a in enumerate(word):
+        _swaps(word, j, _truncated_blocks(system, u, twist), out)
+        u = tw._dact(system, u, a, twist)
     return out
 
 
@@ -138,6 +141,19 @@ def involution_braid_class(system, word, twist=None):
                       lambda u: involution_braid_neighbors(system, u, twist))
 
 
+def _start_class(system, word, start_blocks):
+    """Closure of word under braid moves anywhere plus start_blocks swaps at
+    the start of the word."""
+    blocks = _braid_blocks(system)
+
+    def neighbors(u):
+        out = _braid_moves(u, blocks)
+        _swaps(u, 0, start_blocks, out)
+        return out
+
+    return cx.closure(_word(word), neighbors)
+
+
 def empty_prefix_class(system, word, twist=None):
     """Closure under ordinary braid moves plus truncated blocks at the start only.
 
@@ -145,22 +161,7 @@ def empty_prefix_class(system, word, twist=None):
     weaker closure exists to measure how far the initial moves alone reach.
     """
     twist = tw._twist_key(system, twist)
-    word = _word(word)
-    table = _m_star_for(system, system.identity, twist)
-
-    def neighbors(u):
-        out = braid_neighbors(system, u)
-        for (s, t), m in table.items():
-            if m > len(u):
-                continue
-            left, right = _alternating(s, t, m), _alternating(t, s, m)
-            if u[:m] == left:
-                out.append(right + u[m:])
-            elif u[:m] == right:
-                out.append(left + u[m:])
-        return out
-
-    return cx.closure(word, neighbors)
+    return _start_class(system, word, _truncated_blocks(system, system.identity, twist))
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -174,15 +175,7 @@ def _require_type_a(system):
 def hu_zhang_class(system, word):
     """Closure under braid moves plus swapping an adjacent-generator initial pair."""
     _require_type_a(system)
-    word = _word(word)
-
-    def neighbors(u):
-        out = braid_neighbors(system, u)
-        if len(u) >= 2 and abs(u[0] - u[1]) == 1:
-            out.append((u[1], u[0]) + u[2:])
-        return out
-
-    return cx.closure(word, neighbors)
+    return _start_class(system, word, _blocks((i, i + 1, 2) for i in range(1, system.rank)))
 
 
 def fpf_class_words(system, word):
@@ -190,18 +183,10 @@ def fpf_class_words(system, word):
     _require_type_a(system)
     if (system.rank + 1) % 2:
         raise ValueError("fixed-point-free words need an even symmetric group")
-    word = _word(word)
-    rank = system.rank
-
-    def neighbors(u):
-        out = braid_neighbors(system, u)
-        if len(u) >= 2 and u[0] % 2 == 0 and abs(u[0] - u[1]) == 1:
-            other = 2 * u[0] - u[1]
-            if 1 <= other <= rank:
-                out.append((u[0], other) + u[2:])
-        return out
-
-    return cx.closure(word, neighbors)
+    swaps = {}
+    for a in range(2, system.rank, 2):
+        swaps[a, a - 1], swaps[a, a + 1] = (a, a + 1), (a, a - 1)
+    return _start_class(system, word, {2: swaps})
 
 
 # -- fully commutative elements ------------------------------------------------------
@@ -250,7 +235,7 @@ def check_fc_atoms(system, twist=None):
             hypothesis_ok = False
     failures = []
     checked = 0
-    for x in tw._by_word(system, tw.enumerate_twisted(system, twist)):
+    for x in tw.enumerate_twisted(system, twist):
         if not is_fully_commutative(system, x):
             continue
         checked += 1
@@ -284,7 +269,7 @@ def check_braid_classes(system, twist=None):
     twist = tw._twist_key(system, twist)
     failures = []
     checked = 0
-    for x in tw._by_word(system, tw.enumerate_twisted(system, twist)):
+    for x in tw.enumerate_twisted(system, twist):
         words = set(tw.involution_words(system, x, twist=twist))
         checked += 1
         got = involution_braid_class(system, min(words), twist)

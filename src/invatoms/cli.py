@@ -122,7 +122,8 @@ def parse_twist(system, text):
 
 def twist_list(system, text):
     if text == "auto":
-        return [tuple(t) for t in system.diagram_automorphisms()]
+        return [tuple(t) for t in system.diagram_automorphisms()
+                if cx.is_involutive_twist(system, t)]
     return [parse_twist(system, text)]
 
 

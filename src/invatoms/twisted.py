@@ -124,53 +124,22 @@ def dact_element_via_demazure(system, x, w, twist=None):
 
 
 def enumerate_twisted(system, twist=None):
-    """All twisted involutions, by BFS under the conjugation step (cached)."""
+    """All twisted involutions in (length, word) order: the closure of the
+    identity under the conjugation step (cached)."""
     twist = _twist_key(system, twist)
     cache = _caches(system, twist)
     if "all" not in cache:
-        seen = {system.identity}
-        order = [system.identity]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for s in range(1, system.rank + 1):
-                y = _rtimes(system, x, s, twist)
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-        cache["all"] = tuple(order)
+        steps = range(1, system.rank + 1)
+        cache["all"] = tuple(_by_word(system, closure(
+            system.identity, lambda x: [_rtimes(system, x, s, twist) for s in steps])))
     return cache["all"]
 
 
-def hat_length_table(system, twist=None):
-    """Depth of each twisted involution in the weak order (cached BFS layering)."""
-    twist = _twist_key(system, twist)
-    cache = _caches(system, twist)
-    if "hat" not in cache:
-        depth = {system.identity: 0}
-        frontier = [system.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in range(1, system.rank + 1):
-                    if x[s - 1] < system.num_positive:  # ascent
-                        y = _rtimes(system, x, s, twist)
-                        if y not in depth:
-                            depth[y] = depth[x] + 1
-                            nxt.append(y)
-            frontier = nxt
-        cache["hat"] = depth
-    return cache["hat"]
-
-
-def hat_length(system, x, twist=None, table=True):
-    """Common length of all involution words of x."""
+def hat_length(system, x, twist=None):
+    """Common length of all involution words of x, found by stripping right
+    descents without enumerating the group."""
     twist = _twist_key(system, twist)
     _check_member(system, x, twist)
-    if table:
-        return hat_length_table(system, twist)[x]
-    # local route that avoids enumerating the group: strip right descents
     n = 0
     p = system.num_positive
     while x != system.identity:
@@ -437,12 +406,11 @@ def check_duality(system, v0, twist=None):
                 )
 
     if v0 == system.longest_element():
-        hat_s = hat_length_table(system, twist)
-        hat_d = hat_length_table(system, diamond)
-        top = hat_s[max(hat_s, key=hat_s.get)]
+        top = hat_length(system, v0, twist)
         for x in i_diam:
             checks += 1
-            if hat_d[x] != top - hat_s[system.multiply(v0, x)]:
+            hat_vx = hat_length(system, system.multiply(v0, x), twist)
+            if hat_length(system, x, diamond) != top - hat_vx:
                 failures.append(
                     {"check": "hat-length", "x": list(system.reduced_word(x))}
                 )

@@ -13,7 +13,7 @@ def test_braid_moves_in_a_single_word():
 
 
 def test_braid_classes_exhaust_reduced_words():
-    for name in ("A3", "B2"):
+    for name in ("A3", "B2", "H3", "I2(5)"):
         system = cx.build_system(name)
         for w in system.elements():
             words = set(system.reduced_words(w))
@@ -59,7 +59,10 @@ def test_prefix_conjugated_twist():
 
 def test_rewriting_closure_spans_every_word_set():
     for name, twist, checked in [("A3", None, 10), ("A3", (3, 2, 1), 10),
-                                 ("B2", None, 6), ("B3", None, 20)]:
+                                 ("B2", None, 6), ("B3", None, 20),
+                                 # a swapped even bond, blocks of five, a D4 twist
+                                 ("I2(6)", (2, 1), 6), ("H3", None, 32),
+                                 ("D4", (3, 2, 1, 4), 32)]:
         report = br.check_braid_classes(cx.build_system(name), twist)
         assert report["pairs_checked"] == checked
         assert report["failures"] == []

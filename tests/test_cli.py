@@ -47,13 +47,16 @@ def test_verify_conjecture_line(capsys):
 
 
 def test_verify_auto_twist_runs_every_diagram_symmetry(capsys):
-    code, out, _ = run(capsys, "verify", "conjecture", "--system", "A3",
-                       "--twist", "auto")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert "twist: id" in lines[0]
-    assert "twist: 3,2,1" in lines[1]
+    # D4's order-three diagram automorphisms are not twists
+    for name, twists in [("A3", ["id", "3,2,1"]),
+                         ("D4", ["id", "1,2,4,3", "3,2,1,4", "4,2,3,1"])]:
+        code, out, _ = run(capsys, "verify", "conjecture", "--system", name,
+                           "--twist", "auto")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == len(twists)
+        for line, twist in zip(lines, twists):
+            assert "twist: %s," % twist in line
 
 
 def test_verify_json_reports(capsys):

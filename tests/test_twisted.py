@@ -46,20 +46,12 @@ def test_fold_routes_agree_on_every_pair():
 
 
 def test_hat_length_equals_atom_length():
-    for name in ("A3", "B3"):
+    for name, twist in [("A3", None), ("B3", None), ("A3", (3, 2, 1))]:
         system = cx.build_system(name)
-        for y in tw.enumerate_twisted(system):
-            ats = tw.atoms(system, y)
+        for y in tw.enumerate_twisted(system, twist):
+            ats = tw.atoms(system, y, twist=twist)
             assert len({system.length(w) for w in ats}) == 1
-            assert system.length(ats[0]) == tw.hat_length(system, y)
-
-
-def test_hat_length_table_route_matches_recursive_route():
-    system = cx.build_system("A3")
-    twist = (3, 2, 1)
-    for x in tw.enumerate_twisted(system, twist):
-        assert tw.hat_length(system, x, twist, table=True) == \
-            tw.hat_length(system, x, twist, table=False)
+            assert system.length(ats[0]) == tw.hat_length(system, y, twist)
 
 
 def test_weak_order_reachability_equals_nonempty_hecke_set():
