@@ -61,11 +61,6 @@ def _braid_moves(word, blocks):
     return out
 
 
-def braid_neighbors(system, word):
-    """Words one alternating-block swap away from word."""
-    return _braid_moves(_word(word), _braid_blocks(system))
-
-
 def braid_class(system, word):
     """The closure of word under the alternating-block swaps."""
     blocks = _braid_blocks(system)

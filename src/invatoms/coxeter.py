@@ -171,9 +171,6 @@ class CoxeterSystem:
         p = self.num_positive
         return tuple(s + 1 for s in range(self.rank) if w[s] >= p)
 
-    def descents_left(self, w):
-        return self.descents_right(self.inverse(w))
-
     def right_mult(self, w, s):
         return tuple(w[i] for i in self._gen_perms[s - 1])
 
@@ -352,10 +349,6 @@ class CoxeterSystem:
             ):
                 out.append(tuple(q + 1 for q in perm))
         return tuple(out)
-
-    def twist_root_perm(self, twist):
-        """The root index relabeling induced by a generator permutation."""
-        return self._twist_perms(twist)[0]
 
     def _twist_perms(self, twist):
         """The relabeling rho and its inverse, cached under the twist as given

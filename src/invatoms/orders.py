@@ -14,6 +14,8 @@ Permutations are one-line tuples as in the typea module; the class and
 order closures accept arbitrary integer sequences.
 """
 
+from operator import itemgetter
+
 from . import coxeter as cx
 from . import typea as ta
 
@@ -194,26 +196,24 @@ def prec_Afpf_leq(u, v):
 # -- extremal atoms -----------------------------------------------------------
 
 
-def hat0(x):
-    """The minimal inverted atom of an involution x."""
+def _hat(x, key):
     x = _seq(x)
     if not (ta.is_permutation(x) and ta.is_involution_perm(x)):
         raise ValueError("extremal atoms need an involution")
     seq = []
-    for a, b in ta.cyc(x):
+    for a, b in sorted(ta.cyc(x), key=key):
         seq.extend((b, a))
     return _dedupe(seq)
+
+
+def hat0(x):
+    """The minimal inverted atom of an involution x."""
+    return _hat(x, itemgetter(0))
 
 
 def hat1(x):
     """The maximal inverted atom of an involution x."""
-    x = _seq(x)
-    if not (ta.is_permutation(x) and ta.is_involution_perm(x)):
-        raise ValueError("extremal atoms need an involution")
-    seq = []
-    for a, b in sorted(ta.cyc(x), key=lambda p: p[1]):
-        seq.extend((b, a))
-    return _dedupe(seq)
+    return _hat(x, itemgetter(1))
 
 
 def _fpf_pairs(x):
@@ -223,20 +223,18 @@ def _fpf_pairs(x):
     return [(a, x[a - 1]) for a in range(1, len(x) + 1) if a < x[a - 1]]
 
 
+def _hat_fpf(x, key):
+    return tuple(v for pair in sorted(_fpf_pairs(x), key=key) for v in pair)
+
+
 def hat0_fpf(x):
     """The minimal inverted atom of a fixed-point-free involution x."""
-    seq = []
-    for a, b in _fpf_pairs(x):
-        seq.extend((a, b))
-    return tuple(seq)
+    return _hat_fpf(x, itemgetter(0))
 
 
 def hat1_fpf(x):
     """The maximal inverted atom of a fixed-point-free involution x."""
-    seq = []
-    for a, b in sorted(_fpf_pairs(x), key=lambda p: p[1]):
-        seq.extend((a, b))
-    return tuple(seq)
+    return _hat_fpf(x, itemgetter(1))
 
 
 def is_321_avoiding(w):
@@ -317,41 +315,26 @@ class AtomPoset:
         return self._up
 
     def leq(self, u, v):
-        return v in self._upsets()[_seq(u)]
-
-
-def _transitive_reduce(nodes, edges, rank_of):
-    succ = {u: set() for u in nodes}
-    for u, v in edges:
-        succ[u].add(v)
-    order = sorted(nodes, key=lambda u: -rank_of[u])
-    reach = {}
-    for u in order:
-        r = set()
-        for v in succ[u]:
-            r |= {v} | reach[v]
-        reach[u] = r
-    reduced = set()
-    for u, v in edges:
-        if not any(v in reach[w] for w in succ[u] if w != v):
-            reduced.add((u, v))
-    return reduced
+        up = self._upsets().get(_seq(u))
+        if up is None:
+            raise ValueError("u is not an element of the atom order")
+        return v in up
 
 
 def _build_poset(bottom, steps, rank_of):
-    edges = set()
+    """The order generated from bottom by upward moves. Each move must raise
+    the rank by exactly one, so the moves are the covers."""
+    covers = set()
 
     def record(u):
         out = steps(u)
-        edges.update((u, v) for v in out)
+        covers.update((u, v) for v in out)
         return out
 
     seen = cx.closure(bottom, record)
     ranks = {u: rank_of(u) for u in seen}
-    for u, v in edges:
-        if ranks[v] <= ranks[u]:
-            raise RuntimeError("rank function is not increasing along moves")
-    covers = _transitive_reduce(seen, edges, ranks)
+    if any(ranks[v] != ranks[u] + 1 for u, v in covers):
+        raise RuntimeError("rank function does not rise by one along moves")
     has_out = {u for u, _ in covers}
     tops = [u for u in seen if u not in has_out]
     if len(tops) != 1:
@@ -379,16 +362,10 @@ def atom_poset_fpf(x):
 def poset_is_lattice(poset):
     """Whether every pair has a unique minimal upper bound and maximal lower bound."""
     up = poset._upsets()
-    pred = {u: [] for u in poset.elements}
-    for u, v in poset.covers:
-        pred[v].append(u)
-    order = sorted(poset.elements, key=lambda u: poset.ranks[u])
-    down = {}
-    for u in order:
-        reach = {u}
-        for v in pred[u]:
-            reach |= down[v]
-        down[u] = frozenset(reach)
+    down = {u: set() for u in poset.elements}
+    for u, above in up.items():
+        for v in above:
+            down[v].add(u)
     elems = list(poset.elements)
     for i, u in enumerate(elems):
         for v in elems[i + 1:]:

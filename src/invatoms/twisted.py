@@ -85,11 +85,9 @@ def rtimes(system, x, s, twist=None):
 
 def _rtimes(system, x, s, twist):
     sstar = twist[s - 1]
-    left = system.left_mult(sstar, x)
-    right = system.right_mult(x, s)
-    if left == right:
-        return right
-    return system.right_mult(left, s)
+    if x[s - 1] % system.num_positive == sstar - 1:  # x(alpha_s) = +-alpha_s*, so s*x = xs
+        return system.right_mult(x, s)
+    return system.right_mult(system.left_mult(sstar, x), s)
 
 
 def dact(system, x, s, twist=None):

@@ -119,12 +119,6 @@ def dact_perm(x, i):
     return rtimes_perm(x, i)
 
 
-def dact_word_perm(x, word):
-    for i in word:
-        x = dact_perm(x, i)
-    return x
-
-
 def hat_perm(x):
     """Common length of the involution words of x: (inversions + 2-cycles)/2."""
     two = sum(1 for a, b in cyc(x) if a < b)
@@ -349,30 +343,6 @@ def std(seq):
     return tuple(out)
 
 
-def colored_involution(colors, edges):
-    """Validated canonical form: (colors, edges) with colors a tuple giving
-    the color of each vertex and edges a sorted tuple of matched pairs."""
-    m = len(colors)
-    if m % 2:
-        raise ValueError("colored involutions need an even vertex count")
-    n = m // 2
-    if sorted(colors) != sorted(list(range(1, n + 1)) * 2):
-        raise ValueError("colors must use 1..n twice each")
-    norm = []
-    seen = set()
-    for a, b in edges:
-        if a == b or not (1 <= a <= m and 1 <= b <= m):
-            raise ValueError("invalid edge")
-        lo, hi = min(a, b), max(a, b)
-        if lo in seen or hi in seen:
-            raise ValueError("edges must be disjoint")
-        seen.update((lo, hi))
-        if colors[lo - 1] != colors[hi - 1]:
-            raise ValueError("matched vertices must share a color")
-        norm.append((lo, hi))
-    return (tuple(colors), tuple(sorted(norm)))
-
-
 def colored_pi(alpha):
     """Underlying matching as an involution of S_2n."""
     colors, edges = alpha
@@ -430,14 +400,6 @@ def sigma(*pairs):
         if a < b:
             edges.append((min(ap, bp), max(ap, bp)))
     return (tuple(colors), tuple(sorted(edges)))
-
-
-def colored_star(alpha):
-    """Color reversal i -> n+1-i; matches reversing the pair sequence of a
-    sigma value built from disjoint pairs."""
-    colors, edges = alpha
-    n = len(colors) // 2
-    return (tuple(n + 1 - c for c in colors), edges)
 
 
 def colored_rtimes(alpha, i):
@@ -518,17 +480,6 @@ def is_atom_colored(w, x, y):
             if not prec_leq(sigma(_pair_image(w, g), _pair_image(w, g2)), sigma(g, g2)):
                 return False
     return True
-
-
-def w_tilde(w, y):
-    """Double the entries of w at fixed points of y, then standardize."""
-    flat = []
-    fixed = set(fix(y))
-    for i in range(1, len(w) + 1):
-        flat.append(w[i - 1])
-        if i in fixed:
-            flat.append(w[i - 1])
-    return std(flat)
 
 
 def sigma_conjecture_holds(w, x, y):

@@ -125,6 +125,8 @@ def test_inversion_statistic_grades_the_poset():
     for n in (4, 5):
         for x in ta.enumerate_involutions(n):
             poset = od.atom_poset(x)
+            assert set(poset.covers) == {(u, v) for u in poset.elements
+                                         for v in od._up_steps(u)}
             for u in poset.elements:
                 assert poset.ranks[u] == len(od.a_inversion_set(u, x))
             for u, v in poset.covers:
@@ -153,6 +155,8 @@ def test_fpf_posets_are_graded_lattices_embedding_in_weak_order():
     for x in ta.enumerate_involutions(6, fpf=True):
         poset = od.atom_poset_fpf(x)
         assert od.poset_is_lattice(poset)
+        assert set(poset.covers) == {(u, v) for u in poset.elements
+                                     for v in od._up_steps_fpf(u)}
         images = {}
         for u in poset.elements:
             phi = od.fpf_embedding(u, x)
@@ -283,6 +287,16 @@ def test_poset_leq_matches_cover_reachability():
         assert poset.leq(poset.bottom, u)
         assert poset.leq(u, poset.top)
     assert not poset.leq(poset.top, poset.bottom)
+    poset = od.atom_poset((4, 3, 2, 1))
+    with pytest.raises(ValueError, match="u is not an element of the atom order"):
+        poset.leq((1, 2, 3, 4), poset.top)
+
+
+def test_build_rejects_a_move_that_skips_a_rank():
+    # 1 -> 2 -> 3 is graded, but the extra move 1 -> 3 skips rank 2
+    moves = {(1,): [(2,), (3,)], (2,): [(3,)], (3,): []}
+    with pytest.raises(RuntimeError, match="does not rise by one along moves"):
+        od._build_poset((1,), moves.__getitem__, lambda u: u[0])
 
 
 def test_relative_hecke_inverses_scatter_across_classes():

@@ -22,11 +22,19 @@ def test_twisted_involution_counts_by_two_routes():
 
 
 def test_conjugation_step_and_fold_step():
-    system = cx.build_system("A3")
-    for twist in (None, (3, 2, 1)):
+    for name, twist in [("A3", None), ("A3", (3, 2, 1)), ("B3", None),
+                        ("D4", (3, 2, 1, 4)), ("I2(6)", (2, 1)), ("A1xA1", (2, 1))]:
+        system = cx.build_system(name)
+        key = twist or tuple(range(1, system.rank + 1))
         for x in tw.enumerate_twisted(system, twist):
-            for s in range(1, 4):
+            for s in range(1, system.rank + 1):
                 up = tw.rtimes(system, x, s, twist)
+                # the definition: s* x s, or x s when s* x = x s
+                sstar = system.generator(key[s - 1])
+                gen = system.generator(s)
+                xs = system.multiply(x, gen)
+                left = system.multiply(sstar, x)
+                assert up == (xs if left == xs else system.multiply(left, gen))
                 folded = tw.dact(system, x, s, twist)
                 assert tw.is_twisted_involution(system, up, twist)
                 if system.length(up) > system.length(x):
