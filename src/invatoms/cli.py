@@ -4,7 +4,8 @@ atoms, words, and hecke answer single queries; poset and classes export
 the type A structures; verify re-runs the module checkers; sweep spreads
 the minimal-length comparison over worker processes. Exit codes: 0 for
 success, 1 when a verification reports failures, 2 for usage errors, 3 for
-internal errors.
+internal errors, and 141 (128 + SIGPIPE, as a shell reports it) when the
+reader of stdout closed before the output was written.
 """
 
 import argparse
@@ -356,7 +357,15 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.verb](args)
+        status = _HANDLERS[args.verb](args)
+        sys.stdout.flush()  # so a closed reader shows up here, not at exit
+        return status
+    except BrokenPipeError:
+        # nothing failed; point stdout at devnull so the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

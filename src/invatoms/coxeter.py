@@ -69,11 +69,11 @@ def _validate_matrix(matrix):
 class CoxeterSystem:
     """A finite Coxeter group together with its root permutation tables."""
 
-    def __init__(self, matrix, root_cap=DEFAULT_ROOT_CAP, name=None):
+    def __init__(self, matrix, name=None):
         self.matrix = _validate_matrix(matrix)
         self.rank = len(self.matrix)
         self.name = name
-        self._build_roots(root_cap)
+        self._build_roots()
         self._elements = None
         self._element_index = None
         self._order_above = 0  # |W| is known to exceed this
@@ -81,7 +81,7 @@ class CoxeterSystem:
         self._bruhat_cache = {}  # id-pair key -> Bruhat comparison, filled by the id table
         self._twist_perm_cache = {}
 
-    def _build_roots(self, root_cap):
+    def _build_roots(self):
         n = self.rank
         # an entry of 0 encodes an infinite bond
         bform = tuple(tuple(-1.0 if m == 0 else -math.cos(math.pi / m) for m in row)
@@ -104,10 +104,9 @@ class CoxeterSystem:
                         index[k] = len(roots)
                         roots.append(w)
                         nxt.append(index[k])
-                        if len(roots) > root_cap:
-                            raise ValueError(
-                                "infinite group: root count exceeded cap %d" % root_cap
-                            )
+                        if len(roots) > DEFAULT_ROOT_CAP:
+                            raise ValueError("infinite group: root count exceeded cap %d"
+                                             % DEFAULT_ROOT_CAP)
             frontier = nxt
 
         p = len(roots)
@@ -314,24 +313,6 @@ class CoxeterSystem:
             else:
                 return w
 
-    def restrict_to_component(self, w, J):
-        """Project w onto the parabolic factor on J.
-
-        Valid only when every generator appearing in w outside J commutes
-        with every generator of J, so that the projection is independent of
-        the reduced word.
-        """
-        J = set(J)
-        word = self.reduced_word(w)
-        outside = {a for a in word if a not in J}
-        for a in outside:
-            for b in J:
-                if self.bond(a, b) != 2:
-                    raise ValueError(
-                        "non-commuting split: generator %d does not commute with %d" % (a, b)
-                    )
-        return self.product(tuple(a for a in word if a in J))
-
     # -- diagram automorphisms -------------------------------------------
 
     def diagram_automorphisms(self):
@@ -400,8 +381,9 @@ class ElementTable:
     - ``length[i]`` is l(w); bit s-1 of ``descents[i]`` is set when s is a
       right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
     - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
-    - ``word[i]`` is the lex-min reduced word of w and ``sort_rank[i]``
-      the position of i in (length, word) order;
+    - ``word[i]`` is the lex-min reduced word of w; ``ranked`` lists the
+      ids in (length, word) order and ``sort_rank[i]`` is the position of i
+      in it;
     - ``twisted(twist)[i]`` is the id of the twisted image of w.
 
     Bruhat comparisons of ids are cached in the system's ``_bruhat_cache``.
@@ -428,8 +410,9 @@ class ElementTable:
             s = next(s for s in gens if length[left[s][i]] < length[i])
             word[i] = (s + 1,) + word[left[s][i]]
         self.word = word
+        self.ranked = sorted(range(n), key=lambda i: (length[i], word[i]))
         self.sort_rank = [0] * n
-        for pos, i in enumerate(sorted(range(n), key=lambda i: (length[i], word[i]))):
+        for pos, i in enumerate(self.ranked):
             self.sort_rank[i] = pos
         self._twisted = {}
         self._bruhat = system._bruhat_cache
@@ -585,17 +568,16 @@ def parse_matrix_text(text):
 
 
 @lru_cache(maxsize=None)
-def _cached_system(key, root_cap):
-    matrix, name = key
-    return CoxeterSystem(matrix, root_cap=root_cap, name=name)
+def _cached_system(matrix, name):
+    return CoxeterSystem(matrix, name=name)
 
 
-def build_system(spec, root_cap=DEFAULT_ROOT_CAP):
+def build_system(spec):
     """Build a CoxeterSystem from a shorthand name, matrix text, or matrix.
 
     Raises ValueError("infinite group ...") when the root system does not
-    close up within root_cap positive roots, and ValueError("invalid matrix
-    ...") for malformed input.
+    close up within DEFAULT_ROOT_CAP positive roots, and ValueError("invalid
+    matrix ...") for malformed input.
     """
     name = None
     if isinstance(spec, str):
@@ -607,7 +589,7 @@ def build_system(spec, root_cap=DEFAULT_ROOT_CAP):
     else:
         matrix = spec
     matrix = _validate_matrix(matrix)
-    return _cached_system((matrix, name), root_cap)
+    return _cached_system(matrix, name)
 
 
 # -- type A one-line conversions -------------------------------------------

@@ -167,11 +167,13 @@ def _down_set(system, y, twist):
 
 
 def hecke_table(system, base, twist=None):
-    """base folded against every group element, keyed by element (cached).
+    """The Hecke atoms of every y relative to base, keyed by y (cached).
 
-    Only available when the group is small enough to enumerate. The fold
-    runs on ids in id order, so each element extends a shorter one by its
-    first right descent.
+    The fold w -> base o w sends each element to a twisted involution, and
+    its fibers are the Hecke atom sets, each sorted by (length, word). Only
+    available when the group is small enough to enumerate. The fold runs on
+    ids in id order, so each element extends a shorter one by its first
+    right descent.
     """
     twist = _twist_key(system, twist)
     cache = _caches(system, twist).setdefault("hecke_table", {})
@@ -189,21 +191,19 @@ def hecke_table(system, base, twist=None):
             lx, xr = left[twist[s] - 1][x], right[s][x]
             x = xr if lx == xr else right[s][lx]
         images[w] = x
-    elements = t.elements
-    # built in id order, which hecke_atoms relies on
-    table = {w: elements[i] for w, i in zip(elements, images)}
+    fibers = {}
+    for w in t.ranked:
+        fibers.setdefault(images[w], []).append(t.elements[w])
+    table = {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
     cache[base] = table
     return table
 
 
 def hecke_atoms(system, y, x=None, twist=None):
     """All w with x folded against w equal to y, sorted by (length, word)."""
-    twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
-    table = hecke_table(system, x, twist)
-    return system.id_table().by_rank(
-        w for w, img in enumerate(table.values()) if img == y)
+    return hecke_table(system, x, twist).get(y, ())
 
 
 def atoms(system, y, x=None, twist=None):
@@ -491,10 +491,9 @@ def check_bruhat_descriptions(system, twist=None):
     checks = 0
 
     w0 = system.longest_element()
-    table = hecke_table(system, system.identity, twist)
     checks += 1
-    folded = {w for w, img in table.items() if img == w0}
-    if folded != set(bruhat_hecke(system, w0, None, twist)):
+    if hecke_table(system, system.identity, twist).get(w0, ()) != bruhat_hecke(
+            system, w0, None, twist):
         failures.append({"check": "hecke-longest"})
 
     for y in enumerate_twisted(system, twist):

@@ -94,7 +94,7 @@ def test_criterion_05_rewriting_classes_are_hecke_fibers():
         counts.append(report["classes"])
     ok &= counts == [4, 10, 26, 76]
     elapsed = time.time() - t0
-    ok &= elapsed < 60
+    ok &= elapsed < 5
     _report(5, ok, "classes n=3..6: %s, %.1fs" % (counts, elapsed))
 
 
@@ -109,7 +109,7 @@ def test_criterion_06_fpf_rewriting_classes_are_hecke_fibers():
     ok &= counts == [1, 3, 15, 105]
     ok &= len(od.fpf_class((1, 5, 4, 6, 2, 3))) == 56
     elapsed = time.time() - t0
-    ok &= elapsed < 300
+    ok &= elapsed < 10
     _report(6, ok, "classes 2n=2..8: %s with the 56 element class, %.1fs" % (counts, elapsed))
 
 
@@ -171,7 +171,7 @@ def test_criterion_09_bruhat_descriptions():
         report = tw.check_bruhat_descriptions(cx.build_system(name), twist)
         ok &= report["failures"] == []
     elapsed = time.time() - t0
-    ok &= elapsed < 60
+    ok &= elapsed < 5
     _report(9, ok, "Hecke sets at the top and atoms everywhere, %.1fs" % elapsed)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import invatoms.cli as cli
 
@@ -178,6 +181,23 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "hecke", "--system", "B3", "--y", "1,2,1")
     assert code == 3
     assert "internal error: KeyError" in err
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "invatoms.cli", "poset", "--x", "4321", "--dot"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "internal error" not in proc.stderr
 
 
 def test_sweep_jobs_are_capped_at_the_cpu_count(monkeypatch):

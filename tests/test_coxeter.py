@@ -154,15 +154,6 @@ def test_apply_twist_permutes_generators():
         assert system.length(system.apply_twist(u, twist)) == system.length(u)
 
 
-def test_parabolic_restriction():
-    system = cx.build_system("A1xA2")
-    w = system.product((1, 2, 3, 2))
-    assert system.restrict_to_component(w, [1]) == system.generator(1)
-    a2 = cx.build_system("A2")
-    with pytest.raises(ValueError, match="non-commuting split"):
-        a2.restrict_to_component(a2.product((1, 2)), [1])
-
-
 def test_matrix_validation_errors():
     with pytest.raises(ValueError, match="invalid matrix"):
         cx.build_system([[1, 3], [3, 1], [2, 2]])

@@ -45,6 +45,26 @@ def test_fpf_class_partition_matches_hecke_fibers():
         assert report["classes"] == classes
 
 
+def test_class_verifier_reports_a_wrong_relation():
+    # too fine: every class a singleton; 16 of the 26 Hecke sets of S5 have
+    # more than one element
+    report = od._verify_classes(5, None, lambda u: {u})
+    assert report["involutions"] == 26
+    assert len(report["failures"]) == 16
+    assert all(f["class_size"] == 1 < f["hecke_size"] for f in report["failures"])
+    # too coarse: one class, all of S5
+    report = od._verify_classes(5, None, lambda u: set(itertools.permutations(u)))
+    assert report["classes"] == 1
+    assert len(report["failures"]) == 26
+    assert all(f["class_size"] == 120 for f in report["failures"])
+    # wrong: the plain relation against the fixed-point-free Hecke sets
+    report = od._verify_classes(6, ta.fpf_base(6), od.chinese_class)
+    assert report["involutions"] == 15
+    assert len(report["failures"]) == 15
+    for f in report["failures"]:
+        assert ta.is_involution_perm(tuple(f["involution"]))
+
+
 def test_fpf_class_of_size_fifty_six():
     assert len(od.fpf_class((1, 5, 4, 6, 2, 3))) == 56
 

@@ -73,14 +73,18 @@ def test_weak_order_reachability_equals_nonempty_hecke_set():
 
 
 def test_hecke_fibers_partition_the_group():
-    for name in ("A3", "B3"):
+    for name, twist in [("A3", None), ("B3", None), ("A3", (3, 2, 1))]:
         system = cx.build_system(name)
-        table = tw.hecke_table(system, system.identity)
-        assert len(table) == system.order()
-        images = set(table.values())
-        assert images == set(tw.enumerate_twisted(system))
-        total = sum(len(tw.hecke_atoms(system, y)) for y in images)
-        assert total == system.order()
+        table = tw.hecke_table(system, system.identity, twist)
+        assert set(table) == set(tw.enumerate_twisted(system, twist))
+        pooled = [w for fiber in table.values() for w in fiber]
+        assert len(pooled) == system.order()
+        assert set(pooled) == set(system.elements())
+        for y, fiber in table.items():
+            assert list(fiber) == sorted(
+                fiber, key=lambda w: (system.length(w), system.reduced_word(w)))
+            for w in fiber:
+                assert tw.dact_element(system, system.identity, w, twist) == y
 
 
 def test_transforming_words_are_the_atoms_reduced_words():

@@ -52,8 +52,9 @@ def test_fold_steps_match_the_root_permutation_route():
 def test_hecke_image_table_against_the_generic_fold():
     system = cx.build_system("A3")
     table = ta.hecke_image_table(4)
-    generic = tw.hecke_table(system, system.identity)
-    assert len(table) == 24
+    generic = {w: y for y, fiber in tw.hecke_table(system, system.identity).items()
+               for w in fiber}
+    assert len(table) == 24 and len(generic) == 24
     for w, img in table.items():
         lifted = generic[cx.permutation_to_element(system, w)]
         assert cx.element_to_permutation(system, lifted) == img
