@@ -187,7 +187,10 @@ def _cmd_pair(args):
     twist = parse_twist(system, args.twist)
     y = parse_element(system, args.y)
     x = _default_start(system, args)
-    _emit({key: _ANSWERS[key](system, y, x, twist) for key in _PAIR_VERBS[args.verb][1]})
+    keys = _PAIR_VERBS[args.verb][1]
+    if args.verb == "atoms" and not system.order_at_most(tw.ENUMERATION_CAP):
+        keys = ("atoms",)  # Hecke atoms need the whole group; atoms do not
+    _emit({key: _ANSWERS[key](system, y, x, twist) for key in keys})
     return 0
 
 
@@ -266,6 +269,8 @@ def _sweep_chunks(invs, jobs):
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     system = cx.build_system(args.system)
     reports = []
     for t in twist_list(system, args.twist):
@@ -345,7 +350,7 @@ def build_parser():
     sweep_p = sub.add_parser("sweep", help="minimal-length comparison across processes")
     add_common(sweep_p, twist_default="auto")
     sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="worker process count (at most the CPU count)")
+                         help="worker process count, at least 1 (at most the CPU count)")
 
     return parser
 

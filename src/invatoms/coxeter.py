@@ -250,7 +250,7 @@ class CoxeterSystem:
     # -- enumeration ------------------------------------------------------
 
     def elements(self):
-        """All group elements in BFS order from the identity (cached)."""
+        """All group elements in BFS order, i.e. (length, lex-min word) order (cached)."""
         if self._elements is None:
             self._enumerate(None)
         return self._elements
@@ -269,23 +269,28 @@ class CoxeterSystem:
         return len(self._elements) <= cap
 
     def _enumerate(self, limit):
-        """BFS over right multiplication from the identity. Stores elements()
-        and returns True, or returns False once more than limit turn up."""
+        """BFS over right multiplication from the identity, generators tried
+        in order, first discovery kept. Stores elements(), their ids and the
+        ids ``_right[s-1][i]`` of the right products and returns True, or
+        returns False once more than limit turn up."""
         seen = {self.identity: 0}
         order = [self.identity]
+        right = [[] for _ in range(self.rank)]
         head = 0
         while head < len(order):
             w = order[head]
             head += 1
-            for s in range(1, self.rank + 1):
+            for s, col in enumerate(right, 1):
                 ws = self.right_mult(w, s)
                 if ws not in seen:
                     seen[ws] = len(order)
                     order.append(ws)
                     if limit is not None and len(order) > limit:
                         return False
+                col.append(seen[ws])
         self._elements = tuple(order)
         self._element_index = seen
+        self._right = right
         return True
 
     def id_table(self):
@@ -375,45 +380,42 @@ class CoxeterSystem:
 class ElementTable:
     """Integer ids for the elements of a finite system, with Cayley tables.
 
-    Ids follow the BFS order of ``elements()``, so length never decreases
-    with id. For the element w with id i and a generator s:
+    Ids follow the BFS order of ``elements()``, which is (length, lex-min
+    reduced word) order: by induction on length, each element is first
+    reached from its earliest shorter prefix, by the smallest letter. For
+    the element w with id i and a generator s:
 
     - ``length[i]`` is l(w); bit s-1 of ``descents[i]`` is set when s is a
       right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
     - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
-    - ``word[i]`` is the lex-min reduced word of w; ``ranked`` lists the
-      ids in (length, word) order and ``sort_rank[i]`` is the position of i
-      in it;
+    - ``word[i]`` is the lex-min reduced word of w;
     - ``twisted(twist)[i]`` is the id of the twisted image of w.
 
-    Bruhat comparisons of ids are cached in the system's ``_bruhat_cache``.
+    All are derived on ids from the BFS's right products; s is a descent
+    exactly when the product has a lower id. Bruhat comparisons of ids are
+    cached in the system's ``_bruhat_cache``.
     """
 
     def __init__(self, system):
-        elements = system.elements()
-        index = system._element_index
-        p = system.num_positive
-        n = len(elements)
+        self.elements = system.elements()
+        self.index = system._element_index
+        self.right = right = system._right
+        n = len(self.elements)
         gens = range(system.rank)
-        self.elements = elements
-        self.index = index
-        self.length = [system.length(w) for w in elements]
-        self.descents = [sum(1 << s for s in gens if w[s] >= p) for w in elements]
-        self.first_descent = [(d & -d).bit_length() - 1 for d in self.descents]
-        self.right = [[index[system.right_mult(w, s + 1)] for w in elements] for s in gens]
-        inv = [index[system.inverse(w)] for w in elements]
-        # s w = (w^-1 s)^-1
-        self.left = [[inv[r[j]] for j in inv] for r in self.right]
-        length, left = self.length, self.left
-        word = [()] * n
+        self.descents = [sum(1 << s for s in gens if right[s][i] < i) for i in range(n)]
+        self.first_descent = first = [(d & -d).bit_length() - 1 for d in self.descents]
+        self.length = length = [0] * n
+        # s e = e s, and s w = (s (w t)) t for the first right descent t of w
+        self.left = left = [[r[0]] * n for r in right]
+        self.word = word = [()] * n
         for i in range(1, n):
-            s = next(s for s in gens if length[left[s][i]] < length[i])
+            rt = right[first[i]]
+            j = rt[i]
+            length[i] = length[j] + 1
+            for row in left:
+                row[i] = rt[row[j]]
+            s = next(s for s in gens if left[s][i] < i)
             word[i] = (s + 1,) + word[left[s][i]]
-        self.word = word
-        self.ranked = sorted(range(n), key=lambda i: (length[i], word[i]))
-        self.sort_rank = [0] * n
-        for pos, i in enumerate(self.ranked):
-            self.sort_rank[i] = pos
         self._twisted = {}
         self._bruhat = system._bruhat_cache
 
@@ -446,10 +448,6 @@ class ElementTable:
                 b = right[s][b]
             got = self._bruhat[key] = a == b
         return got
-
-    def by_rank(self, ids):
-        """The elements with the given ids, in (length, lex-min word) order."""
-        return tuple(self.elements[i] for i in sorted(ids, key=self.sort_rank.__getitem__))
 
 
 def normalize_twist(system, twist):

@@ -35,11 +35,9 @@ def _id_table(system):
 
 
 def _by_word(system, ws):
-    """ws in (length, lex-min reduced word) order: by the id table's sort rank
-    within the cap, by the words themselves above it."""
+    """ws in (length, lex-min word) order: by id within the cap, by the words above it."""
     if system.order_at_most(ENUMERATION_CAP):
-        t = system.id_table()
-        return sorted(ws, key=lambda w: t.sort_rank[t.index[w]])
+        return sorted(ws, key=system.id_table().index.__getitem__)
     return sorted(ws, key=lambda w: (system.length(w), system.reduced_word(w)))
 
 
@@ -192,10 +190,9 @@ def hecke_table(system, base, twist=None):
             x = xr if lx == xr else right[s][lx]
         images[w] = x
     fibers = {}
-    for w in t.ranked:
-        fibers.setdefault(images[w], []).append(t.elements[w])
-    table = {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
-    cache[base] = table
+    for w, y in enumerate(images):
+        fibers.setdefault(y, []).append(t.elements[w])
+    cache[base] = table = {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
     return table
 
 
@@ -285,7 +282,7 @@ def _bruhat_scan(system, y, x, twist):
 def bruhat_hecke(system, y, x=None, twist=None):
     """All w with w* y <= x w in Bruhat order (the conjectural Hecke atom superset)."""
     t, hits = _bruhat_scan(system, y, x, twist)
-    return t.by_rank(hits)
+    return tuple(t.elements[w] for w in hits)
 
 
 def bruhat_atoms(system, y, x=None, twist=None):
@@ -299,7 +296,7 @@ def bruhat_atoms(system, y, x=None, twist=None):
         if out and t.length[w] > t.length[out[0]]:
             break
         out.append(w)
-    return t.by_rank(out)
+    return tuple(t.elements[w] for w in out)
 
 
 def _word_list(system, ws):

@@ -53,7 +53,7 @@ def test_criterion_02_atom_counts_are_double_factorials():
             expected *= v
         ok &= len(ta.atoms_perm(tuple(range(n, 0, -1)))) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 30
+    ok &= elapsed < 5
     _report(2, ok, "n=2..9 matches (n-1)!!, %.2fs" % elapsed)
 
 
@@ -66,7 +66,7 @@ def test_criterion_03_hecke_atom_counts_of_the_reversal():
         got.append(len(ta.hecke_atoms_perm(w0)))
     ok = tuple(got) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 120
+    ok &= elapsed < 5
     _report(3, ok, "n=0..7 plus optional n=8: %s, %.1fs" % (got, elapsed))
 
 
@@ -79,7 +79,7 @@ def test_criterion_04_fpf_hecke_atom_counts_of_the_reversal():
         got.append(len(ta.hecke_atoms_perm(w0, ta.fpf_base(n2))))
     ok = tuple(got) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 300
+    ok &= elapsed < 5
     _report(4, ok, "2n=0..8: %s, %.1fs" % (got, elapsed))
 
 
@@ -140,7 +140,7 @@ def test_criterion_07_classifiers_match_brute_force():
     t0 = time.time()
     bad = sum(_classifier_sweep(n) for n in range(2, 6))
     elapsed = time.time() - t0
-    ok = bad == 0 and elapsed < 60
+    ok = bad == 0 and elapsed < 10
     _report(7, ok, "all (x, y, w) triples for n<=5, %d disagreements, %.1fs" % (bad, elapsed))
 
 
@@ -182,7 +182,7 @@ def test_criterion_10_rewriting_moves_span_word_sets():
         report = br.check_braid_classes(cx.build_system(name), twist)
         ok &= report["failures"] == []
     elapsed = time.time() - t0
-    ok &= elapsed < 120
+    ok &= elapsed < 5
     _report(10, ok, "S4 both twists and B3, %.1fs" % elapsed)
 
 
@@ -205,7 +205,7 @@ def test_criterion_11_initial_move_closures():
             if br.fpf_class_words(system, min(words)) != words:
                 ok = False
     elapsed = time.time() - t0
-    ok &= elapsed < 300
+    ok &= elapsed < 5
     _report(11, ok, "symmetric groups n<=6 and FPF 2n<=6, %.1fs" % elapsed)
 
 
@@ -260,7 +260,7 @@ def test_criterion_13_posets_are_graded_and_fpf_posets_are_lattices():
             got = {cx.permutation_to_element(half, p) for p in images.values()}
             ok &= got == interval
     elapsed = time.time() - t0
-    ok &= elapsed < 300
+    ok &= elapsed < 5
     _report(13, ok, "graded n<=6, FPF lattices in weak order 2n<=8, %.1fs" % elapsed)
 
 
@@ -282,7 +282,7 @@ def test_criterion_14_singleton_atoms_and_pattern_avoidance():
             fc = br.is_fully_commutative(system, cx.permutation_to_element(system, x))
             ok &= lone == avoiding == fc
     elapsed = time.time() - t0
-    ok &= elapsed < 120
+    ok &= elapsed < 5
     _report(14, ok, "n<=7 and FPF 2n<=8, %.1fs" % elapsed)
 
 
@@ -297,5 +297,5 @@ def test_criterion_15_duality_and_reversal_closure():
         sys2 = cx.build_system(name)
         ok &= tw.check_central_closure(sys2, sys2.longest_element())["failures"] == []
     elapsed = time.time() - t0
-    ok &= elapsed < 60
+    ok &= elapsed < 5
     _report(15, ok, "S4 dual twists and central reversal closure, %.1fs" % elapsed)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import invatoms.cli as cli
+import invatoms.coxeter as cx
+import invatoms.twisted as tw
 
 
 def run(capsys, *argv):
@@ -118,6 +120,29 @@ def test_sweep_matches_the_serial_checker(capsys):
     code, parallel, _ = run(capsys, "sweep", "--system", "A2", "--jobs", "2")
     assert code == 0
     assert serial == parallel
+
+
+def test_atoms_above_the_cap_drop_the_hecke_atoms(capsys, monkeypatch):
+    # a fresh system per call, so no cached Hecke table outlives the cap change
+    monkeypatch.setattr(cx, "build_system",
+                        lambda spec: cx.CoxeterSystem(cx.coxeter_matrix_from_name(spec)))
+    code, out, _ = run(capsys, "atoms", "--system", "B4", "--y", "1,2,1")
+    assert code == 0
+    atoms = json.loads(out)["atoms"]
+    monkeypatch.setattr(tw, "ENUMERATION_CAP", 100)  # B4 has order 384
+    code, out, _ = run(capsys, "atoms", "--system", "B4", "--y", "1,2,1")
+    assert code == 0
+    assert json.loads(out) == {"atoms": atoms}
+    code, _, err = run(capsys, "hecke", "--system", "B4", "--y", "1,2,1")
+    assert code == 2
+    assert "too large" in err
+
+
+def test_sweep_rejects_fewer_than_one_job(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "--system", "A2", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -242,23 +242,31 @@ def test_order_at_most_stops_at_cap_plus_one():
 
 
 def test_element_table_agrees_with_the_root_permutations():
-    system = cx.build_system("A3")
+    # the last matrix is D4 with the branch node numbered 1
+    for spec in ["A3", "B3", "A2xB2", "I2(8)", "D5",
+                 [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]]]:
+        _check_element_table(cx.build_system(spec))
+
+
+def _check_element_table(system):
     t = system.id_table()
     elements = system.elements()
-    twist = (3, 2, 1)
-    star = t.twisted(twist)
+    by_word = sorted(elements, key=lambda w: (system.length(w), system.reduced_word(w)))
+    assert list(elements) == by_word
+    for twist in system.diagram_automorphisms():
+        star = t.twisted(twist)
+        assert [elements[j] for j in star] == [system.apply_twist(w, twist) for w in elements]
     for i, w in enumerate(elements):
         assert t.length[i] == system.length(w)
         assert t.word[i] == system.reduced_word(w)
-        assert elements[star[i]] == system.apply_twist(w, twist)
         for s in range(1, system.rank + 1):
             assert elements[t.right[s - 1][i]] == system.right_mult(w, s)
             assert elements[t.left[s - 1][i]] == system.left_mult(s, w)
             assert (t.descents[i] >> (s - 1) & 1) == (s in system.descents_right(w))
-        for j, v in enumerate(elements):
-            assert t.bruhat_leq(i, j) == _subword_leq(system, w, v)
-    by_word = sorted(elements, key=lambda w: (system.length(w), system.reduced_word(w)))
-    assert t.by_rank(range(len(elements))) == tuple(by_word)
+    if len(elements) <= 48:  # the subword oracle is quadratic in |W|
+        for i, w in enumerate(elements):
+            for j, v in enumerate(elements):
+                assert t.bruhat_leq(i, j) == _subword_leq(system, w, v)
 
 
 def test_apply_twist_validates_each_new_twist():

@@ -170,6 +170,20 @@ def test_inversion_set_rejects_non_atoms():
         od.fpf_embedding((1, 2, 3, 4), (3, 4, 1, 2))
 
 
+def test_fpf_reachability_order_matches_the_fpf_atom_order():
+    pairs = 0
+    for n2 in (2, 4, 6, 8):
+        for x in ta.enumerate_involutions(n2, fpf=True):
+            poset = od.atom_poset_fpf(x)
+            for u in poset.elements:
+                for v in poset.elements:
+                    pairs += 1
+                    assert od.prec_Afpf_leq(u, v) == poset.leq(u, v)
+    assert pairs == 2789  # one at 2n = 2, 2788 for 2n = 4, 6, 8
+    with pytest.raises(ValueError, match="odd length"):
+        od.prec_Afpf_leq((1, 2, 3), (1, 2, 3))
+
+
 def test_fpf_posets_are_graded_lattices_embedding_in_weak_order():
     system = cx.build_system("A2")
     for x in ta.enumerate_involutions(6, fpf=True):
