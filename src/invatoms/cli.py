@@ -188,7 +188,7 @@ def _cmd_pair(args):
     y = parse_element(system, args.y)
     x = _default_start(system, args)
     keys = _PAIR_VERBS[args.verb][1]
-    if args.verb == "atoms" and not system.order_at_most(tw.ENUMERATION_CAP):
+    if args.verb == "atoms" and system.id_table() is None:
         keys = ("atoms",)  # Hecke atoms need the whole group; atoms do not
     _emit({key: _ANSWERS[key](system, y, x, twist) for key in keys})
     return 0
@@ -264,7 +264,7 @@ def _sweep_worker(payload):
 
 def _sweep_chunks(invs, jobs):
     """Round-robin split of invs over jobs workers, at most one per CPU."""
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = min(jobs, os.cpu_count() or 1)
     return [invs[i::jobs] for i in range(jobs) if invs[i::jobs]]
 
 

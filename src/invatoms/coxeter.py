@@ -16,6 +16,7 @@ from collections import deque
 from functools import lru_cache
 
 DEFAULT_ROOT_CAP = 10000
+ENUMERATION_CAP = 50000  # the largest |W| whose id table is built
 _DEDUP_DECIMALS = 9
 
 
@@ -76,9 +77,7 @@ class CoxeterSystem:
         self._build_roots()
         self._elements = None
         self._element_index = None
-        self._order_above = 0  # |W| is known to exceed this
-        self._id_table = None
-        self._bruhat_cache = {}  # id-pair key -> Bruhat comparison, filled by the id table
+        self._id_table = None  # None until decided, then the table or False above the cap
         self._twist_perm_cache = {}
 
     def _build_roots(self):
@@ -229,8 +228,8 @@ class CoxeterSystem:
 
         Strips the first right descent s of w each step, from u too when it
         is a descent of u. This root-permutation route needs no enumeration,
-        so it serves groups of any size; scans over a whole group use the
-        cached comparison of ElementTable instead.
+        so it serves groups of any size; scans over a whole group use
+        ElementTable.bruhat_leq on ids instead.
         """
         p = self.num_positive
         while u != w:
@@ -258,16 +257,6 @@ class CoxeterSystem:
     def order(self):
         return len(self.elements())
 
-    def order_at_most(self, cap):
-        """Whether |W| <= cap, enumerating at most cap + 1 elements to decide."""
-        if self._elements is None:
-            if cap < 1 or cap <= self._order_above:
-                return False
-            if not self._enumerate(cap):
-                self._order_above = cap
-                return False
-        return len(self._elements) <= cap
-
     def _enumerate(self, limit):
         """BFS over right multiplication from the identity, generators tried
         in order, first discovery kept. Stores elements(), their ids and the
@@ -294,13 +283,17 @@ class CoxeterSystem:
         return True
 
     def id_table(self):
-        """The integer-id tables of the whole group, built on first use.
+        """The integer-id tables of the whole group, or None when |W| exceeds
+        ENUMERATION_CAP.
 
-        Enumerates the group: callers bound its order first.
+        Decided once per system: unless elements() already ran, deciding
+        enumerates at most ENUMERATION_CAP + 1 elements.
         """
         if self._id_table is None:
-            self._id_table = ElementTable(self)
-        return self._id_table
+            small = (self._enumerate(ENUMERATION_CAP) if self._elements is None
+                     else len(self._elements) <= ENUMERATION_CAP)
+            self._id_table = small and ElementTable(self)
+        return self._id_table or None
 
     def longest_element(self, J=None):
         """The longest element of the standard parabolic subgroup on J (default: all of S)."""
@@ -337,8 +330,8 @@ class CoxeterSystem:
         return tuple(out)
 
     def _twist_perms(self, twist):
-        """The relabeling rho and its inverse, cached under the twist as given
-        (validated on a miss only) and under its normalized form."""
+        """The relabeling rho and its inverse, cached under the normalized
+        twist; any other form is validated on each call."""
         cache = self._twist_perm_cache
         try:
             return cache[twist]
@@ -362,10 +355,6 @@ class CoxeterSystem:
             for i, j in enumerate(rho):
                 rho_inv[j] = i
             got = cache[key] = (tuple(rho), tuple(rho_inv))
-        try:
-            cache[twist] = got
-        except TypeError:
-            pass
         return got
 
     def apply_twist(self, w, twist):
@@ -392,8 +381,7 @@ class ElementTable:
     - ``twisted(twist)[i]`` is the id of the twisted image of w.
 
     All are derived on ids from the BFS's right products; s is a descent
-    exactly when the product has a lower id. Bruhat comparisons of ids are
-    cached in the system's ``_bruhat_cache``.
+    exactly when the product has a lower id.
     """
 
     def __init__(self, system):
@@ -417,7 +405,6 @@ class ElementTable:
             s = next(s for s in gens if left[s][i] < i)
             word[i] = (s + 1,) + word[left[s][i]]
         self._twisted = {}
-        self._bruhat = system._bruhat_cache
 
     def twisted(self, twist):
         """Ids of the twisted images, for a normalized twist: w* = (ws)* s*."""
@@ -432,22 +419,17 @@ class ElementTable:
         return got
 
     def bruhat_leq(self, u, w):
-        """Bruhat order on ids, by the lifting property (cached)."""
+        """Bruhat order on ids, by the lifting property: at most l(w) steps."""
         length = self.length
         if length[u] >= length[w]:
             return u == w
-        key = u * len(length) + w
-        got = self._bruhat.get(key)
-        if got is None:
-            descents, first, right = self.descents, self.first_descent, self.right
-            a, b = u, w
-            while a != b and length[a] < length[b]:
-                s = first[b]
-                if descents[a] >> s & 1:
-                    a = right[s][a]
-                b = right[s][b]
-            got = self._bruhat[key] = a == b
-        return got
+        descents, first, right = self.descents, self.first_descent, self.right
+        while u != w and length[u] < length[w]:
+            s = first[w]
+            if descents[u] >> s & 1:
+                u = right[s][u]
+            w = right[s][w]
+        return u == w
 
 
 def normalize_twist(system, twist):

@@ -14,9 +14,8 @@ which matches conjugating by the 0-Hecke product instead.
 
 import itertools
 
+from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist
-
-ENUMERATION_CAP = 50000
 
 
 def _caches(system, twist):
@@ -25,19 +24,15 @@ def _caches(system, twist):
 
 
 def _id_table(system):
-    """The system's id table; ValueError when the group is above the cap.
-
-    Deciding that enumerates at most ENUMERATION_CAP + 1 elements.
-    """
-    if not system.order_at_most(ENUMERATION_CAP):
-        raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
-    return system.id_table()
+    """The system's id table; ValueError when the group is above the cap."""
+    t = system.id_table()
+    if t is None:
+        raise ValueError("group too large to enumerate (order > %d)" % cx.ENUMERATION_CAP)
+    return t
 
 
 def _by_word(system, ws):
-    """ws in (length, lex-min word) order: by id within the cap, by the words above it."""
-    if system.order_at_most(ENUMERATION_CAP):
-        return sorted(ws, key=system.id_table().index.__getitem__)
+    """ws in (length, lex-min word) order."""
     return sorted(ws, key=lambda w: (system.length(w), system.reduced_word(w)))
 
 
@@ -146,7 +141,7 @@ def hat_length(system, x, twist=None):
 
 
 def weak_leq_T(system, x, y, twist=None):
-    """Weak order on twisted involutions: is x below y (downward closure from y, cached)."""
+    """Weak order on twisted involutions: is x below y (downward closure from y)."""
     twist = _twist_key(system, twist)
     _check_member(system, x, twist)
     _check_member(system, y, twist)
@@ -154,14 +149,9 @@ def weak_leq_T(system, x, y, twist=None):
 
 
 def _down_set(system, y, twist):
-    cache = _caches(system, twist).setdefault("down", {})
-    got = cache.get(y)
-    if got is None:
-        p = system.num_positive
-        steps = range(1, system.rank + 1)
-        got = cache[y] = frozenset(closure(
-            y, lambda z: [_rtimes(system, z, s, twist) for s in steps if z[s - 1] >= p]))
-    return got
+    p = system.num_positive
+    steps = range(1, system.rank + 1)
+    return closure(y, lambda z: [_rtimes(system, z, s, twist) for s in steps if z[s - 1] >= p])
 
 
 def hecke_table(system, base, twist=None):
@@ -210,7 +200,7 @@ def atoms(system, y, x=None, twist=None):
         x = system.identity
     _check_member(system, x, twist)
     _check_member(system, y, twist)
-    if not system.order_at_most(ENUMERATION_CAP):
+    if system.id_table() is None:
         return tuple(_by_word(system, _atoms_rec(system, y, x, twist, {})))
     hk = hecke_atoms(system, y, x, twist)
     if not hk:

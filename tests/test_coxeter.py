@@ -1,10 +1,10 @@
 import itertools
 import math
+import random
 
 import pytest
 
 import invatoms.coxeter as cx
-import invatoms.twisted as tw
 
 # degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
 # Groups, section 3.7): |W| is their product, |Phi+| the sum of d - 1
@@ -224,21 +224,22 @@ def test_named_systems_match_their_invariants(name):
                 w = system.multiply(w, st)
             assert w == system.identity
     order = math.prod(degrees)
-    if order <= tw.ENUMERATION_CAP:  # E6, E7 and E8 are above it
+    if order <= cx.ENUMERATION_CAP:  # E6, E7 and E8 are above it
         assert system.order() == order
 
 
-def test_order_at_most_stops_at_cap_plus_one():
+def test_id_table_stops_at_cap_plus_one(monkeypatch):
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
     seen = []
     real = system.right_mult
     system.right_mult = lambda w, s: seen.append(w) or real(w, s)
-    assert not system.order_at_most(100)
+    assert system.id_table() is None
     assert len(set(seen)) <= 101 and system._elements is None
     seen.clear()
-    assert not system.order_at_most(50)  # known from the first check
+    assert system.id_table() is None  # decided by the first call
     assert seen == []
-    assert system.order_at_most(384) and system.order() == 384
+    assert system.order() == 384
 
 
 def test_element_table_agrees_with_the_root_permutations():
@@ -267,6 +268,18 @@ def _check_element_table(system):
         for i, w in enumerate(elements):
             for j, v in enumerate(elements):
                 assert t.bruhat_leq(i, j) == _subword_leq(system, w, v)
+
+
+def test_id_bruhat_order_matches_the_root_permutations_on_sampled_pairs():
+    # above the 48 elements of the subword oracle, against the tuple route
+    rng = random.Random(8)
+    for name in ("B4", "F4", "H3"):
+        system = cx.build_system(name)
+        t = system.id_table()
+        elements = t.elements
+        for _ in range(2000):
+            u, w = rng.randrange(len(elements)), rng.randrange(len(elements))
+            assert t.bruhat_leq(u, w) == system.bruhat_leq(elements[u], elements[w])
 
 
 def test_apply_twist_validates_each_new_twist():

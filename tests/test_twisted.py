@@ -174,7 +174,7 @@ def test_bruhat_hecke_matches_a_direct_computation(name, twist):
 
 
 def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
-    monkeypatch.setattr(tw, "ENUMERATION_CAP", 100)
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
     seen = set()
     real = system.right_mult
@@ -187,7 +187,17 @@ def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
     assert len(seen) <= 101 and system._elements is None
     # atoms falls back to the descent recursion on root permutations
     assert tw.atoms(system, y) == tw.atoms(cx.build_system("B4"), y)
-    assert system._elements is None and system._id_table is None
+    assert system._elements is None and system.id_table() is None
+
+
+def test_the_cap_is_decided_once_per_system(monkeypatch):
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    y = system.product((1, 2, 1))
+    hecke, bruhat = tw.hecke_atoms(system, y), tw.bruhat_hecke(system, y)
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
+    # both whole-group routes still answer from the table built within the cap
+    assert tw.hecke_table(system, system.identity)[y] == hecke
+    assert tw.bruhat_hecke(system, y) == bruhat
 
 
 def test_bruhat_descriptions_of_hecke_sets_and_atoms():
