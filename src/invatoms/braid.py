@@ -24,22 +24,25 @@ def _word(letters):
 
 
 def _blocks(triples):
-    """The block-swap table {m: {block: swapped block}} of (s, t, m) triples:
-    the alternating blocks sts... and tst... of length m swap."""
+    """The block-swap table of (s, t, m) triples, keyed by the first two
+    letters of each block (its one letter when m = 1): the alternating
+    blocks sts... and tst... of length m swap."""
     table = {}
     for s, t, m in triples:
         left, right = _alternating(s, t, m), _alternating(t, s, m)
-        swaps = table.setdefault(m, {})
-        swaps[left], swaps[right] = right, left
+        table[left[:2]], table[right[:2]] = (left, right), (right, left)
     return table
 
 
 def _swaps(word, j, blocks, out):
     """Append to out every word one table swap at position j away from word."""
-    for m, swaps in blocks.items():
-        other = swaps.get(word[j:j + m])
-        if other is not None:
-            out.append(word[:j] + other + word[j + m:])
+    for k in (1, 2):
+        got = blocks.get(word[j:j + k])
+        if got is not None:
+            block, other = got
+            m = len(block)
+            if word[j:j + m] == block:
+                out.append(word[:j] + other + word[j + m:])
 
 
 def _pairs(system):
@@ -104,14 +107,42 @@ def _theta_for(system, u, twist):
 
 
 def _truncated_blocks(system, u, twist):
-    """The block-swap table after a prefix folding to u (cached per fold)."""
+    """The block-swap table after a prefix folding to u (cached per fold):
+    u is the fold's id within the cap and its root permutation above it."""
     cache = tw._caches(system, twist).setdefault("m_star", {})
     blocks = cache.get(u)
     if blocks is None:
-        theta = _theta_for(system, u, twist)
+        ids = tw._ids(system, twist)
+        theta = _theta_for(system, u if ids is None else ids.elements[u], twist)
         blocks = cache[u] = _blocks(
             (s, t, m_star(system, s, t, theta)) for s, t in _pairs(system))
     return blocks
+
+
+def _prefix_fold(system, twist):
+    """The fold of the empty prefix and the Demazure step by a letter: on ids
+    within the cap, on root permutations above it."""
+    ids = tw._ids(system, twist)
+    if ids is None:
+        return system.identity, lambda u, a: tw._dact(system, u, a, twist)
+    dact = ids.dact
+    return 0, lambda u, a: dact[u][a - 1]
+
+
+def _neighbors(system, twist):
+    """The move function of involution_braid_neighbors for one twist."""
+    start, step = _prefix_fold(system, twist)
+    cache = tw._caches(system, twist).setdefault("m_star", {})
+
+    def neighbors(word):
+        out = []
+        u = start
+        for j, a in enumerate(word):
+            _swaps(word, j, cache.get(u) or _truncated_blocks(system, u, twist), out)
+            u = step(u, a)
+        return out
+
+    return neighbors
 
 
 # -- involution braid relations --------------------------------------------------
@@ -120,20 +151,13 @@ def _truncated_blocks(system, u, twist):
 def involution_braid_neighbors(system, word, twist=None):
     """Words one prefix-truncated block swap away from word."""
     twist = tw._twist_key(system, twist)
-    word = _word(word)
-    out = []
-    u = system.identity
-    for j, a in enumerate(word):
-        _swaps(word, j, _truncated_blocks(system, u, twist), out)
-        u = tw._dact(system, u, a, twist)
-    return out
+    return _neighbors(system, twist)(_word(word))
 
 
 def involution_braid_class(system, word, twist=None):
     """The closure of word under the prefix-truncated block swaps."""
     twist = tw._twist_key(system, twist)
-    return cx.closure(_word(word),
-                      lambda u: involution_braid_neighbors(system, u, twist))
+    return cx.closure(_word(word), _neighbors(system, twist))
 
 
 def _start_class(system, word, start_blocks):
@@ -156,7 +180,8 @@ def empty_prefix_class(system, word, twist=None):
     weaker closure exists to measure how far the initial moves alone reach.
     """
     twist = tw._twist_key(system, twist)
-    return _start_class(system, word, _truncated_blocks(system, system.identity, twist))
+    return _start_class(system, word, _truncated_blocks(
+        system, _prefix_fold(system, twist)[0], twist))
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -180,8 +205,9 @@ def fpf_class_words(system, word):
         raise ValueError("fixed-point-free words need an even symmetric group")
     swaps = {}
     for a in range(2, system.rank, 2):
-        swaps[a, a - 1], swaps[a, a + 1] = (a, a + 1), (a, a - 1)
-    return _start_class(system, word, {2: swaps})
+        up, down = (a, a + 1), (a, a - 1)
+        swaps[down], swaps[up] = (down, up), (up, down)
+    return _start_class(system, word, swaps)
 
 
 # -- fully commutative elements ------------------------------------------------------

@@ -547,9 +547,40 @@ def parse_matrix_text(text):
     return rows
 
 
-@lru_cache(maxsize=None)
+def _degrees(name):
+    """The degrees of the basic invariants of a named type (Humphreys,
+    Reflection Groups and Coxeter Groups, section 3.7); the name is one that
+    coxeter_matrix_from_name accepts."""
+    name = name.strip()
+    if "x" in name:
+        return tuple(d for part in name.split("x") for d in _degrees(part))
+    if name.startswith("I2("):
+        return (2, int(name[3:-1]))
+    family, n = name[0].upper(), int(name[1:])
+    if family == "A":
+        return tuple(range(2, n + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if family == "D":
+        return tuple(range(2, 2 * n - 1, 2)) + (n,)
+    return {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+            "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
+            "H2": (2, 5), "H3": (2, 6, 10), "H4": (2, 12, 20, 30)}[family + str(n)]
+
+
+SYSTEM_CACHE_SIZE = 16  # systems kept by build_system, least recently used dropped
+
+
+@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def _cached_system(matrix, name):
-    return CoxeterSystem(matrix, name=name)
+    system = CoxeterSystem(matrix, name=name)
+    if name is not None:
+        # |Phi+| is the sum of d - 1 over the degrees
+        want = sum(d - 1 for d in _degrees(name))
+        if system.num_positive != want:
+            raise ValueError("root construction failed: %s has %d positive roots, not %d"
+                             % (name, system.num_positive, want))
+    return system
 
 
 def build_system(spec):

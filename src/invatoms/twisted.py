@@ -66,8 +66,75 @@ def is_twisted_involution(system, w, twist=None):
 
 
 def _check_member(system, w, twist):
+    """The id of w within the cap (None above it); ValueError unless w is a
+    twisted involution."""
+    ids = _ids(system, twist)
+    if ids is not None:
+        return ids.member(w)
     if system.apply_twist(w, twist) != system.inverse(w):
-        raise ValueError("element is not a twisted involution for this twist")
+        raise ValueError(_NOT_MEMBER)
+
+
+_NOT_MEMBER = "element is not a twisted involution for this twist"
+
+
+class _TwistedIds:
+    """The twisted involutions of one twist as group ids, for a group within
+    the cap.
+
+    ``dact[x]`` holds, for each generator s = 1..rank, the id of the
+    Demazure step of x by s (x itself on a right descent), and ``lower[x]``
+    the ids of the conjugation steps down the right descents of x.
+    ``hat[x]`` is the common length of the involution words of x, one more
+    than that of the step down its first right descent; its keys run in id
+    order, i.e. (length, lex-min word) order.
+    """
+
+    def __init__(self, t, twist):
+        self.elements, self.index = t.elements, t.index
+        right, left, descents = t.right, t.left, t.descents
+        gens = [(s, twist[s] - 1) for s in range(len(right))]
+        self.dact, self.lower = dact, lower = {}, {}
+
+        def ascents(x):
+            # the conjugation step: s*xs, or xs when s*x = xs
+            steps = []
+            for s, sstar in gens:
+                lx, xr = left[sstar][x], right[s][x]
+                steps.append(xr if lx == xr else right[s][lx])
+            d = descents[x]
+            lower[x] = tuple(y for s, y in enumerate(steps) if d >> s & 1)
+            dact[x] = tuple(x if d >> s & 1 else y for s, y in enumerate(steps))
+            return dact[x]
+
+        closure(0, ascents)  # every twisted involution is reached by ascents
+        self.hat = hat = {}
+        for x in sorted(lower):
+            hat[x] = hat[lower[x][0]] + 1 if lower[x] else 0
+
+    def member(self, w):
+        """The id of the element w; ValueError unless it is a twisted involution."""
+        x = self.index.get(w)
+        if x not in self.hat:
+            raise ValueError(_NOT_MEMBER)
+        return x
+
+    def down(self, y):
+        """The ids of the weak down-set of the twisted involution with id y."""
+        return closure(y, self.lower.__getitem__)
+
+
+def _ids(system, twist):
+    """The twisted involutions of the twist as ids (built once per twist);
+    None above the cap."""
+    cache = _caches(system, twist)
+    ids = cache.get("ids")
+    if ids is None:
+        t = system.id_table()
+        if t is None:
+            return None
+        ids = cache["ids"] = _TwistedIds(t, twist)
+    return ids
 
 
 def rtimes(system, x, s, twist=None):
@@ -116,8 +183,12 @@ def dact_element_via_demazure(system, x, w, twist=None):
 
 def enumerate_twisted(system, twist=None):
     """All twisted involutions in (length, word) order: the closure of the
-    identity under the conjugation step (cached)."""
+    identity under the conjugation step. Within the cap this is the id
+    closure in id order; above it, a cached closure on root permutations."""
     twist = _twist_key(system, twist)
+    ids = _ids(system, twist)
+    if ids is not None:
+        return tuple(map(ids.elements.__getitem__, ids.hat))
     cache = _caches(system, twist)
     if "all" not in cache:
         steps = range(1, system.rank + 1)
@@ -127,9 +198,12 @@ def enumerate_twisted(system, twist=None):
 
 
 def hat_length(system, x, twist=None):
-    """Common length of all involution words of x, found by stripping right
-    descents without enumerating the group."""
+    """Common length of all involution words of x: a lookup within the cap,
+    else found by stripping right descents without enumerating the group."""
     twist = _twist_key(system, twist)
+    ids = _ids(system, twist)
+    if ids is not None:
+        return ids.hat[ids.member(x)]
     _check_member(system, x, twist)
     n = 0
     p = system.num_positive
@@ -143,12 +217,20 @@ def hat_length(system, x, twist=None):
 def weak_leq_T(system, x, y, twist=None):
     """Weak order on twisted involutions: is x below y (downward closure from y)."""
     twist = _twist_key(system, twist)
+    ids = _ids(system, twist)
+    if ids is not None:
+        return ids.member(x) in ids.down(ids.member(y))
     _check_member(system, x, twist)
     _check_member(system, y, twist)
     return x in _down_set(system, y, twist)
 
 
 def _down_set(system, y, twist):
+    """The weak down-set of y as elements: read off the id closure within the
+    cap, folded on root permutations above it."""
+    ids = _ids(system, twist)
+    if ids is not None:
+        return {ids.elements[x] for x in ids.down(ids.member(y))}
     p = system.num_positive
     steps = range(1, system.rank + 1)
     return closure(y, lambda z: [_rtimes(system, z, s, twist) for s in steps if z[s - 1] >= p])
@@ -168,17 +250,12 @@ def hecke_table(system, base, twist=None):
     got = cache.get(base)
     if got is not None:
         return got
-    _check_member(system, base, twist)
     t = _id_table(system)
-    right, left, descents, first = t.right, t.left, t.descents, t.first_descent
-    images = [t.index[base]] * len(t.elements)
+    dact, right, first = _ids(system, twist).dact, t.right, t.first_descent
+    images = [_check_member(system, base, twist)] * len(t.elements)
     for w in range(1, len(images)):
         s = first[w]
-        x = images[right[s][w]]
-        if not descents[x] >> s & 1:  # the conjugation step on an ascent
-            lx, xr = left[twist[s] - 1][x], right[s][x]
-            x = xr if lx == xr else right[s][lx]
-        images[w] = x
+        images[w] = dact[images[right[s][w]]][s]
     fibers = {}
     for w, y in enumerate(images):
         fibers.setdefault(y, []).append(t.elements[w])
@@ -301,12 +378,15 @@ def check_conjecture(system, twist=None, ys=None):
     can be partitioned across worker processes and the reports merged.
     """
     twist = _twist_key(system, twist)
-    invs = enumerate_twisted(system, twist) if ys is None else tuple(ys)
+    _id_table(system)
+    ids = _ids(system, twist)
+    elements = ids.elements
     pairs = 0
     failures = []
-    for y in invs:
-        down = _down_set(system, y, twist)
-        for x in down:
+    for yid in ids.hat if ys is None else [ids.member(y) for y in ys]:
+        y = elements[yid]
+        for xid in sorted(ids.down(yid)):
+            x = elements[xid]
             pairs += 1
             expected = atoms(system, y, x, twist)
             got = bruhat_atoms(system, y, x, twist)

@@ -1,7 +1,7 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 7 and 11 run when INVATOMS_EXTENDED is set in the environment.
+criteria 7, 10 and 11 run when INVATOMS_EXTENDED is set in the environment.
 """
 
 import itertools
@@ -184,6 +184,15 @@ def test_criterion_10_rewriting_moves_span_word_sets():
     elapsed = time.time() - t0
     ok &= elapsed < 5
     _report(10, ok, "S4 both twists and B3, %.1fs" % elapsed)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the F4 braid classes")
+def test_criterion_10_extended_rewriting_moves_span_f4_word_sets():
+    t0 = time.time()
+    report = br.check_braid_classes(cx.build_system("F4"))
+    elapsed = time.time() - t0
+    ok = report["pairs_checked"] == 140 and report["failures"] == [] and elapsed < 3
+    _report(10, ok, "extended F4 identity twist, %.1fs" % elapsed)
 
 
 def test_criterion_11_initial_move_closures():

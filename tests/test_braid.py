@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import invatoms.braid as br
@@ -66,6 +68,31 @@ def test_rewriting_closure_spans_every_word_set():
         report = br.check_braid_classes(cx.build_system(name), twist)
         assert report["pairs_checked"] == checked
         assert report["failures"] == []
+
+
+@pytest.mark.parametrize("name, twist", [("B4", None), ("F4", (4, 3, 2, 1))])
+def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, twist):
+    fast = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert fast.id_table() is not None
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384, F4 1152
+    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert slow.id_table() is None
+    invs = tw.enumerate_twisted(fast, twist)
+    assert tw.enumerate_twisted(slow, twist) == invs
+    rng = random.Random(0)
+    for y in invs:
+        assert tw.hat_length(slow, y, twist) == tw.hat_length(fast, y, twist)
+        # each pair costs a down-set walk on the tuple route: sample the x
+        xs = rng.sample(invs, 8) + [fast.identity, y]
+        assert ([tw.weak_leq_T(slow, x, y, twist) for x in xs]
+                == [tw.weak_leq_T(fast, x, y, twist) for x in xs])
+        word = min(tw.involution_words(fast, y, twist=twist))
+        assert (br.involution_braid_class(slow, word, twist)
+                == br.involution_braid_class(fast, word, twist))
+    # both routes reject an element that is not a twisted involution
+    for system in (fast, slow):
+        with pytest.raises(ValueError, match="not a twisted involution"):
+            tw.hat_length(system, system.product((1, 2)), twist)
 
 
 def test_plain_braid_moves_after_the_first_letter_are_not_enough():

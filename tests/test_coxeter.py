@@ -228,6 +228,28 @@ def test_named_systems_match_their_invariants(name):
         assert system.order() == order
 
 
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_build_system_uses_the_degrees_of_the_named_type(name):
+    assert sorted(cx._degrees(name)) == sorted(DEGREES[name])
+
+
+def test_a_positive_root_count_off_the_degrees_fails_the_build(monkeypatch):
+    monkeypatch.setattr(cx, "_degrees", lambda name: (2, 4))  # B2's, not A2's
+    matrix = cx._validate_matrix(cx.coxeter_matrix_from_name("A2"))
+    with pytest.raises(ValueError, match="root construction failed: A2 has 3 positive"):
+        cx._cached_system.__wrapped__(matrix, "A2")
+    # matrices without a name carry no degrees to check
+    assert cx._cached_system.__wrapped__(matrix, None).num_positive == 3
+
+
+def test_build_system_keeps_a_bounded_number_of_systems():
+    for m in range(3, 3 + cx.SYSTEM_CACHE_SIZE + 4):
+        cx.build_system("I2(%d)" % m)
+    info = cx._cached_system.cache_info()
+    assert info.maxsize == cx.SYSTEM_CACHE_SIZE
+    assert info.currsize <= cx.SYSTEM_CACHE_SIZE
+
+
 def test_id_table_stops_at_cap_plus_one(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
