@@ -286,12 +286,18 @@ class CoxeterSystem:
         """The integer-id tables of the whole group, or None when |W| exceeds
         ENUMERATION_CAP.
 
-        Decided once per system: unless elements() already ran, deciding
-        enumerates at most ENUMERATION_CAP + 1 elements.
+        Decided once per system. A named type is too large when the product
+        of its degrees, which is |W| (Humphreys 3.9), exceeds the cap; that
+        takes no enumeration. Otherwise, unless elements() already ran,
+        deciding enumerates at most ENUMERATION_CAP + 1 elements.
         """
         if self._id_table is None:
-            small = (self._enumerate(ENUMERATION_CAP) if self._elements is None
-                     else len(self._elements) <= ENUMERATION_CAP)
+            if self._elements is not None:
+                small = len(self._elements) <= ENUMERATION_CAP
+            elif self.name is not None and math.prod(_degrees(self.name)) > ENUMERATION_CAP:
+                small = False
+            else:
+                small = self._enumerate(ENUMERATION_CAP)
             self._id_table = small and ElementTable(self)
         return self._id_table or None
 

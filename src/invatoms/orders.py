@@ -14,6 +14,8 @@ Permutations are one-line tuples as in the typea module; the class and
 order closures accept arbitrary integer sequences.
 """
 
+import itertools
+from functools import lru_cache
 from operator import itemgetter
 
 from . import coxeter as cx
@@ -31,7 +33,20 @@ def _dedupe(values):
     return tuple(dict.fromkeys(values))
 
 
-# -- the Chinese relation and its class partition ----------------------------
+# -- window moves read off order keys ----------------------------------------
+
+
+def _key3(a, b, c):
+    """The relative order of three letters, ties included: one base-3 digit
+    (less, equal, greater) per pair of positions, an index below 27."""
+    return 9 * ((a > b) + (a >= b)) + 3 * ((a > c) + (a >= c)) + (b > c) + (b >= c)
+
+
+def _key4(a, b, c, d):
+    """The relative order of four letters, ties included, an index below 729."""
+    return (243 * ((a > b) + (a >= b)) + 81 * ((a > c) + (a >= c))
+            + 27 * ((a > d) + (a >= d)) + 9 * ((b > c) + (b >= c))
+            + 3 * ((b > d) + (b >= d)) + (c > d) + (c >= d))
 
 
 def _triple_mates(window):
@@ -42,19 +57,98 @@ def _triple_mates(window):
     return []
 
 
+def _triple_up(window):
+    # only the length-preserving move, directed upward
+    a, b, c = sorted(window)
+    return [(b, c, a)] if window == (c, a, b) != (b, c, a) else []
+
+
+def _quad_mates(window):
+    a, b, c, d = sorted(window)
+    pats = _dedupe([(a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)])
+    if window in pats:
+        return [p for p in pats if p != window]
+    return []
+
+
+def _quad_up(window):
+    a, b, c, d = sorted(window)
+    return [(b, c, a, d)] if window == (a, d, b, c) != (b, c, a, d) else []
+
+
+def _mates_table(width, key, mates):
+    """Per relative order of a window of width letters, ties included, the
+    tuples of window positions that spell mates(window).
+
+    mates reads only the relative order of the window, so every window over
+    range(width) stands for its order and fills the entry under its key.
+    """
+    table = [()] * 3 ** (width * (width - 1) // 2)
+    for window in itertools.product(range(width), repeat=width):
+        table[key(*window)] = tuple(tuple(window.index(v) for v in m) for m in mates(window))
+    return table
+
+
+# kind -> (window width, step between window starts, order key, mates)
+_WINDOWS = {
+    "chinese": (3, 1, _key3, _triple_mates),
+    "chinese_up": (3, 1, _key3, _triple_up),
+    "fpf": (4, 2, _key4, _quad_mates),
+    "fpf_up": (4, 2, _key4, _quad_up),
+}
+
+
+@lru_cache(maxsize=32)
+def _window_moves(n, kind):
+    """Per window start i of an n-letter sequence, the table from the
+    window's order key to itemgetters that read each whole mate sequence."""
+    width, step, key, mates = _WINDOWS[kind]
+    table = _mates_table(width, key, mates)
+    out = []
+    for i in range(0, n - width + 1, step):
+        row = []
+        for spots in table:
+            getters = []
+            for spot in spots:
+                idx = list(range(n))
+                idx[i:i + width] = [i + j for j in spot]
+                getters.append(itemgetter(*idx))
+            row.append(tuple(getters))
+        out.append((i, row))
+    return tuple(out)
+
+
+def _triple_steps(seq, kind):
+    out = []
+    for i, row in _window_moves(len(seq), kind):
+        for g in row[_key3(seq[i], seq[i + 1], seq[i + 2])]:
+            out.append(g(seq))
+    return out
+
+
+def _quad_steps(seq, kind):
+    out = []
+    for i, row in _window_moves(len(seq), kind):
+        for g in row[_key4(seq[i], seq[i + 1], seq[i + 2], seq[i + 3])]:
+            out.append(g(seq))
+    return out
+
+
+# -- the Chinese relation and its class partition ----------------------------
+
+
+def _chinese_step(seq):
+    return _triple_steps(seq, "chinese")
+
+
 def chinese_neighbors(seq):
     """Sequences one three-letter move away from seq."""
-    seq = _seq(seq)
-    out = []
-    for i in range(len(seq) - 2):
-        for pat in _triple_mates(seq[i:i + 3]):
-            out.append(seq[:i] + pat + seq[i + 3:])
-    return out
+    return _chinese_step(_seq(seq))
 
 
 def chinese_class(seq):
     """The full equivalence class of seq under the three-letter relation."""
-    return cx.closure(_seq(seq), chinese_neighbors)
+    return cx.closure(_seq(seq), _chinese_step)
 
 
 def _verify_classes(n, base, class_of):
@@ -102,12 +196,11 @@ def verify_chinese(n):
 # -- the fixed-point-free relation -------------------------------------------
 
 
-def _quad_mates(window):
-    a, b, c, d = sorted(window)
-    pats = _dedupe([(a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)])
-    if window in pats:
-        return [p for p in pats if p != window]
-    return []
+def _fpf_step(seq):
+    swap = ta._swappers(len(seq))  # swap[i + 1] swaps the 0-based positions i, i + 1
+    out = [swap[i + 1](seq) for i in range(0, len(seq), 2)]
+    out += _quad_steps(seq, "fpf")
+    return out
 
 
 def fpf_neighbors(seq):
@@ -115,13 +208,7 @@ def fpf_neighbors(seq):
     seq = _seq(seq)
     if len(seq) % 2:
         raise ValueError("sequence has odd length")
-    out = []
-    for i in range(0, len(seq), 2):
-        out.append(seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:])
-    for i in range(0, len(seq) - 3, 2):
-        for pat in _quad_mates(seq[i:i + 4]):
-            out.append(seq[:i] + pat + seq[i + 4:])
-    return out
+    return _fpf_step(seq)
 
 
 def fpf_class(seq):
@@ -129,7 +216,7 @@ def fpf_class(seq):
     start = _seq(seq)
     if len(start) % 2:
         raise ValueError("sequence has odd length")
-    return cx.closure(start, fpf_neighbors)
+    return cx.closure(start, _fpf_step)
 
 
 def verify_fpf(n2):
@@ -145,24 +232,11 @@ def verify_fpf(n2):
 
 
 def _up_steps(seq):
-    # keep only the length-preserving move, directed upward
-    out = []
-    for i in range(len(seq) - 2):
-        window = seq[i:i + 3]
-        a, b, c = sorted(window)
-        if window == (c, a, b) and (b, c, a) != window:
-            out.append(seq[:i] + (b, c, a) + seq[i + 3:])
-    return out
+    return _triple_steps(seq, "chinese_up")
 
 
 def _up_steps_fpf(seq):
-    out = []
-    for i in range(0, len(seq) - 3, 2):
-        window = seq[i:i + 4]
-        a, b, c, d = sorted(window)
-        if window == (a, d, b, c) and (b, c, a, d) != window:
-            out.append(seq[:i] + (b, c, a, d) + seq[i + 4:])
-    return out
+    return _quad_steps(seq, "fpf_up")
 
 
 def prec_A_leq(u, v):

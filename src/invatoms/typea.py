@@ -13,6 +13,8 @@ of atoms of an involution in the symmetric group.
 """
 
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 COLOR_ORDER_CAP = 3
 
@@ -107,10 +109,12 @@ def gamma_set(y):
 
 def rtimes_perm(x, i):
     """Conjugation step on involutions: s_i x s_i, or x s_i when they agree."""
-    a, b = x[i - 1], x[i]
-    if {a, b} == {i, i + 1}:
-        return mult_right(x, i)
-    return mult_left(mult_right(x, i), i)
+    q = list(x)
+    q[i - 1], q[i] = q[i], q[i - 1]
+    if {x[i - 1], x[i]} != {i, i + 1}:
+        a, b = q.index(i), q.index(i + 1)
+        q[a], q[b] = i + 1, i
+    return tuple(q)
 
 
 def dact_perm(x, i):
@@ -158,36 +162,43 @@ def enumerate_involutions(n, fpf=False):
     return tuple(queue)
 
 
-def _elements_by_length(n):
-    """All of S_n in BFS order with, for each, a parent one letter shorter."""
-    start = identity_perm(n)
-    parent = {start: None}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        p = queue[head]
-        head += 1
-        for i in range(1, n):
-            if p[i - 1] < p[i]:
-                q = mult_right(p, i)
-                if q not in parent:
-                    parent[q] = (p, i)
-                    queue.append(q)
-    return queue, parent
+@lru_cache(maxsize=32)
+def _swappers(n):
+    """Per i in 1..n-1, the itemgetter that swaps positions i, i+1 of an
+    n-tuple, that is right multiplication by s_i (entry 0 is unused)."""
+    out = [None]
+    for i in range(1, n):
+        idx = list(range(n))
+        idx[i - 1], idx[i] = i, i - 1
+        out.append(itemgetter(*idx))
+    return tuple(out)
 
 
 def hecke_image_table(n, base=None):
-    """base folded against every element of S_n, keyed by element."""
+    """base folded against every element of S_n, keyed by element.
+
+    One BFS over ascents from the identity: each element is folded once,
+    from the element that first reaches it, and the fold steps of each
+    image are computed once.
+    """
     if base is None:
         base = identity_perm(n)
-    queue, parent = _elements_by_length(n)
-    table = {}
+    swap = _swappers(n)
+    start = identity_perm(n)
+    table = {start: base}
+    steps = {}  # image -> its fold by each s_i
+    queue = [start]
     for p in queue:
-        if parent[p] is None:
-            table[p] = base
-        else:
-            q, i = parent[p]
-            table[p] = dact_perm(table[q], i)
+        img = table[p]
+        folds = steps.get(img)
+        if folds is None:
+            folds = steps[img] = (None,) + tuple(dact_perm(img, i) for i in range(1, n))
+        for i in range(1, n):
+            if p[i - 1] < p[i]:
+                q = swap[i](p)
+                if q not in table:
+                    table[q] = folds[i]
+                    queue.append(q)
     return table
 
 
@@ -198,33 +209,64 @@ def hecke_atoms_perm(y, base=None):
     return tuple(sorted(out, key=lambda w: (perm_length(w), w)))
 
 
+# {(n, base): {z: atoms of z relative to base, bucketed}}; one slot
+_ATOMS_MEMO = {}
+
+
 def atoms_perm(y, base=None):
     """Minimal length Hecke atoms of y relative to base, via the descent
-    recursion (no full-group enumeration), sorted."""
+    recursion (no full-group enumeration), sorted.
+
+    A(z) is the union over right descents i of z of v s_i for v in
+    A(z x s_i) with i an ascent of v. Each atom w is built once, from its
+    first right descent d: the atoms of z are kept in buckets by first
+    right descent, the identity in bucket 0. For v in A(z x s_i) with i an
+    ascent, v s_i has first descent i exactly when v is the identity, v's
+    first descent is above i, or v's first descent is i - 1 with
+    v(i - 1) < v(i + 1).
+
+    The memo of atom buckets is shared across calls with the same (n,
+    base) and replaced when either changes, so it holds at most one entry
+    per involution of S_n, the peak a single call of that size reaches.
+    """
     n = len(y)
     if base is None:
         base = identity_perm(n)
     if not is_involution_perm(y) or not is_involution_perm(base):
         raise ValueError("atoms need involutions")
-    memo = {}
+    memo = _ATOMS_MEMO.get((n, base))
+    if memo is None:
+        _ATOMS_MEMO.clear()
+        memo = _ATOMS_MEMO[(n, base)] = {}
+    swap = _swappers(n)
+    lbase = perm_length(base)
+    ident = [(identity_perm(n),)] + [()] * (n - 1)
 
-    def rec(z):
+    def rec(z, lz):
         if z == base:
-            return frozenset({identity_perm(n)})
+            return ident
         got = memo.get(z)
         if got is not None:
             return got
-        acc = set()
-        if perm_length(z) > perm_length(base):
+        out = [()] * n
+        if lz > lbase:
             for i in range(1, n):
                 if z[i - 1] > z[i]:
-                    for v in rec(rtimes_perm(z, i)):
-                        if v[i - 1] < v[i]:
-                            acc.add(mult_right(v, i))
-        memo[z] = frozenset(acc)
-        return memo[z]
+                    # the length drops by 1 on the toggle step z(i) = i + 1,
+                    # by 2 otherwise
+                    sub = rec(rtimes_perm(z, i), lz - 2 + (z[i - 1] == i + 1))
+                    g = swap[i]
+                    acc = list(map(g, sub[0]))
+                    for d in range(i + 1, n):
+                        acc += map(g, sub[d])
+                    if i > 1:
+                        # v(i) < v(i - 1) < v(i + 1): i is an ascent of v
+                        acc += [g(v) for v in sub[i - 1] if v[i - 2] < v[i]]
+                    out[i] = acc
+        memo[z] = out
+        return out
 
-    return tuple(sorted(rec(y)))
+    return tuple(sorted(chain.from_iterable(rec(y, perm_length(y)))))
 
 
 def atoms_fpf_perm(y):

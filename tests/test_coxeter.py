@@ -252,16 +252,38 @@ def test_build_system_keeps_a_bounded_number_of_systems():
 
 def test_id_table_stops_at_cap_plus_one(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
-    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    # a custom matrix carries no degrees, so the cap is decided by the BFS
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
     seen = []
     real = system.right_mult
     system.right_mult = lambda w, s: seen.append(w) or real(w, s)
     assert system.id_table() is None
-    assert len(set(seen)) <= 101 and system._elements is None
+    assert seen and len(set(seen)) <= 101 and system._elements is None
     seen.clear()
     assert system.id_table() is None  # decided by the first call
     assert seen == []
     assert system.order() == 384
+
+
+@pytest.mark.parametrize("name, order", [
+    ("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("A8", 362880)])
+def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, monkeypatch):
+    assert order > cx.ENUMERATION_CAP
+    assert math.prod(cx._degrees(name)) == order
+    system = cx.build_system(name)
+    monkeypatch.setattr(system, "right_mult", lambda w, s: pytest.fail("enumerated"))
+    system._id_table = None  # decide again, on this system
+    assert system.id_table() is None
+    assert system._elements is None
+
+
+def test_a_named_type_within_the_cap_gets_the_same_table():
+    named = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4").id_table()
+    custom = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4")).id_table()
+    assert len(named.elements) == 384
+    assert named.elements == custom.elements
+    assert (named.right, named.left, named.length, named.word) == (
+        custom.right, custom.left, custom.length, custom.word)
 
 
 def test_element_table_agrees_with_the_root_permutations():

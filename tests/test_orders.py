@@ -15,6 +15,71 @@ def test_three_letter_rewriting_class():
     assert od.chinese_class((2, 1)) == {(2, 1)}
 
 
+def _reference_mates(window, patterns):
+    # the moves' definition on the sorted letters, ties deduplicated
+    pats = list(dict.fromkeys(patterns(*sorted(window))))
+    return [p for p in pats if p != window] if window in pats else []
+
+
+def _reference_chinese(seq):
+    out = []
+    for i in range(len(seq) - 2):
+        for pat in _reference_mates(seq[i:i + 3], lambda a, b, c: [
+                (c, a, b), (b, c, a), (c, b, a)]):
+            out.append(seq[:i] + pat + seq[i + 3:])
+    return out
+
+
+def _reference_fpf(seq):
+    out = [seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:] for i in range(0, len(seq), 2)]
+    for i in range(0, len(seq) - 3, 2):
+        for pat in _reference_mates(seq[i:i + 4], lambda a, b, c, d: [
+                (a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)]):
+            out.append(seq[:i] + pat + seq[i + 4:])
+    return out
+
+
+# neighbour lists frozen from the sort-and-deduplicate implementation, with
+# repeated letters, in order and with repeats
+CHINESE_GOLDENS = {
+    (2, 2, 1, 3): [(2, 1, 2, 3)],
+    (1, 3, 3, 2, 2, 4): [(1, 3, 2, 3, 2, 4), (1, 3, 2, 3, 2, 4)],
+    (3, 1, 2): [(2, 3, 1), (3, 2, 1)],
+    (2, 1, 1): [(1, 2, 1)],
+    (3, 3, 3): [],
+    (2, 1, 2, 1): [(2, 2, 1, 1), (2, 2, 1, 1)],
+    (4, 2, 3, 1, 5): [(3, 4, 2, 1, 5), (4, 3, 2, 1, 5), (4, 3, 1, 2, 5), (4, 3, 2, 1, 5)],
+    (3, 1, 2, 2): [(2, 3, 1, 2), (3, 2, 1, 2)],
+}
+FPF_GOLDENS = {
+    (2, 2, 1, 3): [(2, 2, 1, 3), (2, 2, 3, 1), (1, 3, 2, 2), (2, 3, 1, 2)],
+    (1, 3, 3, 2, 2, 4): [(3, 1, 3, 2, 2, 4), (1, 3, 2, 3, 2, 4), (1, 3, 3, 2, 4, 2)],
+    (2, 1, 4, 3): [(1, 2, 4, 3), (2, 1, 3, 4)],
+    (1, 4, 2, 3): [(4, 1, 2, 3), (1, 4, 3, 2), (2, 3, 1, 4), (2, 4, 1, 3), (3, 4, 1, 2)],
+    (2, 2, 2, 2): [(2, 2, 2, 2), (2, 2, 2, 2)],
+    (1, 1, 2, 2): [(1, 1, 2, 2), (1, 1, 2, 2)],
+    (3, 3, 1, 1): [(3, 3, 1, 1), (3, 3, 1, 1), (1, 3, 1, 3)],
+    (1, 4, 2, 3, 2, 2): [(4, 1, 2, 3, 2, 2), (1, 4, 3, 2, 2, 2), (1, 4, 2, 3, 2, 2),
+                         (2, 3, 1, 4, 2, 2), (2, 4, 1, 3, 2, 2), (3, 4, 1, 2, 2, 2),
+                         (1, 4, 2, 2, 2, 3)],
+}
+
+
+def test_window_mates_match_the_goldens_and_the_sorted_window_rule():
+    for seq, want in CHINESE_GOLDENS.items():
+        assert od.chinese_neighbors(seq) == want
+    for seq, want in FPF_GOLDENS.items():
+        assert od.fpf_neighbors(seq) == want
+    # every relative order of a window, ties included, at every offset
+    for length in range(7):
+        for seq in itertools.product(range(1, 5), repeat=min(length, 5)):
+            seq += (9,) * (length - len(seq))
+            assert od.chinese_neighbors(seq) == _reference_chinese(seq)
+            if length % 2 == 0:
+                assert od.fpf_neighbors(seq) == _reference_fpf(seq)
+    assert od.chinese_neighbors([3, 1.0, 2]) == [(2, 3, 1), (3, 2, 1)]
+
+
 def test_rewriting_class_of_the_running_example():
     cls = od.chinese_class((3, 5, 1, 4, 2))
     assert len(cls) == 35

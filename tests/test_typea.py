@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -60,6 +61,18 @@ def test_hecke_image_table_against_the_generic_fold():
         assert cx.element_to_permutation(system, lifted) == img
 
 
+def test_hecke_image_table_folds_every_reduced_word():
+    perms = list(itertools.permutations(range(1, 6)))
+    for x in ta.enumerate_involutions(5):
+        table = ta.hecke_image_table(5, x)
+        assert sorted(table) == perms
+        for w in perms:
+            img = x
+            for i in ta.reduced_word_perm(w):
+                img = ta.dact_perm(img, i)
+            assert table[w] == img
+
+
 def test_atoms_by_permutations_match_the_generic_route():
     system = cx.build_system("A3")
     for x10 in ta.enumerate_involutions(4):
@@ -101,10 +114,12 @@ def test_fpf_hecke_atom_counts_for_the_longest_element():
         assert len(ta.hecke_atoms_perm(w0, ta.fpf_base(n2))) == count
 
 
-def _brute_atom_sets(n):
+def _brute_atom_sets(n, bases=None):
     # minimal length fibers of the fold table, for every start involution
+    # (or the given bases): the minimal-length layers of hecke_atoms_perm,
+    # which filters the same table
     out = {}
-    for x in ta.enumerate_involutions(n):
+    for x in bases or ta.enumerate_involutions(n):
         fibers = {}
         for w, img in ta.hecke_image_table(n, x).items():
             fibers.setdefault(img, []).append(w)
@@ -178,6 +193,43 @@ def test_colored_structures_are_consistent():
             for y in ta.enumerate_involutions(n):
                 for w in itertools.permutations(range(1, n + 1)):
                     assert ta.is_atom_colored(w, x, y) == ta.is_atom_general(w, x, y)
+
+
+def test_the_shared_atom_memo_survives_base_and_size_switches():
+    rng = random.Random(10)
+    id7 = ta.identity_perm(7)
+    layers = {**_brute_atom_sets(5), **_brute_atom_sets(6), **_brute_atom_sets(7, [id7])}
+    s5, s6, s7 = (ta.enumerate_involutions(n) for n in (5, 6, 7))
+
+    def check(y, x):
+        assert ta.atoms_perm(y, x) == tuple(sorted(layers.get((x, y), ())))
+        assert list(ta._ATOMS_MEMO) == [(len(y), x)]
+
+    # every pair of S6: each base visited twice in runs of half its targets,
+    # so runs reuse the memo and revisits follow a switch
+    blocks = []
+    for x in s6:
+        ys = list(s6)
+        rng.shuffle(ys)
+        blocks += [(x, ys[:38]), (x, ys[38:])]
+    rng.shuffle(blocks)
+    for x, ys in blocks:
+        for y in ys:
+            check(y, x)
+        if rng.random() < 0.3:
+            check(rng.choice(s5), rng.choice(s5))
+        if rng.random() < 0.1:
+            check(rng.choice(s7), id7)
+    # the FPF base at 2n = 6 against every involution of S6, interleaved with
+    # identity-base calls
+    fpf = ta.fpf_base(6)
+    ys = list(s6)
+    rng.shuffle(ys)
+    for k, y in enumerate(ys):
+        check(y, fpf)
+        assert ta.atoms_fpf_perm(y) == ta.atoms_perm(y, fpf)
+        if k % 5 == 0:
+            check(rng.choice(s6), ta.identity_perm(6))
 
 
 def test_atoms_need_involutions():
