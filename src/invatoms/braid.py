@@ -8,6 +8,19 @@ prefix before the block, but only through the twisted involution the
 prefix folds to. The type A symmetric-group specializations need just
 one extra family of moves on the first two letters.
 
+The class of a word under the truncated swaps is built from suffix
+classes rather than by a search over whole words. A swap either starts at
+the first letter a or lies wholly after it, and the swaps after a depend
+only on the fold u o a of the prefix and on the rest of the word. So the
+class of a suffix q after a prefix folding to u is a union of pieces
+a.C(u o a, tail): C(u o a, tail) is the class of tail after a prefix
+folding to u o a, found the same way, and the pieces are linked by the
+swaps at the first letter from the table of u. Classes are memoised per
+fold within one call; swaps preserve the prefix fold and are undone by
+the opposite swap, so a suffix lies in at most one class per fold. The
+whole-word move function involution_braid_neighbors is what the classes
+are tested against.
+
 Words are tuples of 1-based generator indices.
 """
 
@@ -24,25 +37,23 @@ def _word(letters):
 
 
 def _blocks(triples):
-    """The block-swap table of (s, t, m) triples, keyed by the first two
-    letters of each block (its one letter when m = 1): the alternating
-    blocks sts... and tst... of length m swap."""
+    """The block-swap table of (s, t, m) triples: the alternating blocks
+    sts... and tst... of length m swap. Keyed by first letter, each entry a
+    tuple of (block, other block) pairs."""
     table = {}
     for s, t, m in triples:
         left, right = _alternating(s, t, m), _alternating(t, s, m)
-        table[left[:2]], table[right[:2]] = (left, right), (right, left)
+        table[s] = table.get(s, ()) + ((left, right),)
+        table[t] = table.get(t, ()) + ((right, left),)
     return table
 
 
 def _swaps(word, j, blocks, out):
     """Append to out every word one table swap at position j away from word."""
-    for k in (1, 2):
-        got = blocks.get(word[j:j + k])
-        if got is not None:
-            block, other = got
-            m = len(block)
-            if word[j:j + m] == block:
-                out.append(word[:j] + other + word[j + m:])
+    for block, other in blocks.get(word[j], ()):
+        m = len(block)
+        if word[j:j + m] == block:
+            out.append(word[:j] + other + word[j + m:])
 
 
 def _pairs(system):
@@ -79,12 +90,16 @@ def m_star(system, s, t, theta):
     if m < 2:
         raise ValueError("truncated length needs two distinct generators")
     gs, gt = system.generator(s), system.generator(t)
-    ims, imt = theta(gs), theta(gt)
-    if {ims, imt} != {gs, gt}:
+    return _truncate(m, gs, gt, theta(gs), theta(gt))
+
+
+def _truncate(m, s, t, ims, imt):
+    """The bond m truncated for a map sending s and t to ims and imt."""
+    if {ims, imt} != {s, t}:
         return m
     if m % 2:
         return (m + 1) // 2
-    if ims == gs:
+    if ims == s:
         return m // 2 + 1
     return m // 2
 
@@ -93,10 +108,6 @@ def theta_prefix(system, prefix, twist=None):
     """The automorphism g -> (u g u^-1)* for u the fold of the prefix."""
     twist = tw._twist_key(system, twist)
     u = tw.dact_word(system, system.identity, prefix, twist)
-    return _theta_for(system, u, twist)
-
-
-def _theta_for(system, u, twist):
     uinv = system.inverse(u)
 
     def theta(g):
@@ -113,9 +124,15 @@ def _truncated_blocks(system, u, twist):
     blocks = cache.get(u)
     if blocks is None:
         ids = tw._ids(system, twist)
-        theta = _theta_for(system, u if ids is None else ids.elements[u], twist)
+        w = u if ids is None else ids.elements[u]
+        # theta(s) = (w s w^-1)* is the reflection in the twisted root
+        # w(alpha_s): the generator t exactly when that root is +-alpha_t,
+        # and simple roots come first in the root order
+        rho, p = system._twist_perms(twist)[0], system.num_positive
+        image = [rho[w[s]] % p + 1 for s in range(system.rank)]
         blocks = cache[u] = _blocks(
-            (s, t, m_star(system, s, t, theta)) for s, t in _pairs(system))
+            (s, t, _truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1]))
+            for s, t in _pairs(system))
     return blocks
 
 
@@ -129,35 +146,68 @@ def _prefix_fold(system, twist):
     return 0, lambda u, a: dact[u][a - 1]
 
 
-def _neighbors(system, twist):
-    """The move function of involution_braid_neighbors for one twist."""
-    start, step = _prefix_fold(system, twist)
-    cache = tw._caches(system, twist).setdefault("m_star", {})
-
-    def neighbors(word):
-        out = []
-        u = start
-        for j, a in enumerate(word):
-            _swaps(word, j, cache.get(u) or _truncated_blocks(system, u, twist), out)
-            u = step(u, a)
-        return out
-
-    return neighbors
-
-
 # -- involution braid relations --------------------------------------------------
 
 
 def involution_braid_neighbors(system, word, twist=None):
-    """Words one prefix-truncated block swap away from word."""
+    """Words one prefix-truncated block swap away from word: the whole-word
+    move function that the suffix classes are tested against."""
     twist = tw._twist_key(system, twist)
-    return _neighbors(system, twist)(_word(word))
+    word = _word(word)
+    u, step = _prefix_fold(system, twist)
+    out = []
+    for j, a in enumerate(word):
+        _swaps(word, j, _truncated_blocks(system, u, twist), out)
+        u = step(u, a)
+    return out
 
 
 def involution_braid_class(system, word, twist=None):
-    """The closure of word under the prefix-truncated block swaps."""
+    """The closure of word under the prefix-truncated block swaps, built from
+    memoised suffix classes (see the module docstring)."""
     twist = tw._twist_key(system, twist)
-    return cx.closure(_word(word), _neighbors(system, twist))
+    start, step = _prefix_fold(system, twist)
+    cache = tw._caches(system, twist).setdefault("m_star", {})
+    memo = {}  # fold -> the suffix classes found under it
+
+    def suffix_class(u, q):
+        if not q:
+            return {()}
+        classes = memo.setdefault(u, [])
+        for c in classes:
+            if q in c:
+                return c
+        blocks = cache.get(u) or _truncated_blocks(system, u, twist)
+        out = set()
+        todo = [q]
+        while todo:
+            w = todo.pop()
+            if w in out:
+                continue
+            a = w[0]
+            tails = suffix_class(step(u, a), w[1:])
+            out.update([(a,) + t for t in tails])
+            for block, other in blocks.get(a, ()):
+                m = len(block)
+                if m == 1:  # a and the other letter fold u alike: the piece moves whole
+                    todo.append(other + w[1:])
+                    continue
+                if len(w) < m:  # the block does not fit
+                    continue
+                b, rest = block[1], block[1:]
+                k = m - 1
+                for t in tails:
+                    if t[0] == b and t[:k] == rest:
+                        v = other + t[k:]
+                        if v not in out:
+                            todo.append(v)
+        classes.append(out)
+        return out
+
+    try:
+        return suffix_class(start, _word(word))
+    finally:
+        memo.clear()
 
 
 def _start_class(system, word, start_blocks):
@@ -167,7 +217,8 @@ def _start_class(system, word, start_blocks):
 
     def neighbors(u):
         out = _braid_moves(u, blocks)
-        _swaps(u, 0, start_blocks, out)
+        if u:
+            _swaps(u, 0, start_blocks, out)
         return out
 
     return cx.closure(_word(word), neighbors)
@@ -206,7 +257,7 @@ def fpf_class_words(system, word):
     swaps = {}
     for a in range(2, system.rank, 2):
         up, down = (a, a + 1), (a, a - 1)
-        swaps[down], swaps[up] = (down, up), (up, down)
+        swaps[a] = ((down, up), (up, down))
     return _start_class(system, word, swaps)
 
 

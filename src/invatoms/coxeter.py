@@ -193,25 +193,37 @@ class CoxeterSystem:
         return tuple(out)
 
     def reduced_words(self, w):
-        """All reduced words for w, as a sorted tuple of tuples (DFS over right descents)."""
-        p = self.num_positive
-        memo = {}
+        """All reduced words for w, as a sorted tuple of tuples: a DFS over
+        right descents with a per-call memo, on ids within the cap and on
+        root permutations above it."""
+        gens = range(self.rank)
+        t = self.id_table()
+        if t is None:
+            p = self.num_positive
+            top, bottom = w, self.identity
+
+            def down(u):
+                return [(s + 1, self.right_mult(u, s + 1)) for s in gens if u[s] >= p]
+        else:
+            right, descents = t.right, t.descents
+            top, bottom = t.index[w], 0
+
+            def down(i):
+                d = descents[i]
+                return [(s + 1, right[s][i]) for s in gens if d >> s & 1]
+
+        memo = {bottom: ((),)}
 
         def rec(u):
-            if u == self.identity:
-                return ((),)
             got = memo.get(u)
-            if got is not None:
-                return got
-            acc = []
-            for s in range(self.rank):
-                if u[s] >= p:
-                    for word in rec(self.right_mult(u, s + 1)):
-                        acc.append(word + (s + 1,))
-            memo[u] = tuple(acc)
-            return memo[u]
+            if got is None:
+                got = memo[u] = tuple(word + (s,) for s, v in down(u) for word in rec(v))
+            return got
 
-        return tuple(sorted(rec(w)))
+        try:
+            return tuple(sorted(rec(top)))
+        finally:
+            memo.clear()
 
     def demazure_product(self, u, v):
         """The 0-Hecke product of two elements (monotone one-sided fold)."""

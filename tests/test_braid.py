@@ -49,6 +49,24 @@ def test_truncated_block_length_when_the_pair_is_not_preserved():
         br.m_star(system, 2, 2, theta)
 
 
+@pytest.mark.parametrize("name, twist", [
+    ("A4", (4, 3, 2, 1)), ("B3", None), ("D4", (3, 2, 1, 4)), ("H3", None),
+    ("I2(7)", None), ("I2(8)", (2, 1))])
+def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkeypatch):
+    fast = cx.build_system(name)
+    index = fast.id_table().index
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 1)  # the tuple route keys folds by element
+    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    key = tw._twist_key(fast, twist)
+    pairs = [(s, t) for s in range(1, fast.rank + 1) for t in range(s + 1, fast.rank + 1)]
+    for y in tw.enumerate_twisted(fast, twist):
+        theta = br.theta_prefix(fast, min(tw.involution_words(fast, y, twist=twist)), twist)
+        assert theta.base == y
+        want = br._blocks((s, t, br.m_star(fast, s, t, theta)) for s, t in pairs)
+        assert br._truncated_blocks(fast, index[y], key) == want
+        assert br._truncated_blocks(slow, y, key) == want
+
+
 def test_prefix_conjugated_twist():
     system = cx.build_system("A3")
     theta = br.theta_prefix(system, (), None)
@@ -93,6 +111,53 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
     for system in (fast, slow):
         with pytest.raises(ValueError, match="not a twisted involution"):
             tw.hat_length(system, system.product((1, 2)), twist)
+
+
+def _neighbor_closure(system, word, twist):
+    # the oracle: a BFS over whole words, one truncated block swap at a time
+    return cx.closure(tuple(word), lambda w: br.involution_braid_neighbors(system, w, twist))
+
+
+@pytest.mark.parametrize("name, twist", [
+    ("B4", None), ("F4", None), ("F4", (4, 3, 2, 1)), ("H3", None),
+    ("D4", (3, 2, 1, 4)), ("A4", (4, 3, 2, 1)), ("I2(7)", None), ("I2(8)", (2, 1))])
+def test_suffix_classes_match_the_neighbor_closure(name, twist):
+    system = cx.build_system(name)
+    for y in tw.enumerate_twisted(system, twist):
+        word = min(tw.involution_words(system, y, twist=twist))
+        got = br.involution_braid_class(system, word, twist)
+        assert type(got) is set
+        assert got == _neighbor_closure(system, word, twist)
+
+
+def test_suffix_classes_of_other_words_match_the_neighbor_closure():
+    rng = random.Random(5)
+    for name, twist in [("B4", None), ("F4", (4, 3, 2, 1)), ("D4", (3, 2, 1, 4)),
+                        ("A4", (4, 3, 2, 1)), ("I2(8)", (2, 1))]:
+        system = cx.build_system(name)
+        assert br.involution_braid_class(system, (), twist) == {()}
+        others = 0
+        for _ in range(40):
+            word = tuple(rng.randint(1, system.rank) for _ in range(rng.randint(1, 8)))
+            y = tw.dact_word(system, system.identity, word, twist)
+            others += len(word) != tw.hat_length(system, y, twist)
+            assert (br.involution_braid_class(system, word, twist)
+                    == _neighbor_closure(system, word, twist))
+        assert others > 20  # most random words are not involution words
+
+
+def test_suffix_classes_on_the_tuple_route_match_the_neighbor_closure(monkeypatch):
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    assert system.id_table() is None
+    for y in tw.enumerate_twisted(system):
+        words = [min(tw.involution_words(system, y))]
+        if system.length(y) <= 9:
+            # mostly not an involution word; longer ones have classes of millions
+            words.append(system.reduced_word(y))
+        for word in words:
+            assert (br.involution_braid_class(system, word)
+                    == _neighbor_closure(system, word, None))
 
 
 def test_plain_braid_moves_after_the_first_letter_are_not_enough():

@@ -64,6 +64,23 @@ def test_reduced_word_is_lexicographically_minimal():
         assert all(len(e) == system.length(w) for e in words)
 
 
+@pytest.mark.parametrize("name", ["B4", "H3"])
+def test_reduced_words_agree_on_the_id_and_tuple_routes(name, monkeypatch):
+    fast = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert fast.id_table() is not None
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384, H3 120
+    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert slow.id_table() is None
+    # all but the longest elements: w0 of B4 alone has 24,024 reduced words
+    for w in fast.elements():
+        if fast.length(w) > fast.length(fast.longest_element()) - 4:
+            continue
+        words = fast.reduced_words(w)
+        assert slow.reduced_words(w) == words
+        assert words == tuple(sorted(words)) and len(set(words)) == len(words)
+        assert all(fast.product(e) == w for e in words)
+
+
 def _subword_leq(system, u, v):
     # subword property of Bruhat order, checked on one fixed reduced word of v
     word = system.reduced_word(v)
