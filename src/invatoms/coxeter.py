@@ -394,6 +394,7 @@ class ElementTable:
 
     - ``length[i]`` is l(w); bit s-1 of ``descents[i]`` is set when s is a
       right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
+    - ``start[k]`` is the first id of length k, and ``start[-1]`` is |W|;
     - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
     - ``word[i]`` is the lex-min reduced word of w;
     - ``twisted(twist)[i]`` is the id of the twisted image of w.
@@ -422,6 +423,8 @@ class ElementTable:
                 row[i] = rt[row[j]]
             s = next(s for s in gens if left[s][i] < i)
             word[i] = (s + 1,) + word[left[s][i]]
+        # lengths run 0, 1, ..., l(w0) in id order with none skipped
+        self.start = [0] + [i for i in range(1, n) if length[i] > length[i - 1]] + [n]
         self._twisted = {}
 
     def twisted(self, twist):

@@ -12,8 +12,6 @@ variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 """
 
-import itertools
-
 from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist
 
@@ -277,13 +275,11 @@ def atoms(system, y, x=None, twist=None):
         x = system.identity
     _check_member(system, x, twist)
     _check_member(system, y, twist)
-    if system.id_table() is None:
+    t = system.id_table()
+    if t is None:
         return tuple(_by_word(system, _atoms_rec(system, y, x, twist, {})))
-    hk = hecke_atoms(system, y, x, twist)
-    if not hk:
-        return ()
-    lmin = system.length(hk[0])
-    return tuple(itertools.takewhile(lambda w: system.length(w) == lmin, hk))
+    hk = map(t.index.__getitem__, hecke_atoms(system, y, x, twist))
+    return tuple(t.elements[w] for w in _first_run(t, hk))
 
 
 def _atoms_rec(system, y, x, twist, memo):
@@ -318,32 +314,71 @@ def involution_words(system, y, x=None, twist=None):
     return tuple(sorted(out))
 
 
-def _bruhat_scan(system, y, x, twist):
-    """The id table and an iterator over the ids w with w* y <= x w in Bruhat
-    order, in id order and so by length."""
-    twist = _twist_key(system, twist)
-    if x is None:
-        x = system.identity
-    _check_member(system, x, twist)
-    _check_member(system, y, twist)
-    t = _id_table(system)
-    star = t.twisted(twist)
-    by_y = [t.right[s - 1] for s in t.word[t.index[y]]]
-    # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
-    by_x = [t.left[s - 1] for s in reversed(t.word[t.index[x]])]
-    leq = t.bruhat_leq
+# The Bruhat oracle scans the ids w for w* y <= x w in Bruhat order. It reads
+# only the id tables and the twist, never atoms, Hecke fibers or hat lengths,
+# so it stays an independent check of them. Two general facts make it cheaper:
+# the left side w* y does not depend on x, so one row of it serves every x
+# below y; and w* y <= x w forces l(y) - l(w) <= l(w* y) <= l(x w) <= l(x) + l(w),
+# so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit.
 
-    def hits():
-        for w, lhs in enumerate(star):
+
+def _star_row(t, y, twist):
+    """The row of w* y for the id y, as a function of k giving the ids of
+    w* y for the ids w of length k. Each length is built once, when a scan
+    first reaches it: the twisted ids multiplied on the right by the letters
+    of the lex-min word of y."""
+    star, start = t.twisted(twist), t.start
+    by_y = [t.right[s - 1] for s in t.word[y]]
+    levels = {}
+
+    def level(k):
+        got = levels.get(k)
+        if got is None:
+            got = star[start[k]:start[k + 1]]
             for r in by_y:
-                lhs = r[lhs]
+                got = list(map(r.__getitem__, got))
+            levels[k] = got
+        return got
+
+    return level
+
+
+def _hits(t, row, y, x):
+    """The ids w with w* y <= x w in Bruhat order, for the ids y and x and the
+    row of y, scanned from the length floor in id order and so by length."""
+    # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
+    by_x = [t.left[s - 1] for s in reversed(t.word[x])]
+    length, leq, start = t.length, t.bruhat_leq, t.start
+    for k in range(max(0, (length[y] - length[x] + 1) // 2), len(start) - 1):
+        for w, lhs in enumerate(row(k), start[k]):
             rhs = w
             for left in by_x:
                 rhs = left[rhs]
-            if leq(lhs, rhs):
+            # most candidates fail on length alone, so that test runs inline
+            if lhs == rhs or length[lhs] < length[rhs] and leq(lhs, rhs):
                 yield w
 
-    return t, hits()
+
+def _first_run(t, ids):
+    """The first run of equal length in ids, which run by length; stops a
+    scan after that length."""
+    out = []
+    for w in ids:
+        if out and t.length[w] > t.length[out[0]]:
+            break
+        out.append(w)
+    return out
+
+
+def _bruhat_scan(system, y, x, twist):
+    """The id table and the hits of one pair of elements."""
+    twist = _twist_key(system, twist)
+    if x is None:
+        x = system.identity
+    x = _check_member(system, x, twist)
+    y = _check_member(system, y, twist)
+    t = _id_table(system)
+    return t, _hits(t, _star_row(t, y, twist), y, x)
 
 
 def bruhat_hecke(system, y, x=None, twist=None):
@@ -358,45 +393,40 @@ def bruhat_atoms(system, y, x=None, twist=None):
     Stops scanning after the first length that has a hit.
     """
     t, hits = _bruhat_scan(system, y, x, twist)
-    out = []
-    for w in hits:
-        if out and t.length[w] > t.length[out[0]]:
-            break
-        out.append(w)
-    return tuple(t.elements[w] for w in out)
-
-
-def _word_list(system, ws):
-    return [list(system.reduced_word(w)) for w in ws]
+    return tuple(t.elements[w] for w in _first_run(t, hits))
 
 
 def check_conjecture(system, twist=None, ys=None):
     """Compare atoms with the minimal Bruhat-characterized elements over all
     comparable pairs of twisted involutions. Returns a JSON-ready report.
 
+    The atoms are the first run of equal length in the base-x Hecke fiber of
+    y. The oracle keeps one row of w* y per y and scans it for every x in
+    the down-set of y.
+
     ys restricts the sweep to the given upper elements, so the pair space
     can be partitioned across worker processes and the reports merged.
     """
     twist = _twist_key(system, twist)
-    _id_table(system)
+    t = _id_table(system)
     ids = _ids(system, twist)
-    elements = ids.elements
+    elements, index, word = t.elements, t.index, t.word
     pairs = 0
     failures = []
-    for yid in ids.hat if ys is None else [ids.member(y) for y in ys]:
-        y = elements[yid]
-        for xid in sorted(ids.down(yid)):
-            x = elements[xid]
+    for y in ids.hat if ys is None else [ids.member(v) for v in ys]:
+        row = _star_row(t, y, twist)
+        for x in sorted(ids.down(y)):
             pairs += 1
-            expected = atoms(system, y, x, twist)
-            got = bruhat_atoms(system, y, x, twist)
+            fiber = hecke_table(system, elements[x], twist).get(elements[y], ())
+            expected = _first_run(t, map(index.__getitem__, fiber))
+            got = _first_run(t, _hits(t, row, y, x))
             if expected != got:
                 failures.append(
                     {
-                        "x": list(system.reduced_word(x)),
-                        "y": list(system.reduced_word(y)),
-                        "expected": _word_list(system, expected),
-                        "got": _word_list(system, got),
+                        "x": list(word[x]),
+                        "y": list(word[y]),
+                        "expected": [list(word[w]) for w in expected],
+                        "got": [list(word[w]) for w in got],
                     }
                 )
     return {

@@ -143,7 +143,8 @@ def test_conjecture_checker_restricted_to_some_targets():
     assert all(p["failures"] == [] for p in parts)
 
 
-@pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None)])
+@pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None),
+                                         ("I2(6)", (2, 1))])
 def test_bruhat_hecke_matches_a_direct_computation(name, twist):
     # w* y <= x w from multiply, apply_twist and the subword oracle alone,
     # for every pair of twisted involutions, comparable or not
@@ -171,6 +172,67 @@ def test_bruhat_hecke_matches_a_direct_computation(name, twist):
             lmin = min((system.length(w) for w in direct), default=None)
             assert set(tw.bruhat_atoms(system, y, x, twist)) == {
                 w for w in direct if system.length(w) == lmin}
+
+
+@pytest.mark.parametrize("name, twist", [("B4", None), ("H3", None),
+                                         ("D4", (3, 2, 1, 4)), ("A4", (4, 3, 2, 1))])
+def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
+    # the scan without a floor: every id w with w* y <= x w, the products
+    # taken on elements and compared by ElementTable.bruhat_leq
+    system = cx.build_system(name)
+    t = system.id_table()
+    key = twist or tuple(range(1, system.rank + 1))
+    elements, index = t.elements, t.index
+    star = [system.apply_twist(w, key) for w in elements]
+    ids = tw._ids(system, key)
+    lhs = {y: [index[system.multiply(v, elements[y])] for v in star] for y in ids.hat}
+    rhs = {x: [index[system.multiply(elements[x], w)] for w in elements] for x in ids.hat}
+    pairs = [(y, x) for y in ids.hat for x in ids.down(y)]
+    unfloored = {(y, x): [w for w, (u, v) in enumerate(zip(lhs[y], rhs[x]))
+                          if t.bruhat_leq(u, v)] for y, x in pairs}
+
+    def first_run(hits):
+        return [w for w in hits if t.length[w] == t.length[hits[0]]]
+
+    # the per-y rows and the scans inside check_conjecture
+    seen = {}
+    real = tw._hits
+
+    def recording(table, row, y, x):
+        seen[y, x] = list(real(table, row, y, x))
+        assert [v for k in range(len(t.start) - 1) for v in row(k)] == lhs[y]
+        return iter(seen[y, x])
+
+    monkeypatch.setattr(tw, "_hits", recording)
+    assert tw.check_conjecture(system, twist)["failures"] == []
+    assert seen == unfloored
+    for y, x in pairs:
+        hits = unfloored[y, x]
+        assert tw.bruhat_hecke(system, elements[y], elements[x], twist) == tuple(
+            elements[w] for w in hits)
+        assert tw.bruhat_atoms(system, elements[y], elements[x], twist) == tuple(
+            elements[w] for w in first_run(hits))
+    # the floor ceil((l(y) - l(x)) / 2) is tight: the first hit lies on it for
+    # many pairs besides x = y (864 of B4's 1211 pairs), so a higher floor fails
+    on_floor = [(y, x) for y, x in pairs if x != y and 2 * t.length[unfloored[y, x][0]]
+                in (t.length[y] - t.length[x], t.length[y] - t.length[x] + 1)]
+    assert on_floor
+
+
+def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
+    # drop the single atom of the running example from its Hecke fiber, so the
+    # atoms read from the fiber become the next length's Hecke atoms
+    system, x, y = _s5_pair()
+    table = tw.hecke_table(system, x)
+    monkeypatch.setitem(table, y, table[y][1:])
+    report = tw.check_conjecture(system, ys=[y])
+    assert report["pairs_checked"] == 17
+    assert report["failures"] == [{
+        "x": [2, 1, 3, 4, 3, 2],
+        "y": [2, 1, 3, 2, 1, 4, 3, 2],
+        "expected": [[2, 3], [3, 2], [4, 3]],
+        "got": [[3]],
+    }]
 
 
 def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
