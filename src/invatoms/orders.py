@@ -15,14 +15,15 @@ order closures accept arbitrary integer sequences.
 """
 
 import itertools
+import math
 from functools import lru_cache
 from operator import itemgetter
 
 from . import coxeter as cx
 from . import typea as ta
 
-CHINESE_SWEEP_CAP = 7
-FPF_SWEEP_CAP = 8
+CHINESE_SWEEP_CAP = 8
+FPF_SWEEP_CAP = 10
 
 
 def _seq(values):
@@ -151,28 +152,58 @@ def chinese_class(seq):
     return cx.closure(_seq(seq), _chinese_step)
 
 
+def _blocks(descents):
+    """The position slices permuted by the parabolic subgroup W_J, J the
+    given descents: one per maximal run i, i + 1, ..., k in J."""
+    out = []
+    for i in descents:
+        if out and out[-1][1] == i:
+            out[-1][1] = i + 1
+        else:
+            out.append([i - 1, i + 1])
+    return [slice(lo, hi) for lo, hi in out]
+
+
 def _verify_classes(n, base, class_of):
     """The report of verify_chinese and verify_fpf: each inverted Hecke atom
-    set of base against the class of its least member.
+    set of base against the class of one of its members.
 
     The Hecke atom sets partition S_n. When each inverted set is the class
     of one of its members, the classes are exactly these sets, so checking
     one class per set is complete; ``classes`` counts the distinct classes
     built and equals ``involutions`` on a passing run.
+
+    Both sides are compared on J-minimal sequences, J the right descents of
+    base. base folded against s w is base folded against w for s in J, so
+    each Hecke atom set is a union of cosets W_J w and its inverse a union
+    of orbits u W_J, each with one J-minimal member (increasing on every
+    block of J). class_of(v) must give the J-minimal members of the class
+    of v, which stand for the whole class when the relation joins each
+    orbit. The class is started from the top of the least orbit (every
+    block of J reversed), so a relation that does not join it fails. Sizes
+    in failures count whole sets: J-minimal members times |W_J|.
     """
+    if base is None:
+        base = ta.identity_perm(n)
+    descents = ta.right_descents_perm(base)
+    blocks = _blocks(descents)
+    orbit = math.prod(math.factorial(b.stop - b.start) for b in blocks)
     fibers = {}
-    for w, img in ta.hecke_image_table(n, base).items():
+    for w, img in ta._hecke_fold(n, base, frozenset(descents)).items():
         fibers.setdefault(img, set()).add(ta.inverse_perm(w))
     classes = set()
     failures = []
     for target, fiber in fibers.items():
-        cls = frozenset(class_of(min(fiber)))
+        top = list(min(fiber))
+        for b in blocks:
+            top[b] = top[b][::-1]
+        cls = frozenset(class_of(tuple(top)))
         classes.add(cls)
         if cls != fiber:
             failures.append({
                 "involution": list(target),
-                "class_size": len(cls),
-                "hecke_size": len(fiber),
+                "class_size": orbit * len(cls),
+                "hecke_size": orbit * len(fiber),
             })
     return {
         "n": n,
@@ -196,27 +227,43 @@ def verify_chinese(n):
 # -- the fixed-point-free relation -------------------------------------------
 
 
-def _fpf_step(seq):
-    swap = ta._swappers(len(seq))  # swap[i + 1] swaps the 0-based positions i, i + 1
-    out = [swap[i + 1](seq) for i in range(0, len(seq), 2)]
-    out += _quad_steps(seq, "fpf")
-    return out
-
-
 def fpf_neighbors(seq):
     """Sequences one aligned swap or four-letter move away from seq."""
     seq = _seq(seq)
     if len(seq) % 2:
         raise ValueError("sequence has odd length")
-    return _fpf_step(seq)
+    swap = ta._swappers(len(seq))  # swap[i + 1] swaps the 0-based positions i, i + 1
+    return [swap[i + 1](seq) for i in range(0, len(seq), 2)] + _quad_steps(seq, "fpf")
+
+
+def _fpf_moves(seq):
+    return _quad_steps(seq, "fpf")
+
+
+def _fpf_sorted_class(seq):
+    """The members of the class of seq with each aligned pair in order.
+
+    Every move pattern has both of its pairs in order, so sorting the pairs
+    maps a move to a move and a swap to nothing: these members are the
+    closure of seq with its pairs sorted under the four-letter moves alone.
+    """
+    start = []
+    for i in range(0, len(seq), 2):
+        start += sorted(seq[i:i + 2])
+    return cx.closure(tuple(start), _fpf_moves)
 
 
 def fpf_class(seq):
-    """The class of seq under aligned swaps and the four-letter moves."""
+    """The class of seq under aligned swaps and the four-letter moves: the
+    swap orbits of its members with each aligned pair in order."""
     start = _seq(seq)
     if len(start) % 2:
         raise ValueError("sequence has odd length")
-    return cx.closure(start, _fpf_step)
+    out = set()
+    for v in _fpf_sorted_class(start):
+        pairs = [_dedupe([(a, b), (b, a)]) for a, b in zip(v[::2], v[1::2])]
+        out.update(tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*pairs))
+    return out
 
 
 def verify_fpf(n2):
@@ -225,7 +272,7 @@ def verify_fpf(n2):
         raise ValueError("sequence has odd length")
     if n2 > FPF_SWEEP_CAP:
         raise ValueError("2n too large for the FPF sweep (max %d)" % FPF_SWEEP_CAP)
-    return _verify_classes(n2, ta.fpf_base(n2), fpf_class)
+    return _verify_classes(n2, ta.fpf_base(n2), _fpf_sorted_class)
 
 
 # -- the atom orders ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 7, 8 (B5), 10 (F4 and D5) and 11 run when INVATOMS_EXTENDED is set
-in the environment.
+criteria 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11 run when
+INVATOMS_EXTENDED is set in the environment.
 """
 
 import itertools
@@ -110,8 +110,19 @@ def test_criterion_06_fpf_rewriting_classes_are_hecke_fibers():
     ok &= counts == [1, 3, 15, 105]
     ok &= len(od.fpf_class((1, 5, 4, 6, 2, 3))) == 56
     elapsed = time.time() - t0
-    ok &= elapsed < 3
+    ok &= elapsed < 1
     _report(6, ok, "classes 2n=2..8: %s with the 56 element class, %.1fs" % (counts, elapsed))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the 2n=10 sweep")
+def test_criterion_06_extended_fpf_classes_at_2n10():
+    t0 = time.time()
+    report = od.verify_fpf(10)
+    ok = report["failures"] == []
+    ok &= report["classes"] == report["involutions"] == 945
+    elapsed = time.time() - t0
+    ok &= elapsed < 3
+    _report(6, ok, "extended 2n=10: %d classes, %.1fs" % (report["classes"], elapsed))
 
 
 def _classifier_sweep(n):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -30,13 +31,21 @@ def _reference_chinese(seq):
     return out
 
 
-def _reference_fpf(seq):
-    out = [seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:] for i in range(0, len(seq), 2)]
+def _fpf_patterns(a, b, c, d):
+    return [(a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)]
+
+
+def _reference_quads(seq, patterns=_fpf_patterns):
+    out = []
     for i in range(0, len(seq) - 3, 2):
-        for pat in _reference_mates(seq[i:i + 4], lambda a, b, c, d: [
-                (a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)]):
+        for pat in _reference_mates(seq[i:i + 4], patterns):
             out.append(seq[:i] + pat + seq[i + 4:])
     return out
+
+
+def _reference_fpf(seq):
+    out = [seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:] for i in range(0, len(seq), 2)]
+    return out + _reference_quads(seq)
 
 
 # neighbour lists frozen from the sort-and-deduplicate implementation, with
@@ -89,11 +98,21 @@ def test_rewriting_class_of_the_running_example():
 
 
 def test_class_partition_matches_hecke_fibers():
-    for n, classes in [(3, 4), (4, 10), (5, 26)]:
+    for n, classes in [(3, 4), (4, 10), (5, 26), (8, 764)]:
         report = od.verify_chinese(n)
         assert report["failures"] == []
         assert report["classes"] == classes
         assert report["involutions"] == classes
+
+
+def test_fpf_class_matches_the_plain_closure_under_all_moves():
+    # the oracle: a BFS under the swaps and moves together, no pair sorting
+    rng = random.Random(13)
+    for trial in range(300):
+        n2 = rng.choice((2, 4, 6, 8))
+        letters = range(1, n2 + 1) if trial % 3 else range(1, n2 // 2 + 2)  # ties
+        seq = tuple(rng.choice(letters) for _ in range(n2))
+        assert od.fpf_class(seq) == cx.closure(seq, od.fpf_neighbors), seq
 
 
 def test_fpf_rewriting_class_basics():
@@ -128,6 +147,27 @@ def test_class_verifier_reports_a_wrong_relation():
     assert len(report["failures"]) == 15
     for f in report["failures"]:
         assert ta.is_involution_perm(tuple(f["involution"]))
+    # wrong: the fixed-point-free moves with one of the four patterns left
+    # out, on pair-sorted sequences; all four patterns pass, and the 14 Hecke
+    # sets of S8 that are a single swap orbit pass whichever one is left out
+    def sorted_class(patterns):
+        def class_of(u):
+            start = tuple(v for i in range(0, len(u), 2) for v in sorted(u[i:i + 2]))
+            return cx.closure(start, lambda v: _reference_quads(v, patterns))
+        return class_of
+
+    for dropped in (None, 0, 1, 2, 3):
+        def patterns(a, b, c, d, dropped=dropped):
+            return [p for i, p in enumerate(_fpf_patterns(a, b, c, d)) if i != dropped]
+
+        report = od._verify_classes(8, ta.fpf_base(8), sorted_class(patterns))
+        assert report["involutions"] == 105
+        if dropped is None:
+            assert report["failures"] == []
+        else:
+            assert len(report["failures"]) == 91
+            assert all(f["class_size"] < f["hecke_size"] for f in report["failures"])
+            assert all(f["hecke_size"] % 16 == 0 for f in report["failures"])
 
 
 def test_fpf_class_of_size_fifty_six():

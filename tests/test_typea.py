@@ -73,6 +73,27 @@ def test_hecke_image_table_folds_every_reduced_word():
             assert table[w] == img
 
 
+def test_coset_fold_is_the_full_table_on_minimal_representatives():
+    # J = the right descents of the base; the fold keeps the elements w with
+    # no left descent s_a for a in J, that is a left of a + 1 in w
+    cases = [(n, x) for n in range(1, 7) for x in ta.enumerate_involutions(n)]
+    cases.append((8, ta.fpf_base(8)))
+    for n, base in cases:
+        J = frozenset(ta.right_descents_perm(base))
+        want = {w: img for w, img in ta.hecke_image_table(n, base).items()
+                if all(w.index(a) < w.index(a + 1) for a in J)}
+        assert ta._hecke_fold(n, base, J) == want
+    assert len(want) == 2520  # 8! / 2^4 at the matching base of S8
+
+
+def test_fpf_hecke_fibers_are_closed_under_left_odd_transpositions():
+    for n2 in (2, 4, 6, 8):
+        table = ta.hecke_image_table(n2, ta.fpf_base(n2))
+        for w, img in table.items():
+            for i in range(1, n2, 2):
+                assert table[ta.mult_left(w, i)] == img
+
+
 def test_atoms_by_permutations_match_the_generic_route():
     system = cx.build_system("A3")
     for x10 in ta.enumerate_involutions(4):
