@@ -58,23 +58,12 @@ def _triple_mates(window):
     return []
 
 
-def _triple_up(window):
-    # only the length-preserving move, directed upward
-    a, b, c = sorted(window)
-    return [(b, c, a)] if window == (c, a, b) != (b, c, a) else []
-
-
 def _quad_mates(window):
     a, b, c, d = sorted(window)
     pats = _dedupe([(a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)])
     if window in pats:
         return [p for p in pats if p != window]
     return []
-
-
-def _quad_up(window):
-    a, b, c, d = sorted(window)
-    return [(b, c, a, d)] if window == (a, d, b, c) != (b, c, a, d) else []
 
 
 def _mates_table(width, key, mates):
@@ -93,9 +82,7 @@ def _mates_table(width, key, mates):
 # kind -> (window width, step between window starts, order key, mates)
 _WINDOWS = {
     "chinese": (3, 1, _key3, _triple_mates),
-    "chinese_up": (3, 1, _key3, _triple_up),
     "fpf": (4, 2, _key4, _quad_mates),
-    "fpf_up": (4, 2, _key4, _quad_up),
 }
 
 
@@ -278,18 +265,10 @@ def verify_fpf(n2):
 # -- the atom orders ----------------------------------------------------------
 
 
-def _up_steps(seq):
-    return _triple_steps(seq, "chinese_up")
-
-
-def _up_steps_fpf(seq):
-    return _quad_steps(seq, "fpf_up")
-
-
 def prec_A_leq(u, v):
     """Whether v is reachable from u by upward three-letter moves."""
     u, v = _seq(u), _seq(v)
-    return sorted(u) == sorted(v) and v in cx.closure(u, _up_steps)
+    return sorted(u) == sorted(v) and v in cx.closure(u, ta._up_steps)
 
 
 def prec_Afpf_leq(u, v):
@@ -297,51 +276,44 @@ def prec_Afpf_leq(u, v):
     u, v = _seq(u), _seq(v)
     if len(u) % 2 or len(v) % 2:
         raise ValueError("sequence has odd length")
-    return sorted(u) == sorted(v) and v in cx.closure(u, _up_steps_fpf)
+    return sorted(u) == sorted(v) and v in cx.closure(u, ta._up_steps_fpf)
 
 
 # -- extremal atoms -----------------------------------------------------------
 
 
-def _hat(x, key):
+def _involution(x):
     x = _seq(x)
     if not (ta.is_permutation(x) and ta.is_involution_perm(x)):
         raise ValueError("extremal atoms need an involution")
-    seq = []
-    for a, b in sorted(ta.cyc(x), key=key):
-        seq.extend((b, a))
-    return _dedupe(seq)
+    return x
 
 
 def hat0(x):
     """The minimal inverted atom of an involution x."""
-    return _hat(x, itemgetter(0))
+    return ta._hat(_involution(x), 0)
 
 
 def hat1(x):
     """The maximal inverted atom of an involution x."""
-    return _hat(x, itemgetter(1))
+    return ta._hat(_involution(x), 1)
 
 
-def _fpf_pairs(x):
+def _fpf_involution(x):
     x = _seq(x)
     if not (ta.is_permutation(x) and ta.is_fpf_involution(x)):
         raise ValueError("x is not fixed-point-free")
-    return [(a, x[a - 1]) for a in range(1, len(x) + 1) if a < x[a - 1]]
-
-
-def _hat_fpf(x, key):
-    return tuple(v for pair in sorted(_fpf_pairs(x), key=key) for v in pair)
+    return x
 
 
 def hat0_fpf(x):
     """The minimal inverted atom of a fixed-point-free involution x."""
-    return _hat_fpf(x, itemgetter(0))
+    return ta._hat_fpf(_fpf_involution(x), 0)
 
 
 def hat1_fpf(x):
     """The maximal inverted atom of a fixed-point-free involution x."""
-    return _hat_fpf(x, itemgetter(1))
+    return ta._hat_fpf(_fpf_involution(x), 1)
 
 
 def is_321_avoiding(w):
@@ -385,7 +357,7 @@ def a_inversion_set(u, x):
 def fpf_embedding(u, x):
     """Image of an inverted FPF atom in S_n, pair by pair."""
     u = _seq(u)
-    phi = {pair: i for i, pair in enumerate(_fpf_pairs(x), 1)}
+    phi = {pair: i for i, pair in enumerate(ta.cyc(_fpf_involution(x)), 1)}
     out = []
     for i in range(0, len(u), 2):
         pair = (u[i], u[i + 1])
@@ -454,15 +426,13 @@ def _build_poset(bottom, steps, rank_of):
 def atom_poset(x):
     """The graded poset of inverted atoms of an involution x."""
     x = _seq(x)
-    bottom = hat0(x)
-    return _build_poset(bottom, _up_steps, lambda u: len(_a_inversions(u, x)))
+    return _build_poset(hat0(x), ta._up_steps, lambda u: len(_a_inversions(u, x)))
 
 
 def atom_poset_fpf(x):
     """The graded lattice of inverted FPF atoms of a fixed-point-free x."""
     x = _seq(x)
-    bottom = hat0_fpf(x)
-    return _build_poset(bottom, _up_steps_fpf,
+    return _build_poset(hat0_fpf(x), ta._up_steps_fpf,
                         lambda u: ta.perm_length(fpf_embedding(u, x)))
 
 

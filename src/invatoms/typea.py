@@ -4,7 +4,8 @@ Permutations are tuples p of 1..n with p[i-1] the image of i, composed
 functionally: compose(u, v) applies v first. Right multiplication by the
 adjacent transposition s_i swaps positions i, i+1; left multiplication
 swaps values i, i+1. This module is independent of the reflection
-representation in coxeter.py so the two can cross-check each other.
+representation in coxeter.py so the two can cross-check each other; it
+borrows only the generic BFS helper closure.
 
 The second half implements the colored involution calculus: partial
 matchings of [2n] with vertices colored by 1..n, two vertices per color,
@@ -15,6 +16,8 @@ of atoms of an involution in the symmetric group.
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
+
+from .coxeter import closure
 
 COLOR_ORDER_CAP = 3
 
@@ -220,13 +223,87 @@ def hecke_atoms_perm(y, base=None):
     return tuple(sorted(out, key=lambda w: (perm_length(w), w)))
 
 
+# -- atoms as the closure of the bottom atom -----------------------------------
+
+
+def _hat(y, by):
+    """The extremal inverted atom of an involution y relative to the identity:
+    the cycles (a, b), a <= b, in increasing order of a (by = 0, the bottom
+    hat0) or of b (by = 1, the top hat1), each written b a, a fixed point
+    once."""
+    out = []
+    for a, b in sorted(cyc(y), key=itemgetter(by)):
+        out += (b, a) if a < b else (a,)
+    return tuple(out)
+
+
+def _hat_fpf(y, by):
+    """The extremal inverted atom of a fixed-point-free involution y relative
+    to fpf_base: the cycles (a, b), a < b, in increasing order of a (by = 0)
+    or of b (by = 1), each written a b."""
+    return tuple(chain.from_iterable(sorted(cyc(y), key=itemgetter(by))))
+
+
+def _up_steps(seq):
+    """The sequences one upward three-letter move cab -> bca above seq, for
+    a <= b <= c not all equal: the length-preserving Chinese move."""
+    out = []
+    for i in range(len(seq) - 2):
+        c, a, b = seq[i:i + 3]
+        if a <= b <= c and a < c:
+            out.append(seq[:i] + (b, c, a) + seq[i + 3:])
+    return out
+
+
+def _up_steps_fpf(seq):
+    """The sequences one upward four-letter move adbc -> bcad above seq, on a
+    window starting at an even offset, for a <= b <= c <= d with a < b or
+    c < d."""
+    out = []
+    for i in range(0, len(seq) - 3, 2):
+        a, d, b, c = seq[i:i + 4]
+        if a <= b <= c <= d and (a < b or c < d):
+            out.append(seq[:i] + (b, c, a, d) + seq[i + 4:])
+    return out
+
+
+def atoms_perm(y, base=None):
+    """Minimal length Hecke atoms of y relative to base, sorted.
+
+    Relative to the identity, the inverted atoms of y form a graded poset
+    whose unique minimum is the bottom atom hat0(y) and whose covers are
+    the upward moves cab -> bca; so the atoms are the inverses of the
+    closure of hat0(y) under those moves. Relative to fpf_base(n) the same
+    holds for a fixed-point-free y with hat0_fpf(y) and the aligned moves
+    adbc -> bcad, and a y with a fixed point has no atoms. Any other base
+    takes the descent recursion of _atoms_by_descent, which is also the
+    oracle the two closures are tested against.
+    """
+    n = len(y)
+    ident = identity_perm(n)
+    if base is None:
+        base = ident
+    if not is_involution_perm(y) or not is_involution_perm(base):
+        raise ValueError("atoms need involutions")
+    if base == ident:
+        inverted = closure(_hat(y, 0), _up_steps)
+    elif n % 2 == 0 and base == fpf_base(n):
+        if not is_fpf_involution(y):
+            return ()
+        inverted = closure(_hat_fpf(y, 0), _up_steps_fpf)
+    else:
+        return _atoms_by_descent(y, base)
+    return tuple(sorted(map(inverse_perm, inverted)))
+
+
 # {(n, base): {z: atoms of z relative to base, bucketed}}; one slot
 _ATOMS_MEMO = {}
 
 
-def atoms_perm(y, base=None):
-    """Minimal length Hecke atoms of y relative to base, via the descent
-    recursion (no full-group enumeration), sorted.
+def _atoms_by_descent(y, base):
+    """Minimal length Hecke atoms of the involution y relative to the
+    involution base, via the descent recursion (no full-group enumeration),
+    sorted.
 
     A(z) is the union over right descents i of z of v s_i for v in
     A(z x s_i) with i an ascent of v. Each atom w is built once, from its
@@ -241,10 +318,6 @@ def atoms_perm(y, base=None):
     per involution of S_n, the peak a single call of that size reaches.
     """
     n = len(y)
-    if base is None:
-        base = identity_perm(n)
-    if not is_involution_perm(y) or not is_involution_perm(base):
-        raise ValueError("atoms need involutions")
     memo = _ATOMS_MEMO.get((n, base))
     if memo is None:
         _ATOMS_MEMO.clear()

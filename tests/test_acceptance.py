@@ -1,7 +1,7 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11 run when
+criteria 2 (n=13), 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11 run when
 INVATOMS_EXTENDED is set in the environment.
 """
 
@@ -48,14 +48,23 @@ def test_criterion_01_running_example_in_s5():
 def test_criterion_02_atom_counts_are_double_factorials():
     t0 = time.time()
     ok = True
-    for n in range(2, 10):
+    for n in range(2, 13):
         expected = 1
         for v in range(n - 1, 0, -2):
             expected *= v
         ok &= len(ta.atoms_perm(tuple(range(n, 0, -1)))) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 2
-    _report(2, ok, "n=2..9 matches (n-1)!!, %.2fs" % elapsed)
+    ok &= elapsed < 0.5
+    _report(2, ok, "n=2..12 matches (n-1)!!, %.2fs" % elapsed)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the n=13 reversal")
+def test_criterion_02_extended_reversal_atoms_at_n13():
+    t0 = time.time()
+    count = len(ta.atoms_perm(tuple(range(13, 0, -1))))
+    elapsed = time.time() - t0
+    ok = count == 46080 and elapsed < 1
+    _report(2, ok, "extended n=13: %d atoms, %.2fs" % (count, elapsed))
 
 
 def test_criterion_03_hecke_atom_counts_of_the_reversal():

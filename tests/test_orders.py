@@ -251,7 +251,7 @@ def test_inversion_statistic_grades_the_poset():
         for x in ta.enumerate_involutions(n):
             poset = od.atom_poset(x)
             assert set(poset.covers) == {(u, v) for u in poset.elements
-                                         for v in od._up_steps(u)}
+                                         for v in ta._up_steps(u)}
             for u in poset.elements:
                 assert poset.ranks[u] == len(od.a_inversion_set(u, x))
             for u, v in poset.covers:
@@ -295,7 +295,7 @@ def test_fpf_posets_are_graded_lattices_embedding_in_weak_order():
         poset = od.atom_poset_fpf(x)
         assert od.poset_is_lattice(poset)
         assert set(poset.covers) == {(u, v) for u in poset.elements
-                                     for v in od._up_steps_fpf(u)}
+                                     for v in ta._up_steps_fpf(u)}
         images = {}
         for u in poset.elements:
             phi = od.fpf_embedding(u, x)

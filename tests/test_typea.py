@@ -223,8 +223,16 @@ def test_the_shared_atom_memo_survives_base_and_size_switches():
     s5, s6, s7 = (ta.enumerate_involutions(n) for n in (5, 6, 7))
 
     def check(y, x):
+        n = len(y)
+        closed = x == ta.identity_perm(n) or (n % 2 == 0 and x == ta.fpf_base(n))
+        before = [(key, id(memo), len(memo)) for key, memo in ta._ATOMS_MEMO.items()]
         assert ta.atoms_perm(y, x) == tuple(sorted(layers.get((x, y), ())))
-        assert list(ta._ATOMS_MEMO) == [(len(y), x)]
+        if closed:
+            # the identity and FPF bases take the closure route, not the memo
+            after = [(key, id(memo), len(memo)) for key, memo in ta._ATOMS_MEMO.items()]
+            assert after == before
+        else:
+            assert list(ta._ATOMS_MEMO) == [(n, x)]
 
     # every pair of S6: each base visited twice in runs of half its targets,
     # so runs reuse the memo and revisits follow a switch
@@ -256,3 +264,30 @@ def test_the_shared_atom_memo_survives_base_and_size_switches():
 def test_atoms_need_involutions():
     with pytest.raises(ValueError, match="involution"):
         ta.atoms_perm((2, 3, 1))
+
+
+def test_atom_closures_match_the_descent_recursion():
+    for n in range(9):
+        base = ta.identity_perm(n)
+        for y in ta.enumerate_involutions(n):
+            assert ta.atoms_perm(y) == ta._atoms_by_descent(y, base)
+    for n2 in range(0, 11, 2):
+        base = ta.fpf_base(n2)
+        for y in ta.enumerate_involutions(n2, fpf=True):
+            assert ta.atoms_fpf_perm(y) == ta._atoms_by_descent(y, base)
+    # y with a fixed point has no atoms against the FPF base
+    base = ta.fpf_base(6)
+    for y in ta.enumerate_involutions(6):
+        if not ta.is_fpf_involution(y):
+            assert ta.atoms_fpf_perm(y) == () == ta._atoms_by_descent(y, base)
+    assert ta.atoms_perm(()) == ((),)
+    assert ta.atoms_fpf_perm(()) == ((),)
+    assert ta.atoms_perm((1,)) == ((1,),)
+    assert ta.atoms_perm((1, 2)) == ((1, 2),)
+    assert ta.atoms_perm((2, 1)) == ((2, 1),)
+    assert ta.atoms_fpf_perm((2, 1)) == ((1, 2),)
+    assert ta.atoms_fpf_perm((1, 2)) == ()
+    for y, base in [((2, 3, 1), None), ((1, 2, 3), (2, 3, 1)),
+                    ((2, 3, 1, 4), ta.fpf_base(4)), ((3, 1, 2, 4), None)]:
+        with pytest.raises(ValueError, match="atoms need involutions"):
+            ta.atoms_perm(y, base)
