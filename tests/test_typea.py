@@ -262,8 +262,10 @@ def test_the_shared_atom_memo_survives_base_and_size_switches():
 
 
 def test_atoms_need_involutions():
-    with pytest.raises(ValueError, match="involution"):
-        ta.atoms_perm((2, 3, 1))
+    for y, base in [((2, 3, 1), None), ((3, 1, 2, 4), None), ((1, 2, 3), (2, 3, 1)),
+                    ((2, 3, 1, 4), ta.fpf_base(4))]:
+        with pytest.raises(ValueError, match="atoms need involutions"):
+            ta.atoms_perm(y, base)
 
 
 def test_atom_closures_match_the_descent_recursion():
@@ -287,7 +289,3 @@ def test_atom_closures_match_the_descent_recursion():
     assert ta.atoms_perm((2, 1)) == ((2, 1),)
     assert ta.atoms_fpf_perm((2, 1)) == ((1, 2),)
     assert ta.atoms_fpf_perm((1, 2)) == ()
-    for y, base in [((2, 3, 1), None), ((1, 2, 3), (2, 3, 1)),
-                    ((2, 3, 1, 4), ta.fpf_base(4)), ((3, 1, 2, 4), None)]:
-        with pytest.raises(ValueError, match="atoms need involutions"):
-            ta.atoms_perm(y, base)
