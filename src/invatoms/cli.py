@@ -14,7 +14,6 @@ import os
 import re
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import braid as br
 from . import coxeter as cx
@@ -280,6 +279,8 @@ def _cmd_sweep(args):
         else:
             pairs = 0
             failures = []
+            # imported here: only a parallel sweep pays for multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 payloads = [(args.system, t, chunk) for chunk in chunks]
                 for done, bad in pool.map(_sweep_worker, payloads):

@@ -14,6 +14,7 @@ import math
 import numbers
 from collections import deque
 from functools import lru_cache
+from operator import itemgetter
 
 DEFAULT_ROOT_CAP = 10000
 ENUMERATION_CAP = 50000  # the largest |W| whose id table is built
@@ -273,24 +274,40 @@ class CoxeterSystem:
         """BFS over right multiplication from the identity, generators tried
         in order, first discovery kept. Stores elements(), their ids and the
         ids ``_right[s-1][i]`` of the right products and returns True, or
-        returns False once more than limit turn up."""
-        seen = {self.identity: 0}
-        order = [self.identity]
-        right = [[] for _ in range(self.rank)]
-        head = 0
-        while head < len(order):
-            w = order[head]
-            head += 1
-            for s, col in enumerate(right, 1):
-                ws = self.right_mult(w, s)
-                if ws not in seen:
-                    seen[ws] = len(order)
-                    order.append(ws)
-                    if limit is not None and len(order) > limit:
+        returns False once more than limit turn up.
+
+        The BFS runs on keys: key(w) is the tuple of root indices
+        (w^-1(alpha_s))_s, which fixes w, so the ids and right tables are
+        those of a BFS on elements. The simple roots come first, so the
+        identity's key is (0, ..., rank-1), and key(ws) = g_s[key(w)]
+        entrywise for the root permutation g_s of s. Each element is built
+        once, as a right product of the element that discovered it.
+        """
+        gens, rank = self._gen_perms, self.rank
+        # itemgetter of one index gives the bare index, so a rank 1 key is an int
+        start = tuple(range(rank)) if rank > 1 else 0
+        seen = {start: 0}
+        keys = [start]
+        found = []  # (discoverer's id, generator index) for ids 1, 2, ...
+        right = [[] for _ in gens]
+        for i, key in enumerate(keys):  # keys grows while the loop runs
+            entries = itemgetter(*key) if rank > 1 else itemgetter(key)
+            for s, g in enumerate(gens):
+                ks = entries(g)
+                j = seen.get(ks)
+                if j is None:
+                    j = seen[ks] = len(keys)
+                    if limit is not None and j >= limit:
                         return False
-                col.append(seen[ws])
+                    keys.append(ks)
+                    found.append((i, s))
+                right[s].append(j)
+        order = [self.identity]
+        times = [itemgetter(*g) for g in gens]  # times[s](w) is w s
+        for i, s in found:
+            order.append(times[s](order[i]))
         self._elements = tuple(order)
-        self._element_index = seen
+        self._element_index = dict(zip(order, range(len(order))))
         self._right = right
         return True
 
@@ -399,8 +416,9 @@ class ElementTable:
     - ``word[i]`` is the lex-min reduced word of w;
     - ``twisted(twist)[i]`` is the id of the twisted image of w.
 
-    All are derived on ids from the BFS's right products; s is a descent
-    exactly when the product has a lower id.
+    All are derived on ids from the right products that the key BFS of
+    ``CoxeterSystem._enumerate`` records; s is a descent exactly when the
+    product has a lower id.
     """
 
     def __init__(self, system):

@@ -283,6 +283,8 @@ def atoms_perm(y, base=None):
     ident = identity_perm(n)
     if base is None:
         base = ident
+    if len(base) != n:
+        raise ValueError("atoms need involutions of the same size")
     if not is_involution_perm(y) or not is_involution_perm(base):
         raise ValueError("atoms need involutions")
     if base == ident:

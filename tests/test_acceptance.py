@@ -1,7 +1,8 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 2 (n=13), 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11 run when
+criteria 2 (n=13), 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11, and a
+cold-start gate on the cap decision for a bare E6 matrix, run when
 INVATOMS_EXTENDED is set in the environment.
 """
 
@@ -348,3 +349,14 @@ def test_criterion_15_duality_and_reversal_closure():
     elapsed = time.time() - t0
     ok &= elapsed < 1
     _report(15, ok, "S4 dual twists and central reversal closure, %.1fs" % elapsed)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the E6 cap decision")
+def test_extended_cap_decision_for_a_bare_e6_matrix():
+    # no name, so no degrees: the BFS runs until ENUMERATION_CAP + 1 elements turn up
+    t0 = time.time()
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("E6"))
+    assert system.id_table() is None and system._elements is None
+    elapsed = time.time() - t0
+    print("E6 bare matrix: no id table, decided in %.2fs" % elapsed)
+    assert elapsed < 1.5

@@ -225,6 +225,18 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert "internal error" not in proc.stderr
 
 
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only a parallel sweep imports it; the CI smoke `sweep --jobs 2` runs that path
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, invatoms.cli; print(sorted({'concurrent.futures.process', "
+            "'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sweep_jobs_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     invs = tuple(range(10))

@@ -267,19 +267,36 @@ def test_build_system_keeps_a_bounded_number_of_systems():
     assert info.currsize <= cx.SYSTEM_CACHE_SIZE
 
 
+def _log_key_products(system):
+    """Make the system's generator permutations log every root index they
+    map. The BFS of _enumerate maps a whole key per right product, so the
+    log cut into rank-long runs is the keys it computed; returns a function
+    that gives the set of those keys."""
+    log = []
+
+    class Logged(tuple):
+        def __getitem__(self, j):
+            got = tuple.__getitem__(self, j)
+            log.append(got)
+            return got
+
+    system._gen_perms = [Logged(g) for g in system._gen_perms]
+    rank = system.rank
+    return lambda: {tuple(log[i:i + rank]) for i in range(0, len(log), rank)}
+
+
 def test_id_table_stops_at_cap_plus_one(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     # a custom matrix carries no degrees, so the cap is decided by the BFS
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
-    seen = []
-    real = system.right_mult
-    system.right_mult = lambda w, s: seen.append(w) or real(w, s)
+    keys = _log_key_products(system)
     assert system.id_table() is None
-    assert seen and len(set(seen)) <= 101 and system._elements is None
-    seen.clear()
+    found = keys()
+    assert found and len(found) <= 101 and system._elements is None
     assert system.id_table() is None  # decided by the first call
-    assert seen == []
+    assert keys() == found
     assert system.order() == 384
+    assert len(keys()) == 384
 
 
 @pytest.mark.parametrize("name, order", [
@@ -288,10 +305,50 @@ def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, m
     assert order > cx.ENUMERATION_CAP
     assert math.prod(cx._degrees(name)) == order
     system = cx.build_system(name)
-    monkeypatch.setattr(system, "right_mult", lambda w, s: pytest.fail("enumerated"))
+    monkeypatch.setattr(system, "_enumerate", lambda limit: pytest.fail("enumerated"))
     system._id_table = None  # decide again, on this system
     assert system.id_table() is None
     assert system._elements is None
+
+
+def _tuple_bfs(system, limit=None):
+    """The right BFS on root-permutation tuples, generators in order, first
+    discovery kept: elements, their index and the right tables, or None once
+    more than limit turn up. The oracle of the key BFS."""
+    seen = {system.identity: 0}
+    order = [system.identity]
+    right = [[] for _ in range(system.rank)]
+    for w in order:
+        for s, col in enumerate(right, 1):
+            ws = system.right_mult(w, s)
+            if ws not in seen:
+                seen[ws] = len(order)
+                order.append(ws)
+                if limit is not None and len(order) > limit:
+                    return None
+            col.append(seen[ws])
+    return tuple(order), seen, right
+
+
+@pytest.mark.parametrize("spec", [
+    "A1", "A4", "B4", "H3", "F4", "D5", "I2(7)", "A2xB2",
+    # D4 with the branch node numbered 1, as a bare matrix
+    [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]]])
+def test_the_key_bfs_matches_the_tuple_bfs(spec):
+    matrix = cx.coxeter_matrix_from_name(spec) if isinstance(spec, str) else spec
+    system = cx.CoxeterSystem(matrix)
+    elements, index, right = _tuple_bfs(system)
+    assert system.elements() == elements
+    assert system._element_index == index
+    assert system._right == right
+    order = len(elements)
+    assert _tuple_bfs(system, order - 1) is None
+    fresh = cx.CoxeterSystem(matrix)
+    assert fresh._enumerate(order - 1) is False and fresh._elements is None
+    for limit in (order, order + 1):
+        fresh = cx.CoxeterSystem(matrix)
+        assert fresh._enumerate(limit) is True
+        assert (fresh._elements, fresh._element_index, fresh._right) == (elements, index, right)
 
 
 def test_a_named_type_within_the_cap_gets_the_same_table():

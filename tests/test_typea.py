@@ -263,7 +263,9 @@ def test_the_shared_atom_memo_survives_base_and_size_switches():
 
 def test_atoms_need_involutions():
     for y, base in [((2, 3, 1), None), ((3, 1, 2, 4), None), ((1, 2, 3), (2, 3, 1)),
-                    ((2, 3, 1, 4), ta.fpf_base(4))]:
+                    ((2, 3, 1, 4), ta.fpf_base(4)),
+                    # involutions of different sizes
+                    ((2, 1), (1, 2, 3)), ((1, 2, 3), (2, 1))]:
         with pytest.raises(ValueError, match="atoms need involutions"):
             ta.atoms_perm(y, base)
 
