@@ -269,9 +269,9 @@ def test_build_system_keeps_a_bounded_number_of_systems():
 
 def _log_key_products(system):
     """Make the system's generator permutations log every root index they
-    map. The BFS of _enumerate maps a whole key per right product, so the
-    log cut into rank-long runs is the keys it computed; returns a function
-    that gives the set of those keys."""
+    map, and return the log. The BFS of _enumerate maps a whole key per
+    right product, so the log cut into rank-long runs is the keys it
+    computed; see _logged_keys."""
     log = []
 
     class Logged(tuple):
@@ -281,22 +281,27 @@ def _log_key_products(system):
             return got
 
     system._gen_perms = [Logged(g) for g in system._gen_perms]
-    rank = system.rank
-    return lambda: {tuple(log[i:i + rank]) for i in range(0, len(log), rank)}
+    return log
+
+
+def _logged_keys(log, rank):
+    """The set of keys in a log of _log_key_products."""
+    return {tuple(log[i:i + rank]) for i in range(0, len(log), rank)}
 
 
 def test_id_table_stops_at_cap_plus_one(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     # a custom matrix carries no degrees, so the cap is decided by the BFS
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
-    keys = _log_key_products(system)
+    log = _log_key_products(system)
     assert system.id_table() is None
-    found = keys()
+    found = _logged_keys(log, system.rank)
     assert found and len(found) <= 101 and system._elements is None
+    products = len(log)
     assert system.id_table() is None  # decided by the first call
-    assert keys() == found
+    assert len(log) == products
     assert system.order() == 384
-    assert len(keys()) == 384
+    assert len(_logged_keys(log, system.rank)) == 384
 
 
 @pytest.mark.parametrize("name, order", [
@@ -311,10 +316,10 @@ def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, m
     assert system._elements is None
 
 
-def _tuple_bfs(system, limit=None):
+def _tuple_bfs(system):
     """The right BFS on root-permutation tuples, generators in order, first
-    discovery kept: elements, their index and the right tables, or None once
-    more than limit turn up. The oracle of the key BFS."""
+    discovery kept: elements, their index and the right tables. The oracle
+    of the key BFS."""
     seen = {system.identity: 0}
     order = [system.identity]
     right = [[] for _ in range(system.rank)]
@@ -324,8 +329,6 @@ def _tuple_bfs(system, limit=None):
             if ws not in seen:
                 seen[ws] = len(order)
                 order.append(ws)
-                if limit is not None and len(order) > limit:
-                    return None
             col.append(seen[ws])
     return tuple(order), seen, right
 
@@ -342,7 +345,6 @@ def test_the_key_bfs_matches_the_tuple_bfs(spec):
     assert system._element_index == index
     assert system._right == right
     order = len(elements)
-    assert _tuple_bfs(system, order - 1) is None
     fresh = cx.CoxeterSystem(matrix)
     assert fresh._enumerate(order - 1) is False and fresh._elements is None
     for limit in (order, order + 1):

@@ -3,7 +3,7 @@ import pytest
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
-from test_coxeter import _log_key_products, _subword_leq
+from test_coxeter import _log_key_products, _logged_keys, _subword_leq
 
 
 def _filter_route(system, twist=None):
@@ -235,21 +235,36 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     }]
 
 
-def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
-    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
-    # a custom matrix carries no degrees, so the cap is decided by the BFS
-    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
-    keys = _log_key_products(system)
+def _check_the_cap_routes(system):
+    """With B4 above the cap: the whole-group routes raise, atoms falls back
+    to the descent recursion on root permutations, and nothing is stored."""
     y = system.product((1, 2, 1))
     with pytest.raises(ValueError, match="too large"):
         tw.bruhat_hecke(system, y)
     with pytest.raises(ValueError, match="too large"):
         tw.hecke_table(system, system.identity)
-    found = keys()
-    assert found and len(found) <= 101 and system._elements is None
-    # atoms falls back to the descent recursion on root permutations
+    assert system._elements is None
     assert tw.atoms(system, y) == tw.atoms(cx.build_system("B4"), y)
     assert system._elements is None and system.id_table() is None
+
+
+def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
+    # a custom matrix carries no degrees, so the cap is decided by the BFS
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
+    log = _log_key_products(system)
+    with pytest.raises(ValueError, match="too large"):
+        tw.hecke_table(system, system.identity)
+    found = _logged_keys(log, system.rank)
+    assert found and len(found) <= 101 and system._elements is None
+    _check_the_cap_routes(system)
+
+
+def test_cap_checks_on_a_named_type_decided_from_its_degrees(monkeypatch):
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    monkeypatch.setattr(system, "_enumerate", lambda limit: pytest.fail("enumerated"))
+    _check_the_cap_routes(system)
 
 
 def test_the_cap_is_decided_once_per_system(monkeypatch):
