@@ -206,6 +206,8 @@ def verify_chinese(n):
     Returns a report dict; an empty failures list means every class equals
     the inverted Hecke atom set of the involution its members fold to.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > CHINESE_SWEEP_CAP:
         raise ValueError("n too large for the Chinese sweep (max %d)" % CHINESE_SWEEP_CAP)
     return _verify_classes(n, None, chinese_class)
@@ -257,6 +259,8 @@ def verify_fpf(n2):
     """Match the class partition of S_2n against the inverted FPF Hecke sets."""
     if n2 % 2:
         raise ValueError("sequence has odd length")
+    if n2 < 0:
+        raise ValueError("2n must be non-negative")
     if n2 > FPF_SWEEP_CAP:
         raise ValueError("2n too large for the FPF sweep (max %d)" % FPF_SWEEP_CAP)
     return _verify_classes(n2, ta.fpf_base(n2), _fpf_sorted_class)
@@ -383,9 +387,8 @@ class AtomPoset:
             succ = {u: [] for u in self.elements}
             for u, v in self.covers:
                 succ[u].append(v)
-            order = sorted(self.elements, key=lambda u: -self.ranks[u])
             up = {}
-            for u in order:
+            for u in reversed(self.elements):
                 reach = {u}
                 for v in succ[u]:
                     reach |= up[v]
@@ -400,40 +403,87 @@ class AtomPoset:
         return v in up
 
 
-def _build_poset(bottom, steps, rank_of):
-    """The order generated from bottom by upward moves. Each move must raise
-    the rank by exactly one, so the moves are the covers."""
-    covers = set()
+def _build_poset(bottom, bottom_rank, moves):
+    """The order generated from bottom by upward moves, ranked from the rank
+    of bottom. moves(u) gives each (v, rise) one move above u, rise the
+    exact change of the rank; each rise must be one, so the moves are the
+    covers and the rank of v is one more than the rank of any u below it."""
+    ranks = {bottom: bottom_rank}
+    covers = []
+    tops = []
 
     def record(u):
-        out = steps(u)
-        covers.update((u, v) for v in out)
-        return out
+        out = moves(u)
+        if not out:
+            tops.append(u)
+        rank = ranks[u] + 1
+        for v, rise in out:
+            if rise != 1:
+                raise RuntimeError("rank function does not rise by one along moves")
+            covers.append((u, v))
+            ranks[v] = rank
+        return [v for v, _ in out]
 
-    seen = cx.closure(bottom, record)
-    ranks = {u: rank_of(u) for u in seen}
-    if any(ranks[v] != ranks[u] + 1 for u, v in covers):
-        raise RuntimeError("rank function does not rise by one along moves")
-    has_out = {u for u, _ in covers}
-    tops = [u for u in seen if u not in has_out]
+    cx.closure(bottom, record)
     if len(tops) != 1:
         raise RuntimeError("atom order is not bounded above")
-    elements = tuple(sorted(seen, key=lambda u: (ranks[u], u)))
+    elements = tuple(sorted(ranks, key=lambda u: (ranks[u], u)))
     covers = tuple(sorted(covers, key=lambda e: (ranks[e[0]], e)))
     return AtomPoset(elements, covers, bottom, tops[0], ranks)
+
+
+def _ranked_moves(x):
+    """The upward moves cab -> bca with their rise in the a-inversion count
+    over x. A move reverses only the pairs (a, b) and (b, c): a pair of
+    values counts when the larger comes first if both are lower (v <= x(v)),
+    when the smaller comes first if both are upper (x(v) < v), and never
+    across the sides."""
+    side = (0,) + tuple(1 if v <= x[v - 1] else -1 for v in range(1, len(x) + 1))
+
+    def moves(u):
+        out = []
+        for i in range(len(u) - 2):
+            c, a, b = u[i:i + 3]
+            if a <= b <= c and a < c:
+                # b moves ahead of a, and b ahead of c
+                rise = (side[a] + side[b]) // 2 - (side[b] + side[c]) // 2
+                out.append((u[:i] + (b, c, a) + u[i + 3:], rise))
+        return out
+    return moves
+
+
+def _ranked_moves_fpf(x):
+    """The upward aligned moves adbc -> bcad with their rise in the length of
+    the FPF embedding: the move swaps the adjacent letters phi(a, d) and
+    phi(b, c), so it rises by one when phi(a, d) < phi(b, c), else falls."""
+    phi = [0] * (len(x) + 1)
+    for i, (a, b) in enumerate(ta.cyc(x), 1):
+        phi[a] = phi[b] = i
+
+    def moves(u):
+        out = []
+        for i in range(0, len(u) - 3, 2):
+            a, d, b, c = u[i:i + 4]
+            if a <= b <= c <= d and (a < b or c < d):
+                rise = 1 if phi[a] < phi[b] else -1
+                out.append((u[:i] + (b, c, a, d) + u[i + 4:], rise))
+        return out
+    return moves
 
 
 def atom_poset(x):
     """The graded poset of inverted atoms of an involution x."""
     x = _seq(x)
-    return _build_poset(hat0(x), ta._up_steps, lambda u: len(_a_inversions(u, x)))
+    bottom = hat0(x)
+    return _build_poset(bottom, len(_a_inversions(bottom, x)), _ranked_moves(x))
 
 
 def atom_poset_fpf(x):
     """The graded lattice of inverted FPF atoms of a fixed-point-free x."""
     x = _seq(x)
-    return _build_poset(hat0_fpf(x), ta._up_steps_fpf,
-                        lambda u: ta.perm_length(fpf_embedding(u, x)))
+    bottom = hat0_fpf(x)
+    return _build_poset(bottom, ta.perm_length(fpf_embedding(bottom, x)),
+                        _ranked_moves_fpf(x))
 
 
 def poset_is_lattice(poset):

@@ -179,6 +179,10 @@ def test_sweep_caps():
         od.verify_chinese(od.CHINESE_SWEEP_CAP + 1)
     with pytest.raises(ValueError, match="too large"):
         od.verify_fpf(od.FPF_SWEEP_CAP + 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        od.verify_chinese(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        od.verify_fpf(-2)
 
 
 def test_extremal_atoms():
@@ -260,6 +264,21 @@ def test_inversion_statistic_grades_the_poset():
             assert poset.top == od.hat1(x)
             rmin = min(poset.ranks.values())
             assert poset.ranks[poset.bottom] == rmin
+
+
+def test_ranks_match_the_counted_statistics():
+    # the ranks add the rise of each move to the rank of the bottom atom;
+    # the quadratic counts are the oracle
+    for n in range(9):
+        for x in ta.enumerate_involutions(n):
+            poset = od.atom_poset(x)
+            for u in poset.elements:
+                assert poset.ranks[u] == len(od._a_inversions(u, x))
+    for n2 in range(2, 11, 2):
+        for x in ta.enumerate_involutions(n2, fpf=True):
+            poset = od.atom_poset_fpf(x)
+            for u in poset.elements:
+                assert poset.ranks[u] == ta.perm_length(od.fpf_embedding(u, x))
 
 
 def test_bottom_rank_need_not_vanish():
@@ -435,7 +454,13 @@ def test_build_rejects_a_move_that_skips_a_rank():
     # 1 -> 2 -> 3 is graded, but the extra move 1 -> 3 skips rank 2
     moves = {(1,): [(2,), (3,)], (2,): [(3,)], (3,): []}
     with pytest.raises(RuntimeError, match="does not rise by one along moves"):
-        od._build_poset((1,), moves.__getitem__, lambda u: u[0])
+        od._build_poset((1,), 1, lambda u: [(v, v[0] - u[0]) for v in moves[u]])
+
+
+def test_build_rejects_an_order_with_two_maximal_elements():
+    moves = {(1,): [(2,), (3,)], (2,): [], (3,): []}
+    with pytest.raises(RuntimeError, match="not bounded above"):
+        od._build_poset((1,), 1, lambda u: [(v, 1) for v in moves[u]])
 
 
 def test_relative_hecke_inverses_scatter_across_classes():
