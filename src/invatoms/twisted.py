@@ -314,12 +314,40 @@ def involution_words(system, y, x=None, twist=None):
     return tuple(sorted(out))
 
 
+# The sweep's atoms come from involution words: an involution word of (x, y)
+# is a chain of ascents from x to y in the weak order on twisted involutions,
+# and the atoms are the products of those chains. So one top-down pass over
+# the weak down-set of y gives the atoms of every x below it, with no fold of
+# the group and no fiber kept.
+#
 # The Bruhat oracle scans the ids w for w* y <= x w in Bruhat order. It reads
 # only the id tables and the twist, never atoms, Hecke fibers or hat lengths,
 # so it stays an independent check of them. Two general facts make it cheaper:
 # the left side w* y does not depend on x, so one row of it serves every x
 # below y; and w* y <= x w forces l(y) - l(w) <= l(w* y) <= l(x w) <= l(x) + l(w),
-# so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit.
+# so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit. The scan
+# runs one length at a time, so the sweep stops at the first length with a hit.
+
+
+def _atoms_below(t, ids, y):
+    """The atoms A(x, y) as sets of ids, keyed by every id x in the weak
+    down-set of the id y.
+
+    Walks the down-set in decreasing id order from A(y, y) = {e}: each atom
+    u of z and each right descent s of z, with z' the step down z by s, give
+    the atom s u of z'. No test of s u > u is needed. A chain of ascents
+    from z' to y folds z' to y as its Demazure product does; that product
+    is shorter than the chain unless the chain is reduced, and nothing
+    shorter than hat(y) - hat(z') folds z' to y.
+    """
+    left, lower, descents = t.left, ids.lower, t.descents
+    letters = range(len(left))
+    below = {y: {0}}
+    for z in sorted(ids.down(y), reverse=True):
+        us, d = below[z], descents[z]
+        for s, zs in zip([s for s in letters if d >> s & 1], lower[z]):
+            below.setdefault(zs, set()).update(map(left[s].__getitem__, us))
+    return below
 
 
 def _star_row(t, y, twist):
@@ -345,23 +373,26 @@ def _star_row(t, y, twist):
 
 def _hits(t, row, y, x):
     """The ids w with w* y <= x w in Bruhat order, for the ids y and x and the
-    row of y, scanned from the length floor in id order and so by length."""
+    row of y: one list per length that has a hit, in id order, scanned
+    length by length from the length floor."""
     # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
-    by_x = [t.left[s - 1] for s in reversed(t.word[x])]
+    by_x = [t.left[s - 1].__getitem__ for s in reversed(t.word[x])]
     length, leq, start = t.length, t.bruhat_leq, t.start
     for k in range(max(0, (length[y] - length[x] + 1) // 2), len(start) - 1):
-        for w, lhs in enumerate(row(k), start[k]):
-            rhs = w
-            for left in by_x:
-                rhs = left[rhs]
-            # most candidates fail on length alone, so that test runs inline
-            if lhs == rhs or length[lhs] < length[rhs] and leq(lhs, rhs):
-                yield w
+        ws = range(start[k], start[k + 1])
+        rhs = ws
+        for left in by_x:
+            rhs = map(left, rhs)
+        # most candidates fail on length alone, so that test runs inline
+        level = [w for w, lhs, r in zip(ws, row(k), rhs)
+                 if lhs == r or length[lhs] < length[r] and leq(lhs, r)]
+        if level:
+            yield level
 
 
 def _first_run(t, ids):
-    """The first run of equal length in ids, which run by length; stops a
-    scan after that length."""
+    """The first run of equal length in ids, which run by length; reads no
+    further than the first id after it."""
     out = []
     for w in ids:
         if out and t.length[w] > t.length[out[0]]:
@@ -371,7 +402,7 @@ def _first_run(t, ids):
 
 
 def _bruhat_scan(system, y, x, twist):
-    """The id table and the hits of one pair of elements."""
+    """The id table and the hit levels of one pair of elements."""
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
@@ -383,8 +414,8 @@ def _bruhat_scan(system, y, x, twist):
 
 def bruhat_hecke(system, y, x=None, twist=None):
     """All w with w* y <= x w in Bruhat order (the conjectural Hecke atom superset)."""
-    t, hits = _bruhat_scan(system, y, x, twist)
-    return tuple(t.elements[w] for w in hits)
+    t, levels = _bruhat_scan(system, y, x, twist)
+    return tuple(t.elements[w] for level in levels for w in level)
 
 
 def bruhat_atoms(system, y, x=None, twist=None):
@@ -392,17 +423,17 @@ def bruhat_atoms(system, y, x=None, twist=None):
 
     Stops scanning after the first length that has a hit.
     """
-    t, hits = _bruhat_scan(system, y, x, twist)
-    return tuple(t.elements[w] for w in _first_run(t, hits))
+    t, levels = _bruhat_scan(system, y, x, twist)
+    return tuple(map(t.elements.__getitem__, next(levels, ())))
 
 
 def check_conjecture(system, twist=None, ys=None):
     """Compare atoms with the minimal Bruhat-characterized elements over all
     comparable pairs of twisted involutions. Returns a JSON-ready report.
 
-    The atoms are the first run of equal length in the base-x Hecke fiber of
-    y. The oracle keeps one row of w* y per y and scans it for every x in
-    the down-set of y.
+    For each y, one top-down pass gives the atoms of every x in the
+    down-set of y, and one row of w* y serves the oracle's scan for each of
+    those x; neither writes to the cache of ``hecke_table``.
 
     ys restricts the sweep to the given upper elements, so the pair space
     can be partitioned across worker processes and the reports merged.
@@ -410,16 +441,16 @@ def check_conjecture(system, twist=None, ys=None):
     twist = _twist_key(system, twist)
     t = _id_table(system)
     ids = _ids(system, twist)
-    elements, index, word = t.elements, t.index, t.word
+    word = t.word
     pairs = 0
     failures = []
     for y in ids.hat if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
-        for x in sorted(ids.down(y)):
+        below = _atoms_below(t, ids, y)
+        for x in sorted(below):
             pairs += 1
-            fiber = hecke_table(system, elements[x], twist).get(elements[y], ())
-            expected = _first_run(t, map(index.__getitem__, fiber))
-            got = _first_run(t, _hits(t, row, y, x))
+            expected = sorted(below[x])
+            got = next(_hits(t, row, y, x), [])
             if expected != got:
                 failures.append(
                     {

@@ -134,6 +134,8 @@ def hat_perm(x):
 
 def fpf_base(n):
     """The matching 2-cycle involution [2,1,4,3,...] of S_n (n even)."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n % 2:
         raise ValueError("fixed-point-free involutions need even size")
     out = []
@@ -148,6 +150,8 @@ def is_fpf_involution(p):
 
 def enumerate_involutions(n, fpf=False):
     """All involutions of S_n (all fixed-point-free ones when fpf), by BFS."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     start = fpf_base(n) if fpf else identity_perm(n)
     seen = {start}
     queue = [start]

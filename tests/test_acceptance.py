@@ -1,13 +1,16 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 2 (n=13), 6 (2n=10), 7, 8 (B5), 10 (F4 and D5) and 11, and a
+criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4 and D5) and 11, and a
 cold-start gate on the cap decision for a bare E6 matrix, run when
 INVATOMS_EXTENDED is set in the environment.
 """
 
 import itertools
+import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -191,8 +194,37 @@ def test_criterion_08_extended_conjecture_sweep_b5():
     t0 = time.time()
     report = tw.check_conjecture(cx.build_system("B5"))
     elapsed = time.time() - t0
-    ok = report["pairs_checked"] == 13940 and report["failures"] == [] and elapsed < 4
+    ok = report["pairs_checked"] == 13940 and report["failures"] == [] and elapsed < 2
     _report(8, ok, "extended B5 identity twist, %.1fs" % elapsed)
+
+
+_H4_SWEEP = """
+import json, resource, sys, time
+import invatoms.coxeter as cx, invatoms.twisted as tw
+t0 = time.time()
+report = tw.check_conjecture(cx.build_system("H4"))
+elapsed = time.time() - t0
+kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+mb = kb / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+print(json.dumps([report["pairs_checked"], len(report["failures"]), elapsed, mb]))
+"""
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the H4 sweep")
+def test_criterion_08_extended_conjecture_sweep_h4():
+    # in a child process, so its peak RSS is the sweep's own. A child started
+    # by vfork reports this process's peak as its own, so a preexec_fn forces
+    # a plain fork.
+    src = os.path.dirname(os.path.dirname(tw.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _H4_SWEEP], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=lambda: None)
+    assert proc.returncode == 0, proc.stderr
+    pairs, failures, elapsed, mb = json.loads(proc.stdout)
+    ok = pairs == 61166 and failures == 0 and elapsed < 30 and mb < 60
+    _report(8, ok, "extended H4 identity twist, %d failures, %.1fs, peak RSS %.0f MB"
+            % (failures, elapsed, mb))
 
 
 def test_criterion_09_bruhat_descriptions():

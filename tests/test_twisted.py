@@ -194,14 +194,16 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     def first_run(hits):
         return [w for w in hits if t.length[w] == t.length[hits[0]]]
 
-    # the per-y rows and the scans inside check_conjecture
+    # the per-y rows and the scans inside check_conjecture, every level of
+    # each scan recorded and flattened
     seen = {}
     real = tw._hits
 
     def recording(table, row, y, x):
-        seen[y, x] = list(real(table, row, y, x))
+        levels = list(real(table, row, y, x))
+        seen[y, x] = [w for level in levels for w in level]
         assert [v for k in range(len(t.start) - 1) for v in row(k)] == lhs[y]
-        return iter(seen[y, x])
+        return iter(levels)
 
     monkeypatch.setattr(tw, "_hits", recording)
     assert tw.check_conjecture(system, twist)["failures"] == []
@@ -220,22 +222,67 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
 
 
 def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
-    # drop the single atom of the running example from its Hecke fiber, so the
-    # atoms read from the fiber become the next length's Hecke atoms
+    # drop the single atom of the running example from the sweep's atom pass,
+    # so the pair expects no atoms while the scan still finds s3
     system, x, y = _s5_pair()
-    table = tw.hecke_table(system, x)
-    monkeypatch.setitem(table, y, table[y][1:])
+    t = system.id_table()
+    real = tw._atoms_below
+
+    def dropping(table, ids, top):
+        below = real(table, ids, top)
+        if top == t.index[y]:
+            below[t.index[x]].discard(t.index[system.generator(3)])
+        return below
+
+    monkeypatch.setattr(tw, "_atoms_below", dropping)
     report = tw.check_conjecture(system, ys=[y])
     assert report["pairs_checked"] == 17
     assert report["failures"] == [{
         "x": [2, 1, 3, 4, 3, 2],
         "y": [2, 1, 3, 2, 1, 4, 3, 2],
-        "expected": [[2, 3], [3, 2], [4, 3]],
+        "expected": [],
         "got": [[3]],
     }]
 
 
-def _check_the_cap_routes(system):
+@pytest.mark.parametrize("name, twist", [
+    ("B4", None), ("H3", None), ("F4", None), ("F4", (4, 3, 2, 1)),
+    ("D4", (3, 2, 1, 4)), ("A4", (4, 3, 2, 1)), ("I2(7)", None)])
+def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
+    # the sweep's top-down pass against the first run of each base's fiber:
+    # every x in the down-set of every y, and nothing else
+    system = cx.build_system(name)
+    t = system.id_table()
+    key = tw._twist_key(system, twist)
+    ids = tw._ids(system, key)
+    elements, index = t.elements, t.index
+    for y in ids.hat:
+        below = tw._atoms_below(t, ids, y)
+        assert set(below) == ids.down(y)
+        for x, got in below.items():
+            fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
+            assert sorted(got) == tw._first_run(t, map(index.__getitem__, fiber))
+            assert {t.length[w] for w in got} == {ids.hat[y] - ids.hat[x]}
+
+
+def test_the_sweep_leaves_no_hecke_tables_behind():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("A3"), name="A3")
+    for twist in (None, (3, 2, 1)):
+        report = tw.check_conjecture(system, twist)
+        assert report["pairs_checked"] == 41 and report["failures"] == []
+    caches = system.__dict__["_twisted_caches"]
+    assert len(caches) == 2 and all("hecke_table" not in c for c in caches.values())
+
+
+def _within_cap_atoms():
+    """The atoms of s1 s2 s1 in B4, from the process-wide B4 within the cap.
+    Taken before a test lowers the cap, which would otherwise decide that
+    cached system's cap for the rest of the run."""
+    b4 = cx.build_system("B4")
+    return tw.atoms(b4, b4.product((1, 2, 1)))
+
+
+def _check_the_cap_routes(system, within):
     """With B4 above the cap: the whole-group routes raise, atoms falls back
     to the descent recursion on root permutations, and nothing is stored."""
     y = system.product((1, 2, 1))
@@ -244,11 +291,13 @@ def _check_the_cap_routes(system):
     with pytest.raises(ValueError, match="too large"):
         tw.hecke_table(system, system.identity)
     assert system._elements is None
-    assert tw.atoms(system, y) == tw.atoms(cx.build_system("B4"), y)
+    assert tw.atoms(system, y) == within
     assert system._elements is None and system.id_table() is None
+    assert cx.build_system("B4").id_table() is not None
 
 
 def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
+    within = _within_cap_atoms()
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     # a custom matrix carries no degrees, so the cap is decided by the BFS
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
@@ -257,14 +306,15 @@ def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
         tw.hecke_table(system, system.identity)
     found = _logged_keys(log, system.rank)
     assert found and len(found) <= 101 and system._elements is None
-    _check_the_cap_routes(system)
+    _check_the_cap_routes(system, within)
 
 
 def test_cap_checks_on_a_named_type_decided_from_its_degrees(monkeypatch):
+    within = _within_cap_atoms()
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
     monkeypatch.setattr(system, "_enumerate", lambda limit: pytest.fail("enumerated"))
-    _check_the_cap_routes(system)
+    _check_the_cap_routes(system, within)
 
 
 def test_the_cap_is_decided_once_per_system(monkeypatch):

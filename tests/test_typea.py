@@ -27,6 +27,16 @@ def test_involution_enumeration_counts():
     assert len(ta.enumerate_involutions(8, fpf=True)) == 105
 
 
+def test_negative_sizes_are_rejected():
+    assert ta.enumerate_involutions(0) == ((),) and ta.fpf_base(0) == ()
+    for n, fpf in [(-1, False), (-2, True), (-1, True)]:
+        with pytest.raises(ValueError, match="non-negative"):
+            ta.enumerate_involutions(n, fpf=fpf)
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="non-negative"):
+            ta.fpf_base(n)
+
+
 def test_cycle_and_fixed_point_readers():
     x = (3, 5, 1, 4, 2)
     assert ta.cyc(x) == ((1, 3), (2, 5), (4, 4))
