@@ -6,6 +6,10 @@ the minimal-length comparison over worker processes. Exit codes: 0 for
 success, 1 when a verification reports failures, 2 for usage errors, 3 for
 internal errors, and 141 (128 + SIGPIPE, as a shell reports it) when the
 reader of stdout closed before the output was written.
+
+Only ``coxeter`` is imported with this module: every verb parses its system
+with it. Each handler imports the rest of the library it calls when it runs,
+so a verb compiles no module it does not use.
 """
 
 import argparse
@@ -13,13 +17,8 @@ import json
 import os
 import re
 import sys
-import traceback
 
-from . import braid as br
 from . import coxeter as cx
-from . import orders as od
-from . import twisted as tw
-from . import typea as ta
 
 
 class UsageError(ValueError):
@@ -97,6 +96,7 @@ def parse_element(system, text):
     if body == "wfpf":
         if not cx.is_type_a_chain(system):
             raise UsageError("wfpf needs a symmetric group (type A chain)")
+        from . import typea as ta
         return cx.permutation_to_element(system, ta.fpf_base(system.rank + 1))
     if cx.is_type_a_chain(system):
         return cx.permutation_to_element(system, parse_permutation(body, system.rank + 1))
@@ -162,15 +162,16 @@ def _default_start(system, args):
     if getattr(args, "fpf", False):
         if not cx.is_type_a_chain(system):
             raise UsageError("--fpf needs a symmetric group (type A chain)")
+        from . import typea as ta
         return cx.permutation_to_element(system, ta.fpf_base(system.rank + 1))
     return None
 
 
-# the JSON answer to a single (x, y) query, by output key
+# the JSON answer to a single (x, y) query from the twisted module, by output key
 _ANSWERS = {
-    "atoms": lambda system, *q: _words(system, tw.atoms(system, *q)),
-    "hecke_atoms": lambda system, *q: _words(system, tw.hecke_atoms(system, *q)),
-    "words": lambda system, *q: [list(w) for w in tw.involution_words(system, *q)],
+    "atoms": lambda tw, system, *q: _words(system, tw.atoms(system, *q)),
+    "hecke_atoms": lambda tw, system, *q: _words(system, tw.hecke_atoms(system, *q)),
+    "words": lambda tw, system, *q: [list(w) for w in tw.involution_words(system, *q)],
 }
 
 # pair verb -> (help, the output keys it answers)
@@ -182,6 +183,7 @@ _PAIR_VERBS = {
 
 
 def _cmd_pair(args):
+    from . import twisted as tw
     system = cx.build_system(args.system)
     twist = parse_twist(system, args.twist)
     y = parse_element(system, args.y)
@@ -189,11 +191,12 @@ def _cmd_pair(args):
     keys = _PAIR_VERBS[args.verb][1]
     if args.verb == "atoms" and system.id_table() is None:
         keys = ("atoms",)  # Hecke atoms need the whole group; atoms do not
-    _emit({key: _ANSWERS[key](system, y, x, twist) for key in keys})
+    _emit({key: _ANSWERS[key](tw, system, y, x, twist) for key in keys})
     return 0
 
 
 def _cmd_poset(args):
+    from . import orders as od
     n = None
     if args.system:
         system = cx.build_system(args.system)
@@ -210,6 +213,7 @@ def _cmd_poset(args):
 
 
 def _cmd_classes(args):
+    from . import orders as od
     body = args.x.strip()
     seq = parse_cycles(body) if body.startswith("(") else parse_one_line(body)
     cls = od.fpf_class(seq) if args.fpf else od.chinese_class(seq)
@@ -241,20 +245,25 @@ def _cmd_verify(args):
             raise UsageError("the %s sweep has no twist; drop --twist" % args.what)
         if not cx.is_type_a_chain(system):
             raise UsageError("the %s sweep needs a symmetric group (type A chain)" % args.what)
+        from . import orders as od
         n = system.rank + 1
         return _finish(args, [od.verify_chinese(n) if args.what == "chinese" else od.verify_fpf(n)])
-    checkers = {
-        "conjecture": lambda t: tw.check_conjecture(system, t),
-        "braid": lambda t: br.check_braid_classes(system, t),
-        "duality": lambda t: tw.check_duality(system, system.longest_element(), t),
-        "b-prime": lambda t: tw.check_bruhat_descriptions(system, t),
-        "fc": lambda t: br.check_fc_atoms(system, t),
-    }
-    return _finish(args, [_report(system, t, checkers[args.what](t))
+    if args.what in ("braid", "fc"):
+        from . import braid as br
+        check = br.check_braid_classes if args.what == "braid" else br.check_fc_atoms
+    else:
+        from . import twisted as tw
+        check = {
+            "conjecture": tw.check_conjecture,
+            "duality": lambda system, t: tw.check_duality(system, system.longest_element(), t),
+            "b-prime": tw.check_bruhat_descriptions,
+        }[args.what]
+    return _finish(args, [_report(system, t, check(system, t))
                           for t in twist_list(system, args.twist)])
 
 
 def _sweep_worker(payload):
+    from . import twisted as tw
     spec, twist, ys = payload
     system = cx.build_system(spec)
     report = tw.check_conjecture(system, twist, ys=ys)
@@ -270,6 +279,7 @@ def _sweep_chunks(invs, jobs):
 def _cmd_sweep(args):
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
+    from . import twisted as tw
     system = cx.build_system(args.system)
     reports = []
     for t in twist_list(system, args.twist):
@@ -376,6 +386,7 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not bad input: keep it apart from exits 1 and 2
+        import traceback  # only a crash pays for it
         traceback.print_exc()
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3

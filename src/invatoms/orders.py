@@ -257,10 +257,10 @@ def fpf_class(seq):
 
 def verify_fpf(n2):
     """Match the class partition of S_2n against the inverted FPF Hecke sets."""
-    if n2 % 2:
-        raise ValueError("sequence has odd length")
     if n2 < 0:
         raise ValueError("2n must be non-negative")
+    if n2 % 2:
+        raise ValueError("the FPF sweep needs an even size, got %d" % n2)
     if n2 > FPF_SWEEP_CAP:
         raise ValueError("2n too large for the FPF sweep (max %d)" % FPF_SWEEP_CAP)
     return _verify_classes(n2, ta.fpf_base(n2), _fpf_sorted_class)

@@ -263,8 +263,10 @@ def hecke_table(system, base, twist=None):
 
 def hecke_atoms(system, y, x=None, twist=None):
     """All w with x folded against w equal to y, sorted by (length, word)."""
+    twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
+    _check_member(system, y, twist)
     return hecke_table(system, x, twist).get(y, ())
 
 
@@ -278,7 +280,7 @@ def atoms(system, y, x=None, twist=None):
     t = system.id_table()
     if t is None:
         return tuple(_by_word(system, _atoms_rec(system, y, x, twist, {})))
-    hk = map(t.index.__getitem__, hecke_atoms(system, y, x, twist))
+    hk = map(t.index.__getitem__, hecke_table(system, x, twist).get(y, ()))
     return tuple(t.elements[w] for w in _first_run(t, hk))
 
 

@@ -91,7 +91,24 @@ def perm_from_word(n, word):
 
 
 def is_involution_perm(p):
-    return all(p[v - 1] == i for i, v in enumerate(p, 1))
+    # an entry v <= 0 at i reads p from the end, at j = n + v: p(j) = i would
+    # need p(i) = j, but p(i) = v < j; so only an entry above n can raise
+    try:
+        return all(p[v - 1] == i for i, v in enumerate(p, 1))
+    except IndexError:
+        return False
+
+
+def _check_involutions(what, n, *perms):
+    """ValueError unless every perm is an involution in S_n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    for p in perms:
+        if len(p) != n:
+            raise ValueError("%s need involutions of the same size" % what)
+    for p in perms:
+        if not is_involution_perm(p):
+            raise ValueError("%s need involutions" % what)
 
 
 def cyc(y):
@@ -217,12 +234,19 @@ def _hecke_fold(n, base, skip):
 
 def hecke_image_table(n, base=None):
     """base folded against every element of S_n, keyed by element."""
-    return _hecke_fold(n, identity_perm(n) if base is None else base, ())
+    if base is None:
+        base = identity_perm(n)
+    _check_involutions("Hecke images", n, base)
+    return _hecke_fold(n, base, ())
 
 
 def hecke_atoms_perm(y, base=None):
     """All w in S_n with base folded against w equal to y, sorted."""
-    table = hecke_image_table(len(y), base)
+    n = len(y)
+    if base is None:
+        base = identity_perm(n)
+    _check_involutions("Hecke atoms", n, y, base)
+    table = hecke_image_table(n, base)
     out = [w for w, img in table.items() if img == y]
     return tuple(sorted(out, key=lambda w: (perm_length(w), w)))
 
@@ -287,10 +311,7 @@ def atoms_perm(y, base=None):
     ident = identity_perm(n)
     if base is None:
         base = ident
-    if len(base) != n:
-        raise ValueError("atoms need involutions of the same size")
-    if not is_involution_perm(y) or not is_involution_perm(base):
-        raise ValueError("atoms need involutions")
+    _check_involutions("atoms", n, y, base)
     if base == ident:
         inverted = closure(_hat(y, 0), _up_steps)
     elif n % 2 == 0 and base == fpf_base(n):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import invatoms.cli as cli
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
@@ -159,6 +161,19 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+def test_pair_verbs_reject_a_y_that_is_not_a_twisted_involution(capsys):
+    for verb in ("atoms", "words", "hecke"):
+        code, out, err = run(capsys, verb, "--system", "A3", "--y", "2,3,1,4")
+        assert code == 2 and out == ""
+        assert "not a twisted involution" in err, verb
+
+
+def test_verify_fpf_names_the_odd_size(capsys):
+    code, out, err = run(capsys, "verify", "fpf", "--system", "A2")
+    assert code == 2 and out == ""
+    assert "needs an even size, got 3" in err
+
+
 def test_argparse_errors_exit_two(capsys):
     assert cli.main(["atoms", "--system", "A4"]) == 2  # missing --y
     capsys.readouterr()
@@ -235,6 +250,40 @@ def test_importing_the_cli_leaves_out_the_process_pool():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _loaded_after(argv):
+    """The invatoms modules, and whether traceback, loaded by a fresh
+    interpreter that imports the CLI and runs argv through it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import contextlib, io, sys, invatoms.cli\n"
+            "if sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert invatoms.cli.main(sys.argv[1:]) == 0\n"
+            "import json\n"
+            "print(json.dumps([[m for m in sys.modules if m.split('.')[0] == 'invatoms'],\n"
+            "                  'traceback' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code] + argv, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    modules, traceback = json.loads(proc.stdout)
+    return set(modules), traceback
+
+
+def test_importing_the_cli_loads_only_coxeter_of_the_library():
+    assert _loaded_after([]) == ({"invatoms", "invatoms.cli", "invatoms.coxeter"}, False)
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["atoms", "--system", "A3", "--y", "2,1,4,3"], {"twisted"}),
+    (["verify", "chinese", "--system", "A3"], {"orders", "typea"}),
+    (["verify", "braid", "--system", "B2"], {"braid", "twisted"}),
+    (["poset", "--x", "4321"], {"orders", "typea"}),
+])
+def test_each_verb_loads_only_the_modules_it_calls(argv, modules):
+    base = {"invatoms", "invatoms.cli", "invatoms.coxeter"}
+    assert _loaded_after(argv) == (base | {"invatoms." + m for m in modules}, False)
 
 
 def test_sweep_jobs_are_capped_at_the_cpu_count(monkeypatch):

@@ -183,6 +183,11 @@ def test_sweep_caps():
         od.verify_chinese(-1)
     with pytest.raises(ValueError, match="non-negative"):
         od.verify_fpf(-2)
+    # the sign is checked before the parity, and the parity names the size
+    with pytest.raises(ValueError, match="non-negative"):
+        od.verify_fpf(-1)
+    with pytest.raises(ValueError, match="needs an even size, got 3"):
+        od.verify_fpf(3)
 
 
 def test_extremal_atoms():

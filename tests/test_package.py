@@ -22,10 +22,46 @@ def test_version_and_dependencies_match_pyproject():
     assert re.search(r"^dependencies = \[\]$", text, re.M)
 
 
-def test_cli_import_does_not_load_numpy():
+def _run_fresh(code):
+    """Run code in a fresh interpreter that imports invatoms from src."""
     src = os.path.dirname(os.path.dirname(invatoms.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import invatoms.cli, sys; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    _run_fresh("import invatoms.cli, sys; assert 'numpy' not in sys.modules")
+
+
+def test_public_names_are_the_objects_of_their_modules():
+    # names resolve on first use, one submodule at a time
+    _run_fresh(
+        "import sys, invatoms\n"
+        "assert [m for m in sys.modules if m.startswith('invatoms.')] == []\n"
+        "assert invatoms.__version__\n"
+        "assert invatoms.atoms_perm is sys.modules['invatoms.typea'].atoms_perm\n"
+        "assert 'invatoms.twisted' not in sys.modules\n"
+        "for name in invatoms.__all__:\n"
+        "    obj = getattr(invatoms, name)\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+        "    assert obj.__module__.startswith('invatoms.'), name\n"
+        "star = {}\n"
+        "exec('from invatoms import *', star)\n"
+        "assert all(star[name] is getattr(invatoms, name) for name in invatoms.__all__)\n"
+        "assert len(set(invatoms.__all__)) == len(invatoms.__all__)\n")
+
+
+def test_dir_lists_the_public_names_and_unknown_names_raise():
+    _run_fresh(
+        "import invatoms\n"
+        "assert set(invatoms.__all__) <= set(dir(invatoms))\n"
+        "assert '__version__' in dir(invatoms)\n"
+        "try:\n"
+        "    invatoms.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not hasattr(invatoms, 'twisted_involutions')\n")

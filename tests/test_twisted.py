@@ -372,3 +372,16 @@ def test_invalid_twist_is_rejected():
     system = cx.build_system("A3")
     with pytest.raises(ValueError, match="invalid twist"):
         tw.enumerate_twisted(system, (2, 1, 3))
+
+
+def test_pair_queries_reject_a_y_that_is_not_a_twisted_involution():
+    system = cx.build_system("A3")
+    s1 = system.product((1,))
+    three_cycle = cx.permutation_to_element(system, (2, 3, 1, 4))
+    # s1 is an involution but not a twisted one for the twist s1 <-> s3
+    for y, twist in [(three_cycle, None), (three_cycle, (3, 2, 1)), (s1, (3, 2, 1))]:
+        for query in (tw.atoms, tw.hecke_atoms, tw.involution_words):
+            with pytest.raises(ValueError, match="not a twisted involution"):
+                query(system, y, twist=twist)
+    # a twisted involution that the fold of x never reaches has no Hecke atoms
+    assert tw.hecke_atoms(system, system.identity, s1) == ()

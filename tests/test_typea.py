@@ -301,3 +301,18 @@ def test_atom_closures_match_the_descent_recursion():
     assert ta.atoms_perm((2, 1)) == ((2, 1),)
     assert ta.atoms_fpf_perm((2, 1)) == ((1, 2),)
     assert ta.atoms_fpf_perm((1, 2)) == ()
+
+
+def test_hecke_routes_need_involutions():
+    for y, base in [((2, 3, 1), None), ((3, 1, 2, 4), None), ((1, 2, 3), (2, 3, 1)),
+                    ((3,), None), ((1, 3), None),  # entries out of range
+                    # involutions of different sizes
+                    ((2, 1, 3), (2, 1)), ((2, 1), (1, 2, 3))]:
+        with pytest.raises(ValueError, match="Hecke atoms need involutions"):
+            ta.hecke_atoms_perm(y, base)
+    for n, base in [(3, (2, 1)), (2, (1, 2, 3)), (3, (2, 3, 1)), (2, (1, 3))]:
+        with pytest.raises(ValueError, match="Hecke images need involutions"):
+            ta.hecke_image_table(n, base)
+    with pytest.raises(ValueError, match="non-negative"):
+        ta.hecke_image_table(-1)
+    assert not ta.is_involution_perm((3,)) and not ta.is_involution_perm((1, 3))
