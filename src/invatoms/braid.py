@@ -8,18 +8,22 @@ prefix before the block, but only through the twisted involution the
 prefix folds to. The type A symmetric-group specializations need just
 one extra family of moves on the first two letters.
 
-The class of a word under the truncated swaps is built from suffix
-classes rather than by a search over whole words. A swap either starts at
-the first letter a or lies wholly after it, and the swaps after a depend
-only on the fold u o a of the prefix and on the rest of the word. So the
-class of a suffix q after a prefix folding to u is a union of pieces
-a.C(u o a, tail): C(u o a, tail) is the class of tail after a prefix
-folding to u o a, found the same way, and the pieces are linked by the
-swaps at the first letter from the table of u. Classes are memoised per
-fold within one call; swaps preserve the prefix fold and are undone by
-the opposite swap, so a suffix lies in at most one class per fold. The
-whole-word move function involution_braid_neighbors is what the classes
-are tested against.
+The class of a word under the truncated swaps is a node of a DAG of
+prefix classes, one DAG per system and twist. A node is the class of a
+word under the swaps that lie wholly inside it; it is reached from the
+node of the word without its last letter a, and it is the disjoint union
+of pieces P.a, P the node of a shorter class. A swap inside P.a lies
+wholly in P or ends at a, and swaps preserve the fold, so the pieces are
+linked only by swaps ending at the last letter: walk back m - 1 letters
+through the pieces, check that the table of the fold reached there holds
+the block, and walk the swapped letters forward. Distinct paths from the
+root spell distinct words, so a node counts its words without listing
+them. The classes of prefixes do not depend on where the word ends, so
+every query shares the lower nodes; the shared DAG keeps only classes of
+involution words, one node per class of each twisted involution, and the
+classes of other words are built per call on top of it. The whole-word
+move function involution_braid_neighbors is what the classes are tested
+against.
 
 Words are tuples of 1-based generator indices.
 """
@@ -30,10 +34,6 @@ from . import twisted as tw
 
 def _alternating(s, t, m):
     return tuple(s if i % 2 == 0 else t for i in range(m))
-
-
-def _word(letters):
-    return tuple(int(a) for a in letters)
 
 
 def _blocks(triples):
@@ -61,11 +61,23 @@ def _pairs(system):
     return [(s, t) for s in range(1, rank + 1) for t in range(s + 1, rank + 1)]
 
 
+def _tables(system, lengths):
+    """The swap tables of the pairs s < t with the given block lengths, built
+    once per system and shared by every fold with those lengths: keyed by
+    first letter as _blocks gives, and each block mapped to its swap."""
+    store = system.__dict__.setdefault("_swap_tables", {})
+    got = store.get(lengths)
+    if got is None:
+        first = _blocks((s, t, m) for (s, t), m in zip(_pairs(system), lengths))
+        got = store[lengths] = (first, {b: o for pairs in first.values() for b, o in pairs})
+    return got
+
+
 # -- ordinary braid relations --------------------------------------------------
 
 
 def _braid_blocks(system):
-    return _blocks((s, t, system.bond(s, t)) for s, t in _pairs(system))
+    return _tables(system, tuple(system.bond(s, t) for s, t in _pairs(system)))[0]
 
 
 def _braid_moves(word, blocks):
@@ -78,7 +90,7 @@ def _braid_moves(word, blocks):
 def braid_class(system, word):
     """The closure of word under the alternating-block swaps."""
     blocks = _braid_blocks(system)
-    return cx.closure(_word(word), lambda u: _braid_moves(u, blocks))
+    return cx.closure(tw._word(system, word), lambda u: _braid_moves(u, blocks))
 
 
 # -- truncated block lengths ----------------------------------------------------
@@ -117,12 +129,12 @@ def theta_prefix(system, prefix, twist=None):
     return theta
 
 
-def _truncated_blocks(system, u, twist):
-    """The block-swap table after a prefix folding to u (cached per fold):
-    u is the fold's id within the cap and its root permutation above it."""
+def _fold_tables(system, u, twist):
+    """The swap tables (see _tables) after a prefix folding to u, cached per
+    fold: u is the fold's id within the cap and its root permutation above it."""
     cache = tw._caches(system, twist).setdefault("m_star", {})
-    blocks = cache.get(u)
-    if blocks is None:
+    tables = cache.get(u)
+    if tables is None:
         ids = tw._ids(system, twist)
         w = u if ids is None else ids.elements[u]
         # theta(s) = (w s w^-1)* is the reflection in the twisted root
@@ -130,10 +142,10 @@ def _truncated_blocks(system, u, twist):
         # and simple roots come first in the root order
         rho, p = system._twist_perms(twist)[0], system.num_positive
         image = [rho[w[s]] % p + 1 for s in range(system.rank)]
-        blocks = cache[u] = _blocks(
-            (s, t, _truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1]))
-            for s, t in _pairs(system))
-    return blocks
+        tables = cache[u] = _tables(system, tuple(
+            _truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1])
+            for s, t in _pairs(system)))
+    return tables
 
 
 def _prefix_fold(system, twist):
@@ -151,63 +163,140 @@ def _prefix_fold(system, twist):
 
 def involution_braid_neighbors(system, word, twist=None):
     """Words one prefix-truncated block swap away from word: the whole-word
-    move function that the suffix classes are tested against."""
+    move function that the prefix classes are tested against."""
     twist = tw._twist_key(system, twist)
-    word = _word(word)
+    word = tw._word(system, word)
     u, step = _prefix_fold(system, twist)
     out = []
     for j, a in enumerate(word):
-        _swaps(word, j, _truncated_blocks(system, u, twist), out)
+        _swaps(word, j, _fold_tables(system, u, twist)[0], out)
         u = step(u, a)
     return out
 
 
-def involution_braid_class(system, word, twist=None):
-    """The closure of word under the prefix-truncated block swaps, built from
-    memoised suffix classes (see the module docstring)."""
-    twist = tw._twist_key(system, twist)
-    start, step = _prefix_fold(system, twist)
-    cache = tw._caches(system, twist).setdefault("m_star", {})
-    memo = {}  # fold -> the suffix classes found under it
+class _Node:
+    """A class of words under the truncated swaps inside them: its words are
+    the words of P followed by a for each piece (P, a). ``swaps`` is the
+    block-to-swap table of its fold, ``size`` its number of words, and
+    ``kids`` maps a letter to the shared node one letter up (None for a
+    node built per call)."""
 
-    def suffix_class(u, q):
-        if not q:
-            return {()}
-        classes = memo.setdefault(u, [])
-        for c in classes:
-            if q in c:
-                return c
-        blocks = cache.get(u) or _truncated_blocks(system, u, twist)
-        out = set()
-        todo = [q]
+    __slots__ = ("fold", "swaps", "pieces", "kids", "size")
+
+
+class _PrefixClasses:
+    """The shared DAG of prefix classes of one system and twist (see the
+    module docstring). ``nodes`` lists the shared nodes, each after the
+    nodes its pieces hang from."""
+
+    def __init__(self, system, twist):
+        self.system, self.twist = system, twist
+        start, self.step = _prefix_fold(system, twist)
+        self.tables = tw._caches(system, twist).setdefault("m_star", {})
+        self.root = self._new(start, {})
+        self.root.size = 1
+        self.nodes = [self.root]
+
+    def _new(self, fold, kids):
+        node = _Node()
+        node.fold, node.kids, node.pieces = fold, kids, []
+        tables = self.tables.get(fold) or _fold_tables(self.system, fold, self.twist)
+        node.swaps = tables[1]
+        return node
+
+    def node(self, word):
+        """The node of the class of word, a tuple of valid letters. Nodes
+        of other words than involution words live in a per-call map from
+        (node, letter) to node, dropped on return: every node keeps its
+        pieces, so the one returned still reaches the root."""
+        extra = {}
+        node = self.root
+        for a in word:
+            node = self._child(node, a, extra)
+        return node
+
+    def _child(self, node, a, extra):
+        kids = node.kids
+        if kids is not None:
+            got = kids.get(a)
+            if got is not None:
+                return got
+        got = extra.get((node, a))
+        if got is None:
+            got = self._build(node, a, extra)
+        return got
+
+    def _build(self, node, a, extra):
+        fold = self.step(node.fold, a)
+        # the class of an involution word: every prefix is one too, and a
+        # letter that rises from a shared node keeps the class shared
+        shared = node.kids is not None and fold != node.fold
+        new = self._new(fold, {} if shared else None)
+        todo = [(node, a)]
         while todo:
-            w = todo.pop()
-            if w in out:
-                continue
-            a = w[0]
-            tails = suffix_class(step(u, a), w[1:])
-            out.update([(a,) + t for t in tails])
-            for block, other in blocks.get(a, ()):
-                m = len(block)
-                if m == 1:  # a and the other letter fold u alike: the piece moves whole
-                    todo.append(other + w[1:])
+            p, b = todo.pop()
+            if shared:
+                if p.kids.get(b) is new:
                     continue
-                if len(w) < m:  # the block does not fit
+                p.kids[b] = new
+            else:
+                if extra.get((p, b)) is new:
                     continue
-                b, rest = block[1], block[1:]
-                k = m - 1
-                for t in tails:
-                    if t[0] == b and t[:k] == rest:
-                        v = other + t[k:]
-                        if v not in out:
-                            todo.append(v)
-        classes.append(out)
-        return out
+                extra[p, b] = new
+            new.pieces.append((p, b))
+            self._linked(p, b, extra, todo)
+        new.size = sum(p.size for p, _ in new.pieces)
+        if shared:  # after the nodes that the swaps made on the way
+            self.nodes.append(new)
+        return new
 
-    try:
-        return suffix_class(start, _word(word))
-    finally:
-        memo.clear()
+    def _linked(self, p, b, extra, out):
+        """Append to out the pieces one swap ending at the last letter away
+        from the piece (p, b)."""
+        other = p.swaps.get((b,))
+        if other is not None:
+            out.append((p, other[0]))
+        bonds = self.system.matrix[b - 1]
+        ends = [(q, (c, b)) for q, c in p.pieces if c != b]
+        while ends:  # walk back through the pieces, alternating the letters
+            r, block = ends.pop()
+            other = r.swaps.get(block)
+            if other is not None:
+                q = r
+                for o in other[:-1]:
+                    q = self._child(q, o, extra)
+                out.append((q, other[-1]))
+            if len(block) < bonds[block[-2] - 1]:
+                x = block[1]
+                ends.extend((q, (x,) + block) for q, y in r.pieces if y == x)
+
+
+def _prefix_classes(system, twist):
+    cache = tw._caches(system, twist)
+    dag = cache.get("prefix_classes")
+    if dag is None:
+        dag = cache["prefix_classes"] = _PrefixClasses(system, twist)
+    return dag
+
+
+def _words(node):
+    """The words of a node as a set, built one length at a time from the
+    root, so only two lengths of word lists are alive at once."""
+    levels = [[node]]
+    while levels[-1][0].pieces:
+        levels.append(list({p: None for n in levels[-1] for p, _ in n.pieces}))
+    words = {levels.pop()[0]: [()]}  # the root
+    for level in reversed(levels[1:]):
+        words = {n: [w + (a,) for p, a in n.pieces for w in words[p]] for n in level}
+    return {w + (a,) for p, a in node.pieces for w in words[p]} if levels else {()}
+
+
+def involution_braid_class(system, word, twist=None):
+    """The closure of word under the prefix-truncated block swaps: the words
+    of its node in the DAG of prefix classes (see the module docstring)."""
+    twist = tw._twist_key(system, twist)
+    word = tw._word(system, word)
+    return _words(_prefix_classes(system, twist).node(word))
 
 
 def _start_class(system, word, start_blocks):
@@ -221,7 +310,7 @@ def _start_class(system, word, start_blocks):
             _swaps(u, 0, start_blocks, out)
         return out
 
-    return cx.closure(_word(word), neighbors)
+    return cx.closure(tw._word(system, word), neighbors)
 
 
 def empty_prefix_class(system, word, twist=None):
@@ -231,8 +320,8 @@ def empty_prefix_class(system, word, twist=None):
     weaker closure exists to measure how far the initial moves alone reach.
     """
     twist = tw._twist_key(system, twist)
-    return _start_class(system, word, _truncated_blocks(
-        system, _prefix_fold(system, twist)[0], twist))
+    return _start_class(system, word, _fold_tables(
+        system, _prefix_fold(system, twist)[0], twist)[0])
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -331,28 +420,56 @@ def check_fc_atoms(system, twist=None):
     }
 
 
+def _chain_counts(system, twist):
+    """The number of ascent chains from the identity to each twisted
+    involution, keyed by its fold (id within the cap, element above it): a
+    sum over the steps down its right descents, shorter elements first."""
+    ids = tw._ids(system, twist)
+    if ids is not None:
+        count = {}
+        for x in ids.hat:  # id order: the steps down come first
+            count[x] = sum(map(count.__getitem__, ids.lower[x])) if x else 1
+        return count
+    p, count = system.num_positive, {}
+    for x in tw.enumerate_twisted(system, twist):  # (length, word) order
+        down = [tw._rtimes(system, x, s, twist) for s in range(1, system.rank + 1) if x[s - 1] >= p]
+        count[x] = sum(map(count.__getitem__, down)) if down else 1
+    return count
+
+
 def check_braid_classes(system, twist=None):
     """Check that the transforming-word rewriting moves span each word set.
 
-    For every twisted involution the closure of one transforming word under
-    braid moves and truncated-block moves must equal the full word set.
-    Returns a JSON-ready report.
+    For every twisted involution y the class of one involution word (the
+    lex-min reduced word of its first atom) must hold every involution word
+    of y and no other word. Nothing is listed: the class is y's node in the
+    DAG of prefix classes, whose paths from the root are its words, and the
+    involution words of y are the ascent chains from the identity to y. A
+    path counts as an involution word when each of its pieces rises; the
+    report counts the words of y the class misses and the words it holds
+    beyond them. Returns a JSON-ready report.
     """
     twist = tw._twist_key(system, twist)
+    dag = _prefix_classes(system, twist)
+    nodes = [(y, dag.node(system.reduced_word(tw.atoms(system, y, twist=twist)[0])))
+             for y in tw.enumerate_twisted(system, twist)]
+    # the paths to each node whose pieces all rise; a node's pieces hang
+    # from nodes made before it
+    step, rising = dag.step, {dag.root: 1}
+    for n in dag.nodes[1:]:
+        rising[n] = sum(rising[p] for p, a in n.pieces if step(p.fold, a) == n.fold != p.fold)
+    chains = _chain_counts(system, twist)
     failures = []
-    checked = 0
-    for x in tw.enumerate_twisted(system, twist):
-        words = set(tw.involution_words(system, x, twist=twist))
-        checked += 1
-        got = involution_braid_class(system, min(words), twist)
-        if got != words:
+    for y, node in nodes:
+        good, want = rising[node], chains[node.fold]
+        if good != node.size or good != want:
             failures.append({
-                "x": list(system.reduced_word(x)),
-                "missing": len(words) - len(got & words),
-                "extra": len(got - words),
+                "x": list(system.reduced_word(y)),
+                "missing": want - good,
+                "extra": node.size - good,
             })
     return {
         "system": system.name or "custom",
-        "pairs_checked": checked,
+        "pairs_checked": len(nodes),
         "failures": failures,
     }

@@ -160,9 +160,18 @@ def _dact(system, x, s, twist):
     return _rtimes(system, x, s, twist)
 
 
+def _word(system, letters):
+    """letters as a tuple of ints; ValueError for one outside 1..rank."""
+    word = tuple(int(a) for a in letters)
+    for s in word:
+        if not 1 <= s <= system.rank:
+            raise ValueError("generator index out of range: %r" % (s,))
+    return word
+
+
 def dact_word(system, x, word, twist=None):
     twist = _twist_key(system, twist)
-    for s in word:
+    for s in _word(system, word):
         x = _dact(system, x, s, twist)
     return x
 

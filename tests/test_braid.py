@@ -62,9 +62,10 @@ def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkey
     for y in tw.enumerate_twisted(fast, twist):
         theta = br.theta_prefix(fast, min(tw.involution_words(fast, y, twist=twist)), twist)
         assert theta.base == y
-        want = br._blocks((s, t, br.m_star(fast, s, t, theta)) for s, t in pairs)
-        assert br._truncated_blocks(fast, index[y], key) == want
-        assert br._truncated_blocks(slow, y, key) == want
+        first = br._blocks((s, t, br.m_star(fast, s, t, theta)) for s, t in pairs)
+        want = (first, {b: o for pairs in first.values() for b, o in pairs})
+        assert br._fold_tables(fast, index[y], key) == want
+        assert br._fold_tables(slow, y, key) == want
 
 
 def test_prefix_conjugated_twist():
@@ -107,6 +108,8 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
         word = min(tw.involution_words(fast, y, twist=twist))
         assert (br.involution_braid_class(slow, word, twist)
                 == br.involution_braid_class(fast, word, twist))
+    # the chain counts run on elements instead of ids
+    assert br.check_braid_classes(slow, twist) == br.check_braid_classes(fast, twist)
     # both routes reject an element that is not a twisted involution
     for system in (fast, slow):
         with pytest.raises(ValueError, match="not a twisted involution"):
@@ -158,6 +161,104 @@ def test_suffix_classes_on_the_tuple_route_match_the_neighbor_closure(monkeypatc
         for word in words:
             assert (br.involution_braid_class(system, word)
                     == _neighbor_closure(system, word, None))
+
+
+def _shared(system, twist=None):
+    return br._prefix_classes(system, tw._twist_key(system, twist))
+
+
+def test_other_words_leave_the_shared_classes_unchanged():
+    rng = random.Random(11)
+    for name, twist in [("B4", None), ("F4", (4, 3, 2, 1))]:
+        system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+        br.check_braid_classes(system, twist)  # one shared node per twisted involution
+        nodes = list(_shared(system, twist).nodes)
+        others = 0
+        for _ in range(60):
+            word = tuple(rng.randint(1, system.rank) for _ in range(rng.randint(2, 9)))
+            y = tw.dact_word(system, system.identity, word, twist)
+            if len(word) != tw.hat_length(system, y, twist):
+                others += 1
+                assert (br.involution_braid_class(system, word, twist)
+                        == _neighbor_closure(system, word, twist))
+        assert others > 40
+        assert _shared(system, twist).nodes == nodes
+        assert all(k.kids is not None for n in nodes for k in n.kids.values())
+
+
+def test_the_shared_classes_hold_one_node_per_twisted_involution():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
+    assert br.check_braid_classes(system)["failures"] == []
+    nodes = _shared(system).nodes
+    assert len(nodes) == 140
+    assert sorted(n.fold for n in nodes) == sorted(tw._ids(system, (1, 2, 3, 4)).hat)
+
+
+def test_a_class_does_not_depend_on_the_queries_before_it():
+    rng = random.Random(2)
+    name, twist = "F4", (4, 3, 2, 1)
+    used = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    invs = tw.enumerate_twisted(used, twist)
+    queries = [min(tw.involution_words(used, y, twist=twist)) for y in invs]
+    queries += [tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7))) for _ in range(200 - len(queries))]
+    rng.shuffle(queries)
+    for word in queries:
+        br.involution_braid_class(used, word, twist)
+    for word in queries[::20] + [(3, 2, 3, 1, 2), (4, 4, 1)]:
+        fresh = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+        assert (br.involution_braid_class(used, word, twist)
+                == br.involution_braid_class(fresh, word, twist))
+
+
+@pytest.mark.parametrize("name, twist", [("B4", None), ("H3", None), ("F4", (4, 3, 2, 1))])
+def test_path_counts_are_class_sizes(name, twist):
+    system = cx.build_system(name)
+    for y in tw.enumerate_twisted(system, twist):
+        word = min(tw.involution_words(system, y, twist=twist))
+        node = _shared(system, twist).node(word)
+        assert node.size == len(br.involution_braid_class(system, word, twist))
+
+
+def _word_set_report(system, twist):
+    # the checker's oracle: list the involution words and the class of one
+    failures = []
+    for y in tw.enumerate_twisted(system, twist):
+        words = set(tw.involution_words(system, y, twist=twist))
+        got = br.involution_braid_class(system, min(words), twist)
+        if got != words:
+            failures.append({"x": list(system.reduced_word(y)),
+                             "missing": len(words - got), "extra": len(got - words)})
+    return failures
+
+
+@pytest.mark.parametrize("name, twist", [
+    ("A3", None), ("A3", (3, 2, 1)), ("B3", None), ("D4", (3, 2, 1, 4)), ("F4", None)])
+def test_the_counting_checker_agrees_with_the_word_sets(name, twist, monkeypatch):
+    system = cx.build_system(name)
+    assert br.check_braid_classes(system, twist)["failures"] == _word_set_report(system, twist) == []
+    # untruncated blocks: plain braid moves, which miss words wherever a
+    # truncated block is needed
+    monkeypatch.setattr(br, "_truncate", lambda m, s, t, ims, imt: m)
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    failures = br.check_braid_classes(system, twist)["failures"]
+    assert failures == _word_set_report(system, twist) != []
+
+
+def test_braid_inputs_reject_letters_outside_the_generators():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
+    nodes = list(_shared(system).nodes)
+    for word in [(0, 1), (5,), (1, 2, -1)]:
+        for call in (br.braid_class, br.involution_braid_class, br.involution_braid_neighbors,
+                     br.empty_prefix_class):
+            with pytest.raises(ValueError, match="out of range"):
+                call(system, word)
+        with pytest.raises(ValueError, match="out of range"):
+            tw.dact_word(system, system.identity, word)
+    assert _shared(system).nodes == nodes
+    with pytest.raises(ValueError, match="out of range"):
+        br.hu_zhang_class(cx.build_system("A3"), (4,))
+    with pytest.raises(ValueError, match="out of range"):
+        br.fpf_class_words(cx.build_system("A3"), (2, 0))
 
 
 def test_plain_braid_moves_after_the_first_letter_are_not_enough():
