@@ -12,6 +12,8 @@ variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 """
 
+from functools import partial
+
 from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist
 
@@ -81,8 +83,9 @@ class _TwistedIds:
     the cap.
 
     ``dact[x]`` holds, for each generator s = 1..rank, the id of the
-    Demazure step of x by s (x itself on a right descent), and ``lower[x]``
-    the ids of the conjugation steps down the right descents of x.
+    Demazure step of x by s (x itself on a right descent), ``lower[x]``
+    the ids of the conjugation steps down the right descents of x, and
+    ``steps[x]`` the same steps as (letter, id) pairs, letters from 0.
     ``hat[x]`` is the common length of the involution words of x, one more
     than that of the step down its first right descent; its keys run in id
     order, i.e. (length, lex-min word) order.
@@ -92,17 +95,18 @@ class _TwistedIds:
         self.elements, self.index = t.elements, t.index
         right, left, descents = t.right, t.left, t.descents
         gens = [(s, twist[s] - 1) for s in range(len(right))]
-        self.dact, self.lower = dact, lower = {}, {}
+        self.dact, self.lower, self.steps = dact, lower, steps = {}, {}, {}
 
         def ascents(x):
             # the conjugation step: s*xs, or xs when s*x = xs
-            steps = []
+            ys = []
             for s, sstar in gens:
                 lx, xr = left[sstar][x], right[s][x]
-                steps.append(xr if lx == xr else right[s][lx])
+                ys.append(xr if lx == xr else right[s][lx])
             d = descents[x]
-            lower[x] = tuple(y for s, y in enumerate(steps) if d >> s & 1)
-            dact[x] = tuple(x if d >> s & 1 else y for s, y in enumerate(steps))
+            steps[x] = tuple((s, y) for s, y in enumerate(ys) if d >> s & 1)
+            lower[x] = tuple(y for _, y in steps[x])
+            dact[x] = tuple(x if d >> s & 1 else y for s, y in enumerate(ys))
             return dact[x]
 
         closure(0, ascents)  # every twisted involution is reached by ascents
@@ -138,7 +142,7 @@ def _ids(system, twist):
 def rtimes(system, x, s, twist=None):
     """The conjugation step on twisted involutions: s*xs, or xs when s*x = xs."""
     twist = _twist_key(system, twist)
-    return _rtimes(system, x, s, twist)
+    return _rtimes(system, x, _letter(system, s), twist)
 
 
 def _rtimes(system, x, s, twist):
@@ -151,7 +155,7 @@ def _rtimes(system, x, s, twist):
 def dact(system, x, s, twist=None):
     """The monotone (Demazure) variant: the conjugation step on ascents, fixed on descents."""
     twist = _twist_key(system, twist)
-    return _dact(system, x, s, twist)
+    return _dact(system, x, _letter(system, s), twist)
 
 
 def _dact(system, x, s, twist):
@@ -160,13 +164,17 @@ def _dact(system, x, s, twist):
     return _rtimes(system, x, s, twist)
 
 
+def _letter(system, s):
+    """s as an int; ValueError unless it lies in 1..rank."""
+    s = int(s)
+    if not 1 <= s <= system.rank:
+        raise ValueError("generator index out of range: %r" % (s,))
+    return s
+
+
 def _word(system, letters):
     """letters as a tuple of ints; ValueError for one outside 1..rank."""
-    word = tuple(int(a) for a in letters)
-    for s in word:
-        if not 1 <= s <= system.rank:
-            raise ValueError("generator index out of range: %r" % (s,))
-    return word
+    return tuple(_letter(system, a) for a in letters)
 
 
 def dact_word(system, x, word, twist=None):
@@ -287,34 +295,21 @@ def atoms(system, y, x=None, twist=None):
     _check_member(system, x, twist)
     _check_member(system, y, twist)
     t = system.id_table()
-    if t is None:
-        return tuple(_by_word(system, _atoms_rec(system, y, x, twist, {})))
-    hk = map(t.index.__getitem__, hecke_table(system, x, twist).get(y, ()))
-    return tuple(t.elements[w] for w in _first_run(t, hk))
+    if t is not None:
+        hk = map(t.index.__getitem__, hecke_table(system, x, twist).get(y, ()))
+        return tuple(t.elements[w] for w in _first_run(t, hk))
+    # above the cap: the atom pass on root permutations, down to x
+    p, letters = system.num_positive, range(system.rank)
 
+    def steps(z):
+        return [(s, _rtimes(system, z, s + 1, twist)) for s in letters if z[s] >= p]
 
-def _atoms_rec(system, y, x, twist, memo):
-    # peel right descents of y; every atom ends with one (its right descents
-    # are contained in those of y), so each atom arises from one level down
-    # extended by an ascent
-    if y == x:
-        return frozenset({system.identity})
-    got = memo.get(y)
-    if got is not None:
-        return got
-    p = system.num_positive
-    acc = set()
-    if system.length(y) > system.length(x):
-        for s in range(1, system.rank + 1):
-            if y[s - 1] >= p:
-                below = _atoms_rec(system, _rtimes(system, y, s, twist), x, twist, memo)
-                for v in below:
-                    vs = system.right_mult(v, s)
-                    if system.length(vs) > system.length(v):
-                        acc.add(vs)
-    res = frozenset(acc)
-    memo[y] = res
-    return res
+    down = sorted(_down_set(system, y, twist), key=system.length, reverse=True)
+    left = [partial(system.left_mult, s + 1) for s in letters]
+    for z, us in _atom_pass(down, steps, left, system.identity):
+        if z == x:
+            return tuple(_by_word(system, us))
+    return ()
 
 
 def involution_words(system, y, x=None, twist=None):
@@ -325,11 +320,13 @@ def involution_words(system, y, x=None, twist=None):
     return tuple(sorted(out))
 
 
-# The sweep's atoms come from involution words: an involution word of (x, y)
-# is a chain of ascents from x to y in the weak order on twisted involutions,
-# and the atoms are the products of those chains. So one top-down pass over
-# the weak down-set of y gives the atoms of every x below it, with no fold of
-# the group and no fiber kept.
+# Atoms from involution words: an involution word of (x, y) is a chain of
+# ascents from x to y in the weak order on twisted involutions, and the atoms
+# are the products of those chains. So one top-down pass over the weak
+# down-set of y gives the atoms of every x below it, with no fold of the
+# group. The pass keeps a set only until it is complete: the sweep runs it on
+# ids for each y, and atoms above the cap run it on root permutations, where
+# there is no id table to fold.
 #
 # The Bruhat oracle scans the ids w for w* y <= x w in Bruhat order. It reads
 # only the id tables and the twist, never atoms, Hecke fibers or hat lengths,
@@ -340,25 +337,25 @@ def involution_words(system, y, x=None, twist=None):
 # runs one length at a time, so the sweep stops at the first length with a hit.
 
 
-def _atoms_below(t, ids, y):
-    """The atoms A(x, y) as sets of ids, keyed by every id x in the weak
-    down-set of the id y.
+def _atom_pass(down, steps, left, e):
+    """Yield (x, A(x, y)) for every x in the weak down-set of y, each set as
+    soon as it is complete.
 
-    Walks the down-set in decreasing id order from A(y, y) = {e}: each atom
-    u of z and each right descent s of z, with z' the step down z by s, give
-    the atom s u of z'. No test of s u > u is needed. A chain of ascents
-    from z' to y folds z' to y as its Demazure product does; that product
-    is shorter than the chain unless the chain is reduced, and nothing
-    shorter than hat(y) - hat(z') folds z' to y.
+    ``down`` is the down-set of y with y first and every element after all
+    those above it, ``steps(z)`` gives a (letter, step down) pair for each
+    right descent of z, ``left[s]`` multiplies on the left by the letter s
+    and e is the identity. From A(y, y) = {e}, each atom u of z and each
+    pair (s, z') of z give the atom s u of z'. No test of s u > u is needed.
+    A chain of ascents from z' to y folds z' to y as its Demazure product
+    does; that product is shorter than the chain unless the chain is
+    reduced, and nothing shorter than hat(y) - hat(z') folds z' to y.
     """
-    left, lower, descents = t.left, ids.lower, t.descents
-    letters = range(len(left))
-    below = {y: {0}}
-    for z in sorted(ids.down(y), reverse=True):
-        us, d = below[z], descents[z]
-        for s, zs in zip([s for s in letters if d >> s & 1], lower[z]):
-            below.setdefault(zs, set()).update(map(left[s].__getitem__, us))
-    return below
+    below = {}
+    for z in down:
+        us = below.pop(z, None) or {e}  # only y has no set yet
+        for s, zs in steps(z):
+            below.setdefault(zs, set()).update(map(left[s], us))
+        yield z, us
 
 
 def _star_row(t, y, twist):
@@ -444,7 +441,8 @@ def check_conjecture(system, twist=None, ys=None):
 
     For each y, one top-down pass gives the atoms of every x in the
     down-set of y, and one row of w* y serves the oracle's scan for each of
-    those x; neither writes to the cache of ``hecke_table``.
+    those x; neither writes to the cache of ``hecke_table``. Failures are
+    listed by y, then by x in id order.
 
     ys restricts the sweep to the given upper elements, so the pair space
     can be partitioned across worker processes and the reports merged.
@@ -452,25 +450,28 @@ def check_conjecture(system, twist=None, ys=None):
     twist = _twist_key(system, twist)
     t = _id_table(system)
     ids = _ids(system, twist)
-    word = t.word
+    word, steps = t.word, ids.steps.__getitem__
+    left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
     for y in ids.hat if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
-        below = _atoms_below(t, ids, y)
-        for x in sorted(below):
+        wrong = []
+        for x, us in _atom_pass(sorted(ids.down(y), reverse=True), steps, left, 0):
             pairs += 1
-            expected = sorted(below[x])
+            expected = sorted(us)
             got = next(_hits(t, row, y, x), [])
             if expected != got:
-                failures.append(
-                    {
-                        "x": list(word[x]),
-                        "y": list(word[y]),
-                        "expected": [list(word[w]) for w in expected],
-                        "got": [list(word[w]) for w in got],
-                    }
-                )
+                wrong.append((x, expected, got))
+        for x, expected, got in sorted(wrong):
+            failures.append(
+                {
+                    "x": list(word[x]),
+                    "y": list(word[y]),
+                    "expected": [list(word[w]) for w in expected],
+                    "got": [list(word[w]) for w in got],
+                }
+            )
     return {
         "system": system.name or "custom",
         "pairs_checked": pairs,

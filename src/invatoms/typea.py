@@ -19,8 +19,6 @@ from operator import itemgetter
 
 from .coxeter import closure
 
-COLOR_ORDER_CAP = 3
-
 
 def identity_perm(n):
     return tuple(range(1, n + 1))
@@ -580,44 +578,23 @@ def colored_rtimes(alpha, i):
     return (tuple(new_colors), tuple(sorted(new_edges)))
 
 
-@lru_cache(maxsize=None)
-def _colored_universe(n):
-    """All colored involutions on [2n] with their descending reachability."""
-    if n > COLOR_ORDER_CAP:
-        raise ValueError("n too large for the colored order (max %d)" % COLOR_ORDER_CAP)
-    from itertools import permutations as iperm
-
-    nodes = {tau(w) for w in iperm(range(1, 2 * n + 1))}
-    lower = {a: set() for a in nodes}  # immediate relations going down
-    for a in nodes:
+@lru_cache(maxsize=32)
+def _colored_down(beta):
+    """The colored involutions below beta: its closure under the descending
+    conjugation steps."""
+    def lower(a):
         pi = colored_pi(a)
-        for i in range(1, 2 * n):
-            if pi[i - 1] > pi[i]:
-                lower[a].add(colored_rtimes(a, i))
-    down = {}
+        return [colored_rtimes(a, i) for i in range(1, len(pi)) if pi[i - 1] > pi[i]]
 
-    def reach(a):
-        got = down.get(a)
-        if got is not None:
-            return got
-        acc = {a}
-        for b in lower[a]:
-            acc |= reach(b)
-        down[a] = frozenset(acc)
-        return down[a]
-
-    for a in nodes:
-        reach(a)
-    return down
+    return frozenset(closure(beta, lower))
 
 
 def prec_leq(alpha, beta):
     """The order generated by descending conjugation steps that change the
     underlying matching: is alpha below beta."""
-    n = len(beta[0]) // 2
     if len(alpha[0]) != len(beta[0]):
         raise ValueError("colored involutions have different sizes")
-    return alpha in _colored_universe(n)[beta]
+    return alpha in _colored_down(beta)
 
 
 def is_atom_colored(w, x, y):

@@ -1,9 +1,10 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4 and D5) and 11, and a
-cold-start gate on the cap decision for a bare E6 matrix, run when
-INVATOMS_EXTENDED is set in the environment.
+criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4 and D5) and 11, the
+single colored comparison at n=6 with four cycles, and a cold-start gate on
+the cap decision for a bare E6 matrix, run when INVATOMS_EXTENDED is set in
+the environment.
 """
 
 import itertools
@@ -391,6 +392,18 @@ def test_criterion_15_duality_and_reversal_closure():
     elapsed = time.time() - t0
     ok &= elapsed < 1
     _report(15, ok, "S4 dual twists and central reversal closure, %.1fs" % elapsed)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the n=6 colored test")
+def test_extended_single_colored_comparison_at_n6_with_four_cycles():
+    # a failure here is a counterexample to the single-comparison form
+    t0 = time.time()
+    report = ta.check_sigma_conjecture(n_max=6, k_max=4)
+    elapsed = time.time() - t0
+    print("single colored comparison, n<=6, k<=4: %d pairs, %d failures, %.1fs"
+          % (report["pairs_checked"], len(report["failures"]), elapsed))
+    assert report["pairs_checked"] == 3443 and report["failures"] == []
+    assert elapsed < 40
 
 
 @pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the E6 cap decision")

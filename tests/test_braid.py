@@ -99,15 +99,25 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
     invs = tw.enumerate_twisted(fast, twist)
     assert tw.enumerate_twisted(slow, twist) == invs
     rng = random.Random(0)
+    unrelated = 0
     for y in invs:
         assert tw.hat_length(slow, y, twist) == tw.hat_length(fast, y, twist)
         # each pair costs a down-set walk on the tuple route: sample the x
         xs = rng.sample(invs, 8) + [fast.identity, y]
-        assert ([tw.weak_leq_T(slow, x, y, twist) for x in xs]
-                == [tw.weak_leq_T(fast, x, y, twist) for x in xs])
+        below = [tw.weak_leq_T(fast, x, y, twist) for x in xs]
+        assert [tw.weak_leq_T(slow, x, y, twist) for x in xs] == below
+        # atoms above the cap come from the atom pass, within it from the fibers
+        for x, leq in zip(xs, below):
+            got = tw.atoms(slow, y, x, twist)
+            assert got == tw.atoms(fast, y, x, twist)
+            assert bool(got) == leq
+            unrelated += not leq
+            assert (tw.involution_words(slow, y, x, twist)
+                    == tw.involution_words(fast, y, x, twist))
         word = min(tw.involution_words(fast, y, twist=twist))
         assert (br.involution_braid_class(slow, word, twist)
                 == br.involution_braid_class(fast, word, twist))
+    assert unrelated
     # the chain counts run on elements instead of ids
     assert br.check_braid_classes(slow, twist) == br.check_braid_classes(fast, twist)
     # both routes reject an element that is not a twisted involution

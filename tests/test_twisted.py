@@ -43,6 +43,17 @@ def test_conjugation_step_and_fold_step():
                     assert folded == x
 
 
+def test_single_steps_reject_letters_outside_the_generators():
+    # unchecked, letter 0 would read the last generator through index -1
+    system = cx.build_system("A3")
+    e = system.identity
+    for s in (0, -1, 4):
+        for step in (tw.rtimes, tw.dact):
+            with pytest.raises(ValueError, match="generator index out of range"):
+                step(system, e, s)
+    assert tw.rtimes(system, e, 3) == tw.dact(system, e, "3") == system.generator(3)
+
+
 def test_fold_routes_agree_on_every_pair():
     system = cx.build_system("B2")
     for twist in (None, (2, 1)):
@@ -226,15 +237,15 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     # so the pair expects no atoms while the scan still finds s3
     system, x, y = _s5_pair()
     t = system.id_table()
-    real = tw._atoms_below
+    real = tw._atom_pass
 
-    def dropping(table, ids, top):
-        below = real(table, ids, top)
-        if top == t.index[y]:
-            below[t.index[x]].discard(t.index[system.generator(3)])
-        return below
+    def dropping(down, steps, left, e):
+        for z, us in real(down, steps, left, e):
+            if down[0] == t.index[y] and z == t.index[x]:
+                us = us - {t.index[system.generator(3)]}
+            yield z, us
 
-    monkeypatch.setattr(tw, "_atoms_below", dropping)
+    monkeypatch.setattr(tw, "_atom_pass", dropping)
     report = tw.check_conjecture(system, ys=[y])
     assert report["pairs_checked"] == 17
     assert report["failures"] == [{
@@ -243,6 +254,21 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
         "expected": [],
         "got": [[3]],
     }]
+
+
+def test_the_sweep_lists_failures_in_id_order(monkeypatch):
+    # the pass streams x in decreasing id order; with every atom dropped,
+    # each x below y fails, and the report lists them by increasing id
+    system, _, y = _s5_pair()
+    t = system.id_table()
+    ids = tw._ids(system, tw._twist_key(system, None))
+    real = tw._atom_pass
+    monkeypatch.setattr(tw, "_atom_pass", lambda *args: (
+        (z, set()) for z, _ in real(*args)))
+    report = tw.check_conjecture(system, ys=[y])
+    assert report["pairs_checked"] == 17
+    assert [f["x"] for f in report["failures"]] == [
+        list(t.word[x]) for x in sorted(ids.down(t.index[y]))]
 
 
 @pytest.mark.parametrize("name, twist", [
@@ -256,8 +282,9 @@ def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
     key = tw._twist_key(system, twist)
     ids = tw._ids(system, key)
     elements, index = t.elements, t.index
+    steps, left = ids.steps.__getitem__, [row.__getitem__ for row in t.left]
     for y in ids.hat:
-        below = tw._atoms_below(t, ids, y)
+        below = dict(tw._atom_pass(sorted(ids.down(y), reverse=True), steps, left, 0))
         assert set(below) == ids.down(y)
         for x, got in below.items():
             fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
@@ -284,7 +311,7 @@ def _within_cap_atoms():
 
 def _check_the_cap_routes(system, within):
     """With B4 above the cap: the whole-group routes raise, atoms falls back
-    to the descent recursion on root permutations, and nothing is stored."""
+    to the atom pass on root permutations, and nothing is stored."""
     y = system.product((1, 2, 1))
     with pytest.raises(ValueError, match="too large"):
         tw.bruhat_hecke(system, y)

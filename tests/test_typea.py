@@ -213,8 +213,21 @@ def test_tau_routes_agree():
 
 
 def test_sigma_conjecture_at_desk_scale():
-    report = ta.check_sigma_conjecture(n_max=5, k_max=3)
-    assert report["failures"] == []
+    # k_max=5 takes every pair of S5
+    for k_max, pairs in ((3, 366), (5, 477)):
+        report = ta.check_sigma_conjecture(n_max=5, k_max=k_max)
+        assert report["pairs_checked"] == pairs
+        assert report["failures"] == []
+
+
+def test_colored_down_sets_match_the_whole_order_goldens():
+    # node counts, summed down-set sizes and largest down-sets over tau of
+    # every permutation on 2, 4 and 6 vertices, as the build of the whole
+    # colored order on 2n <= 6 vertices gave them
+    for n, nodes, total, largest in ((1, 2, 3, 2), (2, 24, 106, 16), (3, 720, 13836, 258)):
+        betas = {ta.tau(w) for w in itertools.permutations(range(1, 2 * n + 1))}
+        sizes = [len(ta._colored_down(beta)) for beta in betas]
+        assert (len(betas), sum(sizes), max(sizes)) == (nodes, total, largest)
 
 
 def test_colored_structures_are_consistent():
