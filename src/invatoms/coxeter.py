@@ -2,9 +2,9 @@
 
 A system is built from a Coxeter matrix. Group elements are stored as
 permutations of the root index set: roots 0..P-1 are the positive roots
-in simple-root coordinates and root i+P is the negative of root i. This
-makes length, descents, and products cheap integer operations, with the
-floating point geometry confined to construction time.
+and root i+P is the negative of root i. This makes length, descents, and
+products cheap integer operations. The roots are found in exact integer
+arithmetic, so no rounding decides which roots are equal.
 
 Generators are numbered 1..rank everywhere in the public interface.
 """
@@ -18,7 +18,6 @@ from operator import itemgetter
 
 DEFAULT_ROOT_CAP = 10000
 ENUMERATION_CAP = 50000  # the largest |W| whose id table is built
-_DEDUP_DECIMALS = 9
 
 
 def closure(seed, neighbors):
@@ -31,17 +30,6 @@ def closure(seed, neighbors):
                 seen.add(v)
                 queue.append(v)
     return seen
-
-
-def _root_key(v):
-    return tuple(round(x, _DEDUP_DECIMALS) + 0.0 for x in v)
-
-
-def _reflect(row, v, s):
-    """The reflection s_s(v) = v - 2 B(alpha_s, v) alpha_s, given row = B(alpha_s, -)."""
-    w = list(v)
-    w[s] -= 2.0 * sum(b * x for b, x in zip(row, v))
-    return tuple(w)
 
 
 def _validate_matrix(matrix):
@@ -82,57 +70,78 @@ class CoxeterSystem:
         self._twist_perm_cache = {}
 
     def _build_roots(self):
-        n = self.rank
-        # an entry of 0 encodes an infinite bond
-        bform = tuple(tuple(-1.0 if m == 0 else -math.cos(math.pi / m) for m in row)
-                      for row in self.matrix)
-        self.bilinear_form = bform
+        """Number the positive roots by BFS from the simple roots, generators
+        tried in order, and store each generator's permutation of the roots.
 
-        roots = [tuple(float(i == j) for j in range(n)) for i in range(n)]
-        index = {_root_key(v): i for i, v in enumerate(roots)}
-        frontier = list(range(n))
-        while frontier:
-            nxt = []
-            for ri in frontier:
-                v = roots[ri]
-                for s in range(n):
-                    w = _reflect(bform[s], v, s)
-                    if w[s] < -1e-9:
-                        continue  # crossed to a negative root (only happens for v = alpha_s)
-                    k = _root_key(w)
-                    if k not in index:
-                        index[k] = len(roots)
-                        roots.append(w)
-                        nxt.append(index[k])
-                        if len(roots) > DEFAULT_ROOT_CAP:
+        The roots are rescaled so that s_i(alpha_j) = alpha_j + c alpha_i
+        with c in Z[phi], phi^2 = phi + 1; this acts on the roots as the
+        geometric representation does (Humphreys 5.3-5.4). A coordinate
+        a + b phi is the pair (a, b). A rank 2 component with a bond m of 7
+        or more labels its roots 0..m-1 from alpha_i to alpha_j instead:
+        s_i sends t to m - t and s_j sends t to m - 2 - t. A step by s leaves
+        the positive roots only at alpha_s.
+        """
+        n, bond = self.rank, self.matrix
+        # bond: (c of s_i(alpha_j), c of s_j(alpha_i)) for i < j, each c as a pair (a, b)
+        coeffs = {3: ((1, 0), (1, 0)), 4: ((1, 0), (2, 0)), 5: ((0, 1), (0, 1)),
+                  6: ((1, 0), (3, 0)), 0: ((2, 0), (2, 0))}
+
+        def bonded(i):
+            return [j for j in range(n) if bond[i][j] not in (1, 2)]
+
+        home, keys, step = [None] * n, [], []
+        for s in range(n):
+            if home[s] is None:
+                comp = sorted(closure(s, bonded))
+                if len(comp) > 2 and any(bond[i][j] > 6 for i in comp for j in comp):
+                    raise ValueError("infinite group: a bond of 7 or more in a component "
+                                     "of rank %d" % len(comp))
+                for i in comp:
+                    home[i] = comp
+            i, m = home[s][0], bond[home[s][0]][home[s][-1]]
+            if len(home[s]) == 2 and m not in coeffs:  # the key of root t is (i, t)
+                keys.append((i, 0 if s == i else m - 1))
+                step.append(lambda v, d=m if s == i else m - 2: (v[0], d - v[1]))
+                continue
+            keys.append(tuple((int(s == j), 0) for j in range(n)))
+            row = [(j, coeffs[bond[s][j]][s > j]) for j in bonded(s)]
+
+            def reflect(v, s=s, row=row):
+                a, b = -v[s][0], -v[s][1]
+                for j, (p, q) in row:  # add (p + q phi)(x + y phi)
+                    x, y = v[j]
+                    a += p * x + q * y
+                    b += p * y + q * (x + y)
+                return v[:s] + ((a, b),) + v[s + 1:]
+            step.append(reflect)
+
+        index = {v: s for s, v in enumerate(keys)}
+        comps = list(home)  # the component of each root
+        images = [[] for _ in range(n)]
+        reached = []  # (root, generator) that first reached roots n, n + 1, ...
+        for r, v in enumerate(keys):  # keys grows while the loop runs
+            for s in range(n):
+                j = r  # s fixes r, or r is alpha_s: patched below
+                if s != r and home[s] is comps[r]:
+                    w = step[s](v)
+                    j = index.get(w)
+                    if j is None:
+                        j = index[w] = len(keys)
+                        if j >= DEFAULT_ROOT_CAP:
                             raise ValueError("infinite group: root count exceeded cap %d"
                                              % DEFAULT_ROOT_CAP)
-            frontier = nxt
+                        keys.append(w)
+                        comps.append(comps[r])
+                        reached.append((r, s))
+                images[s].append(j)
 
-        p = len(roots)
-        self.num_positive = p
-        self.roots = roots
-        self._root_index = index
-        gens = []
-        for s in range(n):
-            perm = [0] * (2 * p)
-            for i in range(p):
-                perm[i] = s + p if i == s else self._root_id(_reflect(bform[s], roots[i], s))
-                perm[i + p] = (perm[i] + p) % (2 * p)
-            if any(perm[j] != i for i, j in enumerate(perm)):
-                raise ValueError("root construction failed: generator %d is not an "
-                                 "involution on the %d roots found" % (s + 1, 2 * p))
-            gens.append(tuple(perm))
-        self._gen_perms = gens
+        p = self.num_positive = len(keys)
+        for s, g in enumerate(images):
+            g[s] = s + p
+            g += [(j + p) % (2 * p) for j in g]
+        self._gen_perms = [tuple(g) for g in images]
+        self._reached = reached
         self.identity = tuple(range(2 * p))
-
-    def _root_id(self, v):
-        """The index of the positive root v; a miss means rounding split a root."""
-        got = self._root_index.get(_root_key(v))
-        if got is None:
-            raise ValueError("root construction failed: an image of a root is not among "
-                             "the %d positive roots found" % self.num_positive)
-        return got
 
     def generator(self, s):
         """The element s_i for i in 1..rank."""
@@ -174,8 +183,7 @@ class CoxeterSystem:
         return tuple(w[i] for i in self._gen_perms[s - 1])
 
     def left_mult(self, s, w):
-        g = self._gen_perms[s - 1]
-        return tuple(g[i] for i in w)
+        return itemgetter(*w)(self._gen_perms[s - 1])
 
     def reduced_word(self, w):
         """The lexicographically smallest reduced word for w.
@@ -375,18 +383,13 @@ class CoxeterSystem:
         key = normalize_twist(self, twist)
         got = cache.get(key)
         if got is None:
-            n = self.rank
-            p = self.num_positive
-            inv = [0] * n
-            for i, im in enumerate(key):
-                inv[im - 1] = i
-            rho = [0] * (2 * p)
-            for i in range(p):
-                v = self.roots[i]
-                j = self._root_id([v[inv[k]] for k in range(n)])
-                rho[i] = j
-                rho[i + p] = j + p
-            rho_inv = [0] * (2 * p)
+            # rho(alpha_s) = alpha_s*, and rho(g_s r) = g_s*(rho r) for the
+            # generator s and root r that first reached each further root
+            rho = [t - 1 for t in key]
+            for r, s in self._reached:
+                rho.append(self._gen_perms[key[s] - 1][rho[r]])
+            rho += [j + self.num_positive for j in rho]
+            rho_inv = [0] * len(rho)
             for i, j in enumerate(rho):
                 rho_inv[j] = i
             got = cache[key] = (tuple(rho), tuple(rho_inv))
@@ -625,9 +628,10 @@ def _cached_system(matrix, name):
 def build_system(spec):
     """Build a CoxeterSystem from a shorthand name, matrix text, or matrix.
 
-    Raises ValueError("infinite group ...") when the root system does not
-    close up within DEFAULT_ROOT_CAP positive roots, and ValueError("invalid
-    matrix ...") for malformed input.
+    Raises ValueError("infinite group ...") for a bond of 7 or more in a
+    component of rank 3 or more, or when the roots do not close up within
+    DEFAULT_ROOT_CAP positive roots, and ValueError("invalid matrix ...")
+    for malformed input.
     """
     name = None
     if isinstance(spec, str):

@@ -207,10 +207,22 @@ def test_element_keywords(capsys):
     assert "type A chain" in err
 
 
-def test_failed_root_construction_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "words", "--system", "I2(5000)", "--y", "1")
+def test_an_infinite_matrix_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "words", "--system", "rank 2\n1 0\n0 1", "--y", "1")
     assert code == 2
-    assert "root construction failed" in err
+    assert "infinite group" in err
+
+
+def test_a_large_dihedral_group_builds():
+    # in a child process, which frees the group's id table: 10^4 elements of
+    # 10^4 root indices each
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "invatoms.cli", "words", "--system", "I2(5000)", "--y", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"words": [[1]]}
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):

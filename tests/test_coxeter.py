@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -188,19 +189,74 @@ def test_infinite_group_is_rejected():
         cx.build_system([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
 
 
-@pytest.mark.parametrize("m", [3000, 5000])
-def test_large_dihedral_roots_build_or_fail_with_a_value_error(m):
-    # float rounding may split roots of I2(m) for large m: either the build is
-    # right or it says so, never a raw lookup error
-    try:
-        system = cx.build_system("I2(%d)" % m)
-    except ValueError as exc:
-        assert "root construction failed" in str(exc)
-        return
+@pytest.mark.parametrize("matrix", [
+    [[1, 3, 7], [3, 1, 2], [7, 2, 1]],  # a bond of 7 in rank 3
+    [[1, 4, 4], [4, 1, 4], [4, 4, 1]],  # the 4-4-4 triangle group
+    [[1, 0], [0, 1]],  # the infinite dihedral group
+])
+def test_more_infinite_groups_are_rejected(matrix):
+    with pytest.raises(ValueError, match="infinite group"):
+        cx.build_system(matrix)
+
+
+@pytest.mark.parametrize("m", [3000, 5000, 9000])
+def test_large_dihedral_roots_build_exactly(m):
+    system = cx.build_system("I2(%d)" % m)
     assert system.num_positive == m
     for s in (1, 2):
         g = system.generator(s)
         assert system.multiply(g, g) == system.identity
+    # s1 s2 is a rotation of order m: the lcm of its cycle lengths
+    st = system.multiply(system.generator(1), system.generator(2))
+    seen, cycles = set(), []
+    for i in range(len(st)):
+        if i not in seen:
+            cycle = cx.closure(i, lambda j: (st[j],))
+            seen |= cycle
+            cycles.append(len(cycle))
+    assert math.lcm(*cycles) == m
+
+
+# E6 with its generators renumbered: a custom matrix carries no degrees
+E6 = cx.coxeter_matrix_from_name("E6")
+E6_RELABELLED = [[E6[a][b] for b in (5, 3, 1, 0, 2, 4)] for a in (5, 3, 1, 0, 2, 4)]
+D4_BRANCH_FIRST = [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]]
+
+
+def test_a_relabelled_e6_matrix_has_the_roots_of_e6():
+    system = cx.build_system(E6_RELABELLED)
+    assert system.num_positive == 36
+    assert len(system.diagram_automorphisms()) == 2
+
+
+def _root_digest(system):
+    """A digest of the generators' root permutations and of the root
+    relabelling of every diagram automorphism."""
+    h = hashlib.sha256(repr(tuple(map(tuple, system._gen_perms))).encode())
+    for twist in system.diagram_automorphisms():
+        h.update(repr(tuple(map(tuple, system._twist_perms(twist)))).encode())
+    return h.hexdigest()[:16]
+
+
+# frozen from the float-coordinate root build that preceded the exact one
+ROOT_DIGESTS = {
+    "A1": "ed2a16f5add86688", "A2": "47fca9145adb2767", "A5": "fd91b8fdeb31ec4e",
+    "B2": "a31a9ac5a5d26998", "B3": "055fddcd6f3fa12c", "B5": "ee794206f7a9d143",
+    "C3": "055fddcd6f3fa12c", "D4": "230e753d8b804779", "D5": "4952869e64e16d64",
+    "E6": "8460a55a7ea2be46", "E7": "dd6b81c516394b80", "E8": "be561aecee03dece",
+    "F4": "bf2327818c2e7b57", "G2": "42867004ac61e0cb", "H3": "e2e0aaa980db1764",
+    "H4": "6230d902324a4ec6", "I2(5)": "2e806619975a4c75", "I2(8)": "e8ad800dfb591125",
+    "A1xA1": "4a44b52f7ed004bf", "A2xB2": "4688c03c685140bd", "D4xA2": "c13c856f4343bf9c",
+    "H3xI2(7)xA2": "cd75bbe3719ae640", "I2(7)xI2(12)": "28e3c21debaf3db0",
+    "I2(3000)": "dc6cf1143e663ed5",
+    "E6 relabelled": "ad0574d3baa6fbc0", "D4 branch first": "4b4cf100777b4d42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(DEGREES) | set(ROOT_DIGESTS)))
+def test_root_permutations_match_the_frozen_digests(name):
+    custom = {"E6 relabelled": E6_RELABELLED, "D4 branch first": D4_BRANCH_FIRST}
+    assert _root_digest(cx.build_system(custom.get(name, name))) == ROOT_DIGESTS[name]
 
 
 def test_numpy_integer_matrix_entries_are_accepted():
@@ -234,6 +290,8 @@ def test_named_systems_match_their_invariants(name):
     assert system.rank == len(degrees)
     assert system.num_positive == sum(d - 1 for d in degrees)
     for s in range(1, system.rank + 1):
+        g = system.generator(s)
+        assert system.multiply(g, g) == system.identity
         for t in range(s + 1, system.rank + 1):
             st = system.multiply(system.generator(s), system.generator(t))
             w = system.identity
