@@ -131,12 +131,11 @@ def theta_prefix(system, prefix, twist=None):
 
 def _fold_tables(system, u, twist):
     """The swap tables (see _tables) after a prefix folding to u, cached per
-    fold: u is the fold's id within the cap and its root permutation above it."""
+    fold: u is the fold's id among the twisted involutions (see tw._ids)."""
     cache = tw._caches(system, twist).setdefault("m_star", {})
     tables = cache.get(u)
     if tables is None:
-        ids = tw._ids(system, twist)
-        w = u if ids is None else ids.elements[u]
+        w = tw._ids(system, twist).elements[u]
         # theta(s) = (w s w^-1)* is the reflection in the twisted root
         # w(alpha_s): the generator t exactly when that root is +-alpha_t,
         # and simple roots come first in the root order
@@ -148,16 +147,6 @@ def _fold_tables(system, u, twist):
     return tables
 
 
-def _prefix_fold(system, twist):
-    """The fold of the empty prefix and the Demazure step by a letter: on ids
-    within the cap, on root permutations above it."""
-    ids = tw._ids(system, twist)
-    if ids is None:
-        return system.identity, lambda u, a: tw._dact(system, u, a, twist)
-    dact = ids.dact
-    return 0, lambda u, a: dact[u][a - 1]
-
-
 # -- involution braid relations --------------------------------------------------
 
 
@@ -166,11 +155,11 @@ def involution_braid_neighbors(system, word, twist=None):
     move function that the prefix classes are tested against."""
     twist = tw._twist_key(system, twist)
     word = tw._word(system, word)
-    u, step = _prefix_fold(system, twist)
-    out = []
+    ids = tw._ids(system, twist)
+    u, out = ids.root, []
     for j, a in enumerate(word):
         _swaps(word, j, _fold_tables(system, u, twist)[0], out)
-        u = step(u, a)
+        u = ids.dact[u][a - 1]
     return out
 
 
@@ -191,17 +180,16 @@ class _PrefixClasses:
 
     def __init__(self, system, twist):
         self.system, self.twist = system, twist
-        start, self.step = _prefix_fold(system, twist)
-        self.tables = tw._caches(system, twist).setdefault("m_star", {})
-        self.root = self._new(start, {})
+        ids = tw._ids(system, twist)
+        self.dact = ids.dact  # the Demazure step of a fold by a letter
+        self.root = self._new(ids.root, {})
         self.root.size = 1
         self.nodes = [self.root]
 
     def _new(self, fold, kids):
         node = _Node()
         node.fold, node.kids, node.pieces = fold, kids, []
-        tables = self.tables.get(fold) or _fold_tables(self.system, fold, self.twist)
-        node.swaps = tables[1]
+        node.swaps = _fold_tables(self.system, fold, self.twist)[1]
         return node
 
     def node(self, word):
@@ -227,7 +215,7 @@ class _PrefixClasses:
         return got
 
     def _build(self, node, a, extra):
-        fold = self.step(node.fold, a)
+        fold = self.dact[node.fold][a - 1]
         # the class of an involution word: every prefix is one too, and a
         # letter that rises from a shared node keeps the class shared
         shared = node.kids is not None and fold != node.fold
@@ -321,7 +309,7 @@ def empty_prefix_class(system, word, twist=None):
     """
     twist = tw._twist_key(system, twist)
     return _start_class(system, word, _fold_tables(
-        system, _prefix_fold(system, twist)[0], twist)[0])
+        system, tw._ids(system, twist).root, twist)[0])
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -420,51 +408,39 @@ def check_fc_atoms(system, twist=None):
     }
 
 
-def _chain_counts(system, twist):
-    """The number of ascent chains from the identity to each twisted
-    involution, keyed by its fold (id within the cap, element above it): a
-    sum over the steps down its right descents, shorter elements first."""
-    ids = tw._ids(system, twist)
-    if ids is not None:
-        count = {}
-        for x in ids.hat:  # id order: the steps down come first
-            count[x] = sum(map(count.__getitem__, ids.lower[x])) if x else 1
-        return count
-    p, count = system.num_positive, {}
-    for x in tw.enumerate_twisted(system, twist):  # (length, word) order
-        down = [tw._rtimes(system, x, s, twist) for s in range(1, system.rank + 1) if x[s - 1] >= p]
-        count[x] = sum(map(count.__getitem__, down)) if down else 1
-    return count
-
-
 def check_braid_classes(system, twist=None):
     """Check that the transforming-word rewriting moves span each word set.
 
-    For every twisted involution y the class of one involution word (the
-    lex-min reduced word of its first atom) must hold every involution word
-    of y and no other word. Nothing is listed: the class is y's node in the
-    DAG of prefix classes, whose paths from the root are its words, and the
-    involution words of y are the ascent chains from the identity to y. A
-    path counts as an involution word when each of its pieces rises; the
-    report counts the words of y the class misses and the words it holds
-    beyond them. Returns a JSON-ready report.
+    For every twisted involution y the class of its lex-min involution word
+    must hold every involution word of y and no other word. Nothing is
+    listed: the class is y's node in the DAG of prefix classes, whose paths
+    from the root are its words, and the involution words of y are the
+    ascent chains from the identity to y, counted shorter y first. All
+    chains to y have length hat(y), so the least one extends the least
+    chain of a step down. A path counts as an involution word when each of
+    its pieces rises; the report counts the words of y the class misses and
+    the words it holds beyond them. Returns a JSON-ready report.
     """
     twist = tw._twist_key(system, twist)
+    ids = tw._ids(system, twist)
     dag = _prefix_classes(system, twist)
-    nodes = [(y, dag.node(system.reduced_word(tw.atoms(system, y, twist=twist)[0])))
-             for y in tw.enumerate_twisted(system, twist)]
+    chains, least, nodes = {}, {}, []
+    for x in ids.order():
+        steps = ids.steps[x]
+        chains[x] = sum(chains[z] for _, z in steps) if steps else 1
+        least[x] = min((least[z] + (s + 1,) for s, z in steps), default=())
+        nodes.append((x, dag.node(least[x])))
     # the paths to each node whose pieces all rise; a node's pieces hang
     # from nodes made before it
-    step, rising = dag.step, {dag.root: 1}
+    dact, rising = ids.dact, {dag.root: 1}
     for n in dag.nodes[1:]:
-        rising[n] = sum(rising[p] for p, a in n.pieces if step(p.fold, a) == n.fold != p.fold)
-    chains = _chain_counts(system, twist)
+        rising[n] = sum(rising[p] for p, a in n.pieces if dact[p.fold][a - 1] == n.fold != p.fold)
     failures = []
-    for y, node in nodes:
-        good, want = rising[node], chains[node.fold]
+    for x, node in nodes:
+        good, want = rising[node], chains[x]
         if good != node.size or good != want:
             failures.append({
-                "x": list(system.reduced_word(y)),
+                "x": list(system.reduced_word(ids.elements[x])),
                 "missing": want - good,
                 "extra": node.size - good,
             })

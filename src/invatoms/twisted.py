@@ -65,16 +65,6 @@ def is_twisted_involution(system, w, twist=None):
     return system.apply_twist(w, twist) == system.inverse(w)
 
 
-def _check_member(system, w, twist):
-    """The id of w within the cap (None above it); ValueError unless w is a
-    twisted involution."""
-    ids = _ids(system, twist)
-    if ids is not None:
-        return ids.member(w)
-    if system.apply_twist(w, twist) != system.inverse(w):
-        raise ValueError(_NOT_MEMBER)
-
-
 _NOT_MEMBER = "element is not a twisted involution for this twist"
 
 
@@ -82,18 +72,23 @@ class _TwistedIds:
     """The twisted involutions of one twist as group ids, for a group within
     the cap.
 
-    ``dact[x]`` holds, for each generator s = 1..rank, the id of the
+    ``elements[x]`` is the element with id x and ``root`` the identity's
+    id. ``dact[x]`` holds, for each generator s = 1..rank, the id of the
     Demazure step of x by s (x itself on a right descent), ``lower[x]``
     the ids of the conjugation steps down the right descents of x, and
     ``steps[x]`` the same steps as (letter, id) pairs, letters from 0.
     ``hat[x]`` is the common length of the involution words of x, one more
     than that of the step down its first right descent; its keys run in id
-    order, i.e. (length, lex-min word) order.
+    order, i.e. (length, lex-min word) order. ``left[s]`` multiplies any
+    group id on the left by the letter s, from 0.
     """
+
+    root = 0
 
     def __init__(self, t, twist):
         self.elements, self.index = t.elements, t.index
         right, left, descents = t.right, t.left, t.descents
+        self.left = [row.__getitem__ for row in left]
         gens = [(s, twist[s] - 1) for s in range(len(right))]
         self.dact, self.lower, self.steps = dact, lower, steps = {}, {}, {}
 
@@ -125,16 +120,75 @@ class _TwistedIds:
         """The ids of the weak down-set of the twisted involution with id y."""
         return closure(y, self.lower.__getitem__)
 
+    def top_down(self, y):
+        """The down-set of y with y first and each id after those above it."""
+        return sorted(self.down(y), reverse=True)
+
+    def order(self):
+        """Every id in id order."""
+        return self.hat.keys()
+
+
+class _Computed:
+    """A mapping whose entries are computed at each lookup and never stored."""
+
+    def __init__(self, get):
+        self.get = get
+
+    def __getitem__(self, key):
+        return self.get(key)
+
+
+class _TwistedPerms:
+    """The interface of _TwistedIds on root permutations, for a group above
+    the cap: an element is its own id, and the entries of ``elements``,
+    ``steps``, ``lower``, ``dact`` and ``hat`` are computed at each lookup
+    as lists (freed small tuples stay on CPython's free lists and raise the
+    peak). Only ``order`` keeps its closure, once per twist."""
+
+    def __init__(self, system, twist):
+        self.system, self.twist, self.root = system, twist, system.identity
+        letters, p = range(system.rank), system.num_positive
+        self.left = [partial(system.left_mult, s + 1) for s in letters]
+
+        def steps(z):
+            return [(s, _rtimes(system, z, s + 1, twist)) for s in letters if z[s] >= p]
+
+        def hat(z):  # one more than the step down the first right descent
+            return hat(steps(z)[0][1]) + 1 if z != self.root else 0
+
+        self.elements, self.steps, self.hat = _Computed(lambda z: z), _Computed(steps), _Computed(hat)
+        self.lower = _Computed(lambda z: [y for _, y in steps(z)])
+        self.dact = _Computed(lambda z: [_dact(system, z, s + 1, twist) for s in letters])
+
+    def member(self, w):
+        """w itself; ValueError unless it is a twisted involution."""
+        if self.system.apply_twist(w, self.twist) != self.system.inverse(w):
+            raise ValueError(_NOT_MEMBER)
+        return w
+
+    down = _TwistedIds.down
+
+    def top_down(self, y):
+        return sorted(self.down(y), key=self.system.length, reverse=True)
+
+    def order(self):
+        """Every twisted involution in (length, lex-min word) order."""
+        cache = _caches(self.system, self.twist)
+        if "all" not in cache:
+            cache["all"] = tuple(_by_word(self.system, closure(self.root, self.dact.__getitem__)))
+        return cache["all"]
+
 
 def _ids(system, twist):
-    """The twisted involutions of the twist as ids (built once per twist);
-    None above the cap."""
+    """The twisted involutions of the twist: as ids within the cap (built
+    once per twist), as root permutations above it (built per call)."""
     cache = _caches(system, twist)
     ids = cache.get("ids")
     if ids is None:
         t = system.id_table()
         if t is None:
-            return None
+            return _TwistedPerms(system, twist)
         ids = cache["ids"] = _TwistedIds(t, twist)
     return ids
 
@@ -198,18 +252,11 @@ def dact_element_via_demazure(system, x, w, twist=None):
 
 def enumerate_twisted(system, twist=None):
     """All twisted involutions in (length, word) order: the closure of the
-    identity under the conjugation step. Within the cap this is the id
-    closure in id order; above it, a cached closure on root permutations."""
+    identity under the conjugation step, read off the id closure within the
+    cap and kept per twist above it."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
-    if ids is not None:
-        return tuple(map(ids.elements.__getitem__, ids.hat))
-    cache = _caches(system, twist)
-    if "all" not in cache:
-        steps = range(1, system.rank + 1)
-        cache["all"] = tuple(_by_word(system, closure(
-            system.identity, lambda x: [_rtimes(system, x, s, twist) for s in steps])))
-    return cache["all"]
+    return tuple(map(ids.elements.__getitem__, ids.order()))
 
 
 def hat_length(system, x, twist=None):
@@ -217,38 +264,14 @@ def hat_length(system, x, twist=None):
     else found by stripping right descents without enumerating the group."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
-    if ids is not None:
-        return ids.hat[ids.member(x)]
-    _check_member(system, x, twist)
-    n = 0
-    p = system.num_positive
-    while x != system.identity:
-        s = next(i + 1 for i in range(system.rank) if x[i] >= p)
-        x = _rtimes(system, x, s, twist)
-        n += 1
-    return n
+    return ids.hat[ids.member(x)]
 
 
 def weak_leq_T(system, x, y, twist=None):
     """Weak order on twisted involutions: is x below y (downward closure from y)."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
-    if ids is not None:
-        return ids.member(x) in ids.down(ids.member(y))
-    _check_member(system, x, twist)
-    _check_member(system, y, twist)
-    return x in _down_set(system, y, twist)
-
-
-def _down_set(system, y, twist):
-    """The weak down-set of y as elements: read off the id closure within the
-    cap, folded on root permutations above it."""
-    ids = _ids(system, twist)
-    if ids is not None:
-        return {ids.elements[x] for x in ids.down(ids.member(y))}
-    p = system.num_positive
-    steps = range(1, system.rank + 1)
-    return closure(y, lambda z: [_rtimes(system, z, s, twist) for s in steps if z[s - 1] >= p])
+    return ids.member(x) in ids.down(ids.member(y))
 
 
 def hecke_table(system, base, twist=None):
@@ -266,8 +289,9 @@ def hecke_table(system, base, twist=None):
     if got is not None:
         return got
     t = _id_table(system)
-    dact, right, first = _ids(system, twist).dact, t.right, t.first_descent
-    images = [_check_member(system, base, twist)] * len(t.elements)
+    ids = _ids(system, twist)
+    dact, right, first = ids.dact, t.right, t.first_descent
+    images = [ids.member(base)] * len(t.elements)
     for w in range(1, len(images)):
         s = first[w]
         images[w] = dact[images[right[s][w]]][s]
@@ -283,7 +307,7 @@ def hecke_atoms(system, y, x=None, twist=None):
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
-    _check_member(system, y, twist)
+    _ids(system, twist).member(y)
     return hecke_table(system, x, twist).get(y, ())
 
 
@@ -292,23 +316,16 @@ def atoms(system, y, x=None, twist=None):
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
-    _check_member(system, x, twist)
-    _check_member(system, y, twist)
+    ids = _ids(system, twist)
+    xi, yi = ids.member(x), ids.member(y)
     t = system.id_table()
     if t is not None:
         hk = map(t.index.__getitem__, hecke_table(system, x, twist).get(y, ()))
         return tuple(t.elements[w] for w in _first_run(t, hk))
     # above the cap: the atom pass on root permutations, down to x
-    p, letters = system.num_positive, range(system.rank)
-
-    def steps(z):
-        return [(s, _rtimes(system, z, s + 1, twist)) for s in letters if z[s] >= p]
-
-    down = sorted(_down_set(system, y, twist), key=system.length, reverse=True)
-    left = [partial(system.left_mult, s + 1) for s in letters]
-    for z, us in _atom_pass(down, steps, left, system.identity):
-        if z == x:
-            return tuple(_by_word(system, us))
+    for z, us in _atom_pass(ids.top_down(yi), ids.steps.__getitem__, ids.left, ids.root):
+        if z == xi:
+            return tuple(_by_word(system, map(ids.elements.__getitem__, us)))
     return ()
 
 
@@ -414,8 +431,8 @@ def _bruhat_scan(system, y, x, twist):
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
-    x = _check_member(system, x, twist)
-    y = _check_member(system, y, twist)
+    ids = _ids(system, twist)
+    x, y = ids.member(x), ids.member(y)
     t = _id_table(system)
     return t, _hits(t, _star_row(t, y, twist), y, x)
 
@@ -451,13 +468,12 @@ def check_conjecture(system, twist=None, ys=None):
     t = _id_table(system)
     ids = _ids(system, twist)
     word, steps = t.word, ids.steps.__getitem__
-    left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
-    for y in ids.hat if ys is None else [ids.member(v) for v in ys]:
+    for y in ids.order() if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
         wrong = []
-        for x, us in _atom_pass(sorted(ids.down(y), reverse=True), steps, left, 0):
+        for x, us in _atom_pass(ids.top_down(y), steps, ids.left, ids.root):
             pairs += 1
             expected = sorted(us)
             got = next(_hits(t, row, y, x), [])
@@ -552,8 +568,9 @@ def check_duality(system, v0, twist=None):
                 failures.append(
                     {"check": "hat-length", "x": list(system.reduced_word(x))}
                 )
+        dia = _ids(system, diamond)
         for y in i_diam:
-            for x in _down_set(system, y, diamond):
+            for x in map(dia.elements.__getitem__, dia.down(dia.member(y))):
                 checks += 1
                 wx = system.multiply(v0, x)
                 wy = system.multiply(v0, y)

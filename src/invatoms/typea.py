@@ -14,7 +14,7 @@ of atoms of an involution in the symmetric group.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, permutations
 from operator import itemgetter
 
 from .coxeter import closure
@@ -612,14 +612,20 @@ def is_atom_colored(w, x, y):
     return True
 
 
+def _sigma_test(x, y):
+    """sigma_conjecture_holds(w, x, y) as a predicate on w: the cycles of y,
+    Gamma(x) and the colored involutions below sigma of those cycles are
+    read once."""
+    cycles, gam = cyc(y), gamma_set(x)
+    below = _colored_down(sigma(*cycles))
+    return lambda w: (all(_pair_image(w, g) in gam for g in cycles)
+                      and sigma(*(_pair_image(w, g) for g in cycles)) in below)
+
+
 def sigma_conjecture_holds(w, x, y):
     """The single-comparison form of the pattern test: cycle images in order,
     one colored comparison across all cycles of y at once."""
-    cycles = cyc(y)
-    gam = gamma_set(x)
-    if any(_pair_image(w, g) not in gam for g in cycles):
-        return False
-    return prec_leq(sigma(*(_pair_image(w, g) for g in cycles)), sigma(*cycles))
+    return _sigma_test(x, y)(w)
 
 
 def check_sigma_conjecture(n_max=5, k_max=3):
@@ -629,9 +635,7 @@ def check_sigma_conjecture(n_max=5, k_max=3):
     failures = []
     for n in range(1, n_max + 1):
         univ = sorted(enumerate_involutions(n))
-        from itertools import permutations as iperm
-
-        perms = list(iperm(range(1, n + 1)))
+        perms = list(permutations(range(1, n + 1)))
         for y in univ:
             if len(cyc(y)) > k_max:
                 continue
@@ -640,8 +644,9 @@ def check_sigma_conjecture(n_max=5, k_max=3):
                     continue
                 truth = set(atoms_perm(y, x))
                 pairs += 1
+                holds = _sigma_test(x, y)
                 for w in perms:
-                    if sigma_conjecture_holds(w, x, y) != (w in truth):
+                    if holds(w) != (w in truth):
                         failures.append({"n": n, "x": x, "y": y, "w": w})
     return {"system": "symmetric groups up to S_%d" % n_max,
             "pairs_checked": pairs, "failures": failures}

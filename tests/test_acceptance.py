@@ -1,10 +1,11 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4 and D5) and 11, the
-single colored comparison at n=6 with four cycles, and a cold-start gate on
-the cap decision for a bare E6 matrix, run when INVATOMS_EXTENDED is set in
-the environment.
+criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4, D5, H4, and E6
+with both twists above the enumeration cap) and 11, the single colored
+comparison at n=6 with four cycles, and a cold-start gate on the cap
+decision for a bare E6 matrix, run when INVATOMS_EXTENDED is set in the
+environment.
 """
 
 import itertools
@@ -282,6 +283,20 @@ def test_criterion_10_extended_rewriting_moves_span_h4_word_sets():
     _report(10, ok, "extended H4 identity twist, %.1fs" % elapsed)
 
 
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the E6 braid classes")
+def test_criterion_10_extended_rewriting_moves_span_e6_word_sets():
+    # E6 is above the enumeration cap: its classes fold on root permutations
+    system = cx.build_system("E6")
+    assert system.id_table() is None
+    ok = True
+    for twist in (None, (6, 2, 5, 4, 3, 1)):
+        t0 = time.time()
+        report = br.check_braid_classes(system, twist)
+        elapsed = time.time() - t0
+        ok &= report["pairs_checked"] == 892 and report["failures"] == [] and elapsed < 1.2
+        _report(10, ok, "extended E6 twist %s, %.2fs" % (twist or "id", elapsed))
+
+
 def test_criterion_11_initial_move_closures():
     t0 = time.time()
     ok = True
@@ -406,7 +421,7 @@ def test_extended_single_colored_comparison_at_n6_with_four_cycles():
     print("single colored comparison, n<=6, k<=4: %d pairs, %d failures, %.1fs"
           % (report["pairs_checked"], len(report["failures"]), elapsed))
     assert report["pairs_checked"] == 3443 and report["failures"] == []
-    assert elapsed < 40
+    assert elapsed < 11
 
 
 @pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the E6 cap decision")

@@ -118,12 +118,31 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
         assert (br.involution_braid_class(slow, word, twist)
                 == br.involution_braid_class(fast, word, twist))
     assert unrelated
-    # the chain counts run on elements instead of ids
+    # the chain counts and least chains run on elements instead of ids
     assert br.check_braid_classes(slow, twist) == br.check_braid_classes(fast, twist)
     # both routes reject an element that is not a twisted involution
     for system in (fast, slow):
         with pytest.raises(ValueError, match="not a twisted involution"):
             tw.hat_length(system, system.product((1, 2)), twist)
+
+
+@pytest.mark.parametrize("name, twist, duality_checks", [
+    ("B3", None, 333), ("A3", (3, 2, 1), 123), ("H3", None, 751)])
+def test_the_checkers_above_the_cap_match_the_id_route(monkeypatch, name, twist, duality_checks):
+    def reports(system):
+        return [tw.check_duality(system, system.longest_element(), twist),
+                br.check_fc_atoms(system, twist)]
+
+    fast = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    within = reports(fast)
+    assert within[0]["pairs_checked"] == duality_checks
+    assert within[0]["failures"] == []
+    # the twist of A3 swaps the commuting s1 and s3, so lone atoms fail there
+    assert (within[1]["failures"] == []) == within[1]["hypothesis_ok"]
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 10)  # A3 has order 24
+    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert slow.id_table() is None
+    assert reports(slow) == within
 
 
 def _neighbor_closure(system, word, twist):

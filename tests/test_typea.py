@@ -220,6 +220,24 @@ def test_sigma_conjecture_at_desk_scale():
         assert report["failures"] == []
 
 
+def test_sigma_test_matches_the_per_w_comparison():
+    # the single comparison written out for one w at a time, through prec_leq
+    def holds(w, x, y):
+        images = [(w[a - 1], w[b - 1]) for a, b in ta.cyc(y)]
+        return (all(g in ta.gamma_set(x) for g in images)
+                and ta.prec_leq(ta.sigma(*images), ta.sigma(*ta.cyc(y))))
+
+    involutions = sorted(ta.enumerate_involutions(4))
+    true = 0
+    for x in involutions:
+        for y in involutions:
+            for w in itertools.permutations(range(1, 5)):
+                got = ta.sigma_conjecture_holds(w, x, y)
+                assert got == holds(w, x, y)
+                true += got
+    assert true
+
+
 def test_colored_down_sets_match_the_whole_order_goldens():
     # node counts, summed down-set sizes and largest down-sets over tau of
     # every permutation on 2, 4 and 6 vertices, as the build of the whole
