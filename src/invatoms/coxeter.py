@@ -140,6 +140,8 @@ class CoxeterSystem:
             g[s] = s + p
             g += [(j + p) % (2 * p) for j in g]
         self._gen_perms = [tuple(g) for g in images]
+        # _times[s-1](w) is w s; 2p >= 2 indices, so each getter returns a tuple
+        self._times = [itemgetter(*g) for g in images]
         self._reached = reached
         self.identity = tuple(range(2 * p))
 
@@ -180,7 +182,7 @@ class CoxeterSystem:
         return tuple(s + 1 for s in range(self.rank) if w[s] >= p)
 
     def right_mult(self, w, s):
-        return tuple(w[i] for i in self._gen_perms[s - 1])
+        return self._times[s - 1](w)
 
     def left_mult(self, s, w):
         return itemgetter(*w)(self._gen_perms[s - 1])
@@ -311,7 +313,7 @@ class CoxeterSystem:
                     found.append((i, s))
                 right[s].append(j)
         order = [self.identity]
-        times = [itemgetter(*g) for g in gens]  # times[s](w) is w s
+        times = self._times
         for i, s in found:
             order.append(times[s](order[i]))
         self._elements = tuple(order)
@@ -416,8 +418,7 @@ class ElementTable:
       right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
     - ``start[k]`` is the first id of length k, and ``start[-1]`` is |W|;
     - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
-    - ``word[i]`` is the lex-min reduced word of w;
-    - ``twisted(twist)[i]`` is the id of the twisted image of w.
+    - ``word[i]`` is the lex-min reduced word of w.
 
     All are derived on ids from the right products that the key BFS of
     ``CoxeterSystem._enumerate`` records; s is a descent exactly when the
@@ -446,19 +447,6 @@ class ElementTable:
             word[i] = (s + 1,) + word[left[s][i]]
         # lengths run 0, 1, ..., l(w0) in id order with none skipped
         self.start = [0] + [i for i in range(1, n) if length[i] > length[i - 1]] + [n]
-        self._twisted = {}
-
-    def twisted(self, twist):
-        """Ids of the twisted images, for a normalized twist: w* = (ws)* s*."""
-        got = self._twisted.get(twist)
-        if got is None:
-            right, first = self.right, self.first_descent
-            got = [0] * len(self.elements)
-            for i in range(1, len(got)):
-                s = first[i]
-                got[i] = right[twist[s] - 1][got[right[s][i]]]
-            self._twisted[twist] = got
-        return got
 
     def bruhat_leq(self, u, w):
         """Bruhat order on ids, by the lifting property: at most l(w) steps."""

@@ -347,9 +347,11 @@ def involution_words(system, y, x=None, twist=None):
 #
 # The Bruhat oracle scans the ids w for w* y <= x w in Bruhat order. It reads
 # only the id tables and the twist, never atoms, Hecke fibers or hat lengths,
-# so it stays an independent check of them. Two general facts make it cheaper:
-# the left side w* y does not depend on x, so one row of it serves every x
-# below y; and w* y <= x w forces l(y) - l(w) <= l(w* y) <= l(x w) <= l(x) + l(w),
+# so it stays an independent check of them. Three general facts make it
+# cheaper: the left side w* y does not depend on x, so one row of it serves
+# every x below y; w = s w' with l(w') = l(w) - 1 gives w* y = s* (w'* y), so
+# each length of the row is one left multiplication of the length below it;
+# and w* y <= x w forces l(y) - l(w) <= l(w* y) <= l(x w) <= l(x) + l(w),
 # so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit. The scan
 # runs one length at a time, so the sweep stops at the first length with a hit.
 
@@ -377,21 +379,24 @@ def _atom_pass(down, steps, left, e):
 
 def _star_row(t, y, twist):
     """The row of w* y for the id y, as a function of k giving the ids of
-    w* y for the ids w of length k. Each length is built once, when a scan
-    first reaches it: the twisted ids multiplied on the right by the letters
-    of the lex-min word of y."""
-    star, start = t.twisted(twist), t.start
-    by_y = [t.right[s - 1] for s in t.word[y]]
-    levels = {}
+    w* y for the ids w of length k, in id order. A scan that first reaches
+    length k builds it and every shorter length not yet built, each from the
+    length below it: if the lex-min word of w starts with s and w' = s w,
+    then w* y = s* (w'* y), one left multiplication per entry."""
+    left, word, start = t.left, t.word, t.start
+    # heads[s] = (the ids of s w, the ids of s* v), each indexed by the id
+    heads = [(left[s], left[twist[s] - 1]) for s in range(len(left))]
+    levels = [[y]]
 
     def level(k):
-        got = levels.get(k)
-        if got is None:
-            got = star[start[k]:start[k + 1]]
-            for r in by_y:
-                got = list(map(r.__getitem__, got))
-            levels[k] = got
-        return got
+        while len(levels) <= k:
+            n = len(levels)
+            below, off, got = levels[-1], start[n - 1], []
+            for w in range(start[n], start[n + 1]):
+                down, up = heads[word[w][0] - 1]
+                got.append(up[below[down[w] - off]])
+            levels.append(got)
+        return levels[k]
 
     return level
 

@@ -227,7 +227,7 @@ def test_criterion_08_extended_conjecture_sweep_h4():
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     pairs, failures, elapsed, mb = json.loads(proc.stdout)
-    ok = pairs == 61166 and failures == 0 and elapsed < 30 and mb < 45
+    ok = pairs == 61166 and failures == 0 and elapsed < 20 and mb < 45
     _report(8, ok, "extended H4 identity twist, %d failures, %.1fs, peak RSS %.0f MB"
             % (failures, elapsed, mb))
 

@@ -232,6 +232,23 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     assert on_floor
 
 
+@pytest.mark.parametrize("name, twist", [("F4", (4, 3, 2, 1)), ("A5", (5, 4, 3, 2, 1)),
+                                         ("I2(8)", (2, 1))])
+def test_star_rows_are_the_twisted_products(name, twist):
+    # each length of the row of y, built from the length below it, against
+    # w* y from apply_twist and multiply; lengths asked for out of order
+    system = cx.build_system(name)
+    t = system.id_table()
+    elements, index = t.elements, t.index
+    star = [system.apply_twist(w, twist) for w in elements]
+    top = len(t.start) - 2
+    for y in tw._ids(system, twist).order():
+        row = tw._star_row(t, y, twist)
+        for k in [top // 2] + list(range(top + 1)):
+            ws = range(t.start[k], t.start[k + 1])
+            assert row(k) == [index[system.multiply(star[w], elements[y])] for w in ws]
+
+
 def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     # drop the single atom of the running example from the sweep's atom pass,
     # so the pair expects no atoms while the scan still finds s3
