@@ -16,7 +16,7 @@ from collections import deque
 from functools import lru_cache
 from operator import itemgetter
 
-DEFAULT_ROOT_CAP = 10000
+DEFAULT_ROOT_CAP = 10000  # the most positive roots a system may have: a memory bound
 ENUMERATION_CAP = 50000  # the largest |W| whose id table is built
 
 
@@ -56,6 +56,47 @@ def _validate_matrix(matrix):
     return tuple(tuple(int(v) for v in row) for row in m)
 
 
+# the degrees of F4, H3, H4 by the bonds along the path, and of E6-E8 by the arm lengths
+_EXCEPTIONAL = {(3, 4, 3): (2, 6, 8, 12), (3, 5): (2, 6, 10), (3, 3, 5): (2, 12, 20, 30),
+                (1, 2, 2): (2, 5, 6, 8, 9, 12), (1, 2, 3): (2, 6, 8, 10, 12, 14, 18),
+                (1, 2, 4): (2, 8, 12, 14, 18, 20, 24, 30)}
+
+
+def _component_degrees(matrix, comp):
+    """The degrees of the Coxeter group on comp, a connected component of
+    the Coxeter graph, read off the classification of the finite ones
+    (Humphreys 2.4-2.7 and 3.7); ValueError("infinite group ...") otherwise."""
+    n = len(comp)
+    nbrs = {i: [j for j in comp if matrix[i][j] not in (1, 2)] for i in comp}
+    bonds = sorted(matrix[i][j] for i in comp for j in nbrs[i] if i < j)
+    if n <= 2 and 0 not in bonds:
+        return (2,) + tuple(bonds)  # A1, or I2(m)
+    key = None
+    # rank 3 or more: only trees with bonds 3, 4 and 5 can be finite
+    if n > 2 and len(bonds) == n - 1 and bonds[0] >= 3 and bonds[-1] <= 5:
+        branch = [i for i in comp if len(nbrs[i]) > 2]
+        if not branch:  # a path: its bonds from the end that gives the smaller tuple
+            walk = [next(i for i in comp if len(nbrs[i]) == 1)]
+            while len(walk) < n:
+                walk.append(next(j for j in nbrs[walk[-1]] if j not in walk[-2:]))
+            path = tuple(matrix[i][j] for i, j in zip(walk, walk[1:]))
+            key = min(path, path[::-1])
+            if key == (3,) * (n - 1):
+                return tuple(range(2, n + 2))  # A_n
+            if key == (3,) * (n - 2) + (4,):
+                return tuple(range(2, 2 * n + 1, 2))  # B_n
+        elif len(branch) == 1 and len(nbrs[branch[0]]) == 3 and bonds[-1] == 3:
+            c = branch[0]
+            key = tuple(sorted(len(closure(j, lambda v: [u for u in nbrs[v] if u != c]))
+                               for j in nbrs[c]))
+            if key[1] == 1:
+                return tuple(range(2, 2 * n - 1, 2)) + (n,)  # D_n
+    if key in _EXCEPTIONAL:
+        return _EXCEPTIONAL[key]
+    raise ValueError("infinite group: the Coxeter graph on generators %s is not of finite type"
+                     % ", ".join(str(i + 1) for i in comp))
+
+
 class CoxeterSystem:
     """A finite Coxeter group together with its root permutation tables."""
 
@@ -84,18 +125,16 @@ class CoxeterSystem:
         n, bond = self.rank, self.matrix
         # bond: (c of s_i(alpha_j), c of s_j(alpha_i)) for i < j, each c as a pair (a, b)
         coeffs = {3: ((1, 0), (1, 0)), 4: ((1, 0), (2, 0)), 5: ((0, 1), (0, 1)),
-                  6: ((1, 0), (3, 0)), 0: ((2, 0), (2, 0))}
+                  6: ((1, 0), (3, 0))}
 
         def bonded(i):
             return [j for j in range(n) if bond[i][j] not in (1, 2)]
 
-        home, keys, step = [None] * n, [], []
+        home, keys, step, degrees = [None] * n, [], [], []
         for s in range(n):
             if home[s] is None:
                 comp = sorted(closure(s, bonded))
-                if len(comp) > 2 and any(bond[i][j] > 6 for i in comp for j in comp):
-                    raise ValueError("infinite group: a bond of 7 or more in a component "
-                                     "of rank %d" % len(comp))
+                degrees += _component_degrees(bond, comp)  # raises if infinite
                 for i in comp:
                     home[i] = comp
             i, m = home[s][0], bond[home[s][0]][home[s][-1]]
@@ -115,6 +154,11 @@ class CoxeterSystem:
                 return v[:s] + ((a, b),) + v[s + 1:]
             step.append(reflect)
 
+        self.degrees = tuple(degrees)
+        want = sum(d - 1 for d in degrees)  # |Phi+| (Humphreys 3.9), checked below
+        if want > DEFAULT_ROOT_CAP:
+            raise ValueError("group too large: %d positive roots, more than DEFAULT_ROOT_CAP (%d)"
+                             % (want, DEFAULT_ROOT_CAP))
         index = {v: s for s, v in enumerate(keys)}
         comps = list(home)  # the component of each root
         images = [[] for _ in range(n)]
@@ -127,15 +171,15 @@ class CoxeterSystem:
                     j = index.get(w)
                     if j is None:
                         j = index[w] = len(keys)
-                        if j >= DEFAULT_ROOT_CAP:
-                            raise ValueError("infinite group: root count exceeded cap %d"
-                                             % DEFAULT_ROOT_CAP)
                         keys.append(w)
                         comps.append(comps[r])
                         reached.append((r, s))
                 images[s].append(j)
 
         p = self.num_positive = len(keys)
+        if p != want:
+            raise ValueError("root construction failed: %s has %d positive roots, not %d"
+                             % (self.name or "the matrix", p, want))
         for s, g in enumerate(images):
             g[s] = s + p
             g += [(j + p) % (2 * p) for j in g]
@@ -182,10 +226,12 @@ class CoxeterSystem:
         return tuple(s + 1 for s in range(self.rank) if w[s] >= p)
 
     def right_mult(self, w, s):
-        return self._times[s - 1](w)
+        if 0 < s <= self.rank:
+            return self._times[s - 1](w)
+        raise ValueError("generator index out of range: %r" % (s,))
 
     def left_mult(self, s, w):
-        return itemgetter(*w)(self._gen_perms[s - 1])
+        return itemgetter(*w)(self.generator(s))
 
     def reduced_word(self, w):
         """The lexicographically smallest reduced word for w.
@@ -274,17 +320,17 @@ class CoxeterSystem:
     def elements(self):
         """All group elements in BFS order, i.e. (length, lex-min word) order (cached)."""
         if self._elements is None:
-            self._enumerate(None)
+            self._enumerate()
         return self._elements
 
     def order(self):
-        return len(self.elements())
+        """|W|, the product of the degrees (Humphreys 3.9); enumerates nothing."""
+        return math.prod(self.degrees)
 
-    def _enumerate(self, limit):
+    def _enumerate(self):
         """BFS over right multiplication from the identity, generators tried
         in order, first discovery kept. Stores elements(), their ids and the
-        ids ``_right[s-1][i]`` of the right products and returns True, or
-        returns False once more than limit turn up.
+        ids ``_right[s-1][i]`` of the right products.
 
         The BFS runs on keys: key(w) is the tuple of root indices
         (w^-1(alpha_s))_s, which fixes w, so the ids and right tables are
@@ -307,8 +353,6 @@ class CoxeterSystem:
                 j = seen.get(ks)
                 if j is None:
                     j = seen[ks] = len(keys)
-                    if limit is not None and j >= limit:
-                        return False
                     keys.append(ks)
                     found.append((i, s))
                 right[s].append(j)
@@ -319,25 +363,12 @@ class CoxeterSystem:
         self._elements = tuple(order)
         self._element_index = dict(zip(order, range(len(order))))
         self._right = right
-        return True
 
     def id_table(self):
-        """The integer-id tables of the whole group, or None when |W| exceeds
-        ENUMERATION_CAP.
-
-        Decided once per system. A named type is too large when the product
-        of its degrees, which is |W| (Humphreys 3.9), exceeds the cap; that
-        takes no enumeration. Otherwise, unless elements() already ran,
-        deciding enumerates at most ENUMERATION_CAP + 1 elements.
-        """
+        """The integer-id tables of the whole group, or None when order()
+        exceeds ENUMERATION_CAP. Decided once per system."""
         if self._id_table is None:
-            if self._elements is not None:
-                small = len(self._elements) <= ENUMERATION_CAP
-            elif self.name is not None and math.prod(_degrees(self.name)) > ENUMERATION_CAP:
-                small = False
-            else:
-                small = self._enumerate(ENUMERATION_CAP)
-            self._id_table = small and ElementTable(self)
+            self._id_table = self.order() <= ENUMERATION_CAP and ElementTable(self)
         return self._id_table or None
 
     def longest_element(self, J=None):
@@ -577,49 +608,19 @@ def parse_matrix_text(text):
     return rows
 
 
-def _degrees(name):
-    """The degrees of the basic invariants of a named type (Humphreys,
-    Reflection Groups and Coxeter Groups, section 3.7); the name is one that
-    coxeter_matrix_from_name accepts."""
-    name = name.strip()
-    if "x" in name:
-        return tuple(d for part in name.split("x") for d in _degrees(part))
-    if name.startswith("I2("):
-        return (2, int(name[3:-1]))
-    family, n = name[0].upper(), int(name[1:])
-    if family == "A":
-        return tuple(range(2, n + 2))
-    if family in ("B", "C"):
-        return tuple(range(2, 2 * n + 1, 2))
-    if family == "D":
-        return tuple(range(2, 2 * n - 1, 2)) + (n,)
-    return {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
-            "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
-            "H2": (2, 5), "H3": (2, 6, 10), "H4": (2, 12, 20, 30)}[family + str(n)]
-
-
 SYSTEM_CACHE_SIZE = 16  # systems kept by build_system, least recently used dropped
 
 
-@lru_cache(maxsize=SYSTEM_CACHE_SIZE)
-def _cached_system(matrix, name):
-    system = CoxeterSystem(matrix, name=name)
-    if name is not None:
-        # |Phi+| is the sum of d - 1 over the degrees
-        want = sum(d - 1 for d in _degrees(name))
-        if system.num_positive != want:
-            raise ValueError("root construction failed: %s has %d positive roots, not %d"
-                             % (name, system.num_positive, want))
-    return system
+_cached_system = lru_cache(maxsize=SYSTEM_CACHE_SIZE)(CoxeterSystem)
 
 
 def build_system(spec):
     """Build a CoxeterSystem from a shorthand name, matrix text, or matrix.
 
-    Raises ValueError("infinite group ...") for a bond of 7 or more in a
-    component of rank 3 or more, or when the roots do not close up within
-    DEFAULT_ROOT_CAP positive roots, and ValueError("invalid matrix ...")
-    for malformed input.
+    Raises ValueError("infinite group ...") when a component of the Coxeter
+    graph is not on the finite list, ValueError("group too large ...") for
+    more than DEFAULT_ROOT_CAP positive roots, and ValueError("invalid
+    matrix ...") for malformed input.
     """
     name = None
     if isinstance(spec, str):

@@ -213,6 +213,12 @@ def test_an_infinite_matrix_is_a_usage_error(capsys):
     assert "infinite group" in err
 
 
+def test_a_group_past_the_root_cap_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "words", "--system", "I2(10001)", "--y", "1")
+    assert code == 2
+    assert "too large" in err
+
+
 def test_a_large_dihedral_group_builds():
     # in a child process, which frees the group's id table: 10^4 elements of
     # 10^4 root indices each

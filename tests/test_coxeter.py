@@ -309,21 +309,74 @@ def test_named_systems_match_their_invariants(name):
             assert w == system.identity
     order = math.prod(degrees)
     if order <= cx.ENUMERATION_CAP:  # E6, E7 and E8 are above it
-        assert system.order() == order
+        assert len(system.elements()) == order
 
 
 @pytest.mark.parametrize("name", sorted(DEGREES))
 def test_build_system_uses_the_degrees_of_the_named_type(name):
-    assert sorted(cx._degrees(name)) == sorted(DEGREES[name])
+    assert sorted(cx.build_system(name).degrees) == sorted(DEGREES[name])
 
 
 def test_a_positive_root_count_off_the_degrees_fails_the_build(monkeypatch):
-    monkeypatch.setattr(cx, "_degrees", lambda name: (2, 4))  # B2's, not A2's
-    matrix = cx._validate_matrix(cx.coxeter_matrix_from_name("A2"))
+    monkeypatch.setattr(cx, "_component_degrees", lambda matrix, comp: (2, 4))  # B2's, not A2's
+    matrix = cx.coxeter_matrix_from_name("A2")
     with pytest.raises(ValueError, match="root construction failed: A2 has 3 positive"):
-        cx._cached_system.__wrapped__(matrix, "A2")
-    # matrices without a name carry no degrees to check
-    assert cx._cached_system.__wrapped__(matrix, None).num_positive == 3
+        cx.CoxeterSystem(matrix, name="A2")
+    # a matrix without a name is checked too
+    with pytest.raises(ValueError, match="root construction failed: the matrix has 3 positive"):
+        cx.CoxeterSystem(matrix)
+
+
+def _finite_rank_three(a, b, c):
+    """Humphreys' finite list in rank 3, on the bonds of the three pairs:
+    A1^3, A1 x I2(m), A3, B3 and H3, with their degrees."""
+    bonds = sorted(m for m in (a, b, c) if m != 2)
+    if not bonds:
+        return [2, 2, 2]
+    if len(bonds) == 1 and bonds[0] != 0:
+        return sorted([2, 2, bonds[0]])
+    return {(3, 3): [2, 3, 4], (3, 4): [2, 4, 6], (3, 5): [2, 6, 10]}.get(tuple(bonds))
+
+
+def test_rank_three_matrices_build_exactly_when_on_the_finite_list():
+    finite = 0
+    for a, b, c in itertools.product((0, 2, 3, 4, 5, 6, 7, 8), repeat=3):
+        matrix = [[1, a, b], [a, 1, c], [b, c, 1]]
+        want = _finite_rank_three(a, b, c)
+        if want is None:
+            with pytest.raises(ValueError, match="infinite group"):
+                cx.CoxeterSystem(matrix)
+            continue
+        finite += 1
+        system = cx.CoxeterSystem(matrix)
+        assert sorted(system.degrees) == want
+        assert system.order() == len(system.elements())
+    assert finite == 1 + 3 * 6 + 3 + 6 + 6
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_relabelled_named_graphs_give_the_named_degrees(name):
+    matrix = cx.coxeter_matrix_from_name(name)
+    rng = random.Random(name)
+    for _ in range(3):
+        p = list(range(len(matrix)))
+        rng.shuffle(p)
+        relabelled = [[matrix[a][b] for b in p] for a in p]
+        assert sorted(cx.CoxeterSystem(relabelled).degrees) == sorted(DEGREES[name])
+
+
+def test_more_positive_roots_than_the_root_cap_is_too_large():
+    with pytest.raises(ValueError, match="too large: 10001 positive roots"):
+        cx.build_system("I2(10001)")
+
+
+@pytest.mark.parametrize("s", [0, -1, 4])
+def test_products_reject_a_generator_out_of_range(s):
+    system = cx.build_system("A3")
+    with pytest.raises(ValueError, match="generator index out of range"):
+        system.right_mult(system.identity, s)
+    with pytest.raises(ValueError, match="generator index out of range"):
+        system.left_mult(s, system.identity)
 
 
 def test_build_system_keeps_a_bounded_number_of_systems():
@@ -334,50 +387,23 @@ def test_build_system_keeps_a_bounded_number_of_systems():
     assert info.currsize <= cx.SYSTEM_CACHE_SIZE
 
 
-def _log_key_products(system):
-    """Make the system's generator permutations log every root index they
-    map, and return the log. The BFS of _enumerate maps a whole key per
-    right product, so the log cut into rank-long runs is the keys it
-    computed; see _logged_keys."""
-    log = []
-
-    class Logged(tuple):
-        def __getitem__(self, j):
-            got = tuple.__getitem__(self, j)
-            log.append(got)
-            return got
-
-    system._gen_perms = [Logged(g) for g in system._gen_perms]
-    return log
-
-
-def _logged_keys(log, rank):
-    """The set of keys in a log of _log_key_products."""
-    return {tuple(log[i:i + rank]) for i in range(0, len(log), rank)}
-
-
-def test_id_table_stops_at_cap_plus_one(monkeypatch):
+def test_id_table_of_a_bare_matrix_is_decided_from_its_degrees(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
-    # a custom matrix carries no degrees, so the cap is decided by the BFS
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
-    log = _log_key_products(system)
-    assert system.id_table() is None
-    found = _logged_keys(log, system.rank)
-    assert found and len(found) <= 101 and system._elements is None
-    products = len(log)
-    assert system.id_table() is None  # decided by the first call
-    assert len(log) == products
+    monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
+    assert system.id_table() is None and system._elements is None
     assert system.order() == 384
-    assert len(_logged_keys(log, system.rank)) == 384
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 50000)
+    assert system.id_table() is None  # decided by the first call
 
 
 @pytest.mark.parametrize("name, order", [
     ("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("A8", 362880)])
 def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, monkeypatch):
     assert order > cx.ENUMERATION_CAP
-    assert math.prod(cx._degrees(name)) == order
     system = cx.build_system(name)
-    monkeypatch.setattr(system, "_enumerate", lambda limit: pytest.fail("enumerated"))
+    monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
+    assert system.order() == order
     system._id_table = None  # decide again, on this system
     assert system.id_table() is None
     assert system._elements is None
@@ -411,13 +437,6 @@ def test_the_key_bfs_matches_the_tuple_bfs(spec):
     assert system.elements() == elements
     assert system._element_index == index
     assert system._right == right
-    order = len(elements)
-    fresh = cx.CoxeterSystem(matrix)
-    assert fresh._enumerate(order - 1) is False and fresh._elements is None
-    for limit in (order, order + 1):
-        fresh = cx.CoxeterSystem(matrix)
-        assert fresh._enumerate(limit) is True
-        assert (fresh._elements, fresh._element_index, fresh._right) == (elements, index, right)
 
 
 def test_a_named_type_within_the_cap_gets_the_same_table():

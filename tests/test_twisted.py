@@ -3,7 +3,7 @@ import pytest
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
-from test_coxeter import _log_key_products, _logged_keys, _subword_leq
+from test_coxeter import _subword_leq
 
 
 def _filter_route(system, twist=None):
@@ -340,25 +340,20 @@ def _check_the_cap_routes(system, within):
     assert cx.build_system("B4").id_table() is not None
 
 
-def test_cap_checks_stop_enumerating_at_cap_plus_one(monkeypatch):
+def _check_the_cap_without_enumerating(monkeypatch, name):
     within = _within_cap_atoms()
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
-    # a custom matrix carries no degrees, so the cap is decided by the BFS
-    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
-    log = _log_key_products(system)
-    with pytest.raises(ValueError, match="too large"):
-        tw.hecke_table(system, system.identity)
-    found = _logged_keys(log, system.rank)
-    assert found and len(found) <= 101 and system._elements is None
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name=name)
+    monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
     _check_the_cap_routes(system, within)
+
+
+def test_cap_checks_on_a_bare_matrix_decided_from_its_degrees(monkeypatch):
+    _check_the_cap_without_enumerating(monkeypatch, None)
 
 
 def test_cap_checks_on_a_named_type_decided_from_its_degrees(monkeypatch):
-    within = _within_cap_atoms()
-    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
-    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
-    monkeypatch.setattr(system, "_enumerate", lambda limit: pytest.fail("enumerated"))
-    _check_the_cap_routes(system, within)
+    _check_the_cap_without_enumerating(monkeypatch, "B4")
 
 
 def test_the_cap_is_decided_once_per_system(monkeypatch):
