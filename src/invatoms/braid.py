@@ -8,22 +8,23 @@ prefix before the block, but only through the twisted involution the
 prefix folds to. The type A symmetric-group specializations need just
 one extra family of moves on the first two letters.
 
-The class of a word under the truncated swaps is a node of a DAG of
-prefix classes, one DAG per system and twist. A node is the class of a
-word under the swaps that lie wholly inside it; it is reached from the
-node of the word without its last letter a, and it is the disjoint union
-of pieces P.a, P the node of a shorter class. A swap inside P.a lies
-wholly in P or ends at a, and swaps preserve the fold, so the pieces are
-linked only by swaps ending at the last letter: walk back m - 1 letters
-through the pieces, check that the table of the fold reached there holds
-the block, and walk the swapped letters forward. Distinct paths from the
-root spell distinct words, so a node counts its words without listing
-them. The classes of prefixes do not depend on where the word ends, so
-every query shares the lower nodes; the shared DAG keeps only classes of
-involution words, one node per class of each twisted involution, and the
-classes of other words are built per call on top of it. The whole-word
-move function involution_braid_neighbors is what the classes are tested
-against.
+The class of a word under a move rule is a node of a DAG of prefix
+classes, one per system, twist, rule and base (the fold of the empty
+word). A node is the class of a word under the swaps that lie wholly
+inside it; it is reached from the node of the word without its last
+letter a, and it is the disjoint union of pieces P.a, P the node of a
+shorter class. A swap inside P.a lies wholly in P or ends at a, and swaps
+preserve the fold, so the pieces are linked only by swaps ending at the
+last letter: walk back m - 1 letters through the pieces, check that the
+table of the node reached there holds the block, and walk the swapped
+letters forward. Distinct paths from the root spell distinct words, so a
+node counts its words without listing them. A DAG keeps one node per
+class of involution words, shared by every query, and builds the classes
+of other words per call. The truncated rule gives a node the table of its
+fold; a start rule (Hu-Zhang, FPF from s1 s3 s5 ..., empty prefix) adds
+swaps at the start only, inside every prefix of length 2 or more, so its
+root gets the braid and start tables and every other node the braid
+table. involution_braid_neighbors is the truncated classes' oracle.
 
 Words are tuples of 1-based generator indices.
 """
@@ -76,8 +77,8 @@ def _tables(system, lengths):
 # -- ordinary braid relations --------------------------------------------------
 
 
-def _braid_blocks(system):
-    return _tables(system, tuple(system.bond(s, t) for s, t in _pairs(system)))[0]
+def _braid_tables(system):
+    return _tables(system, tuple(system.bond(s, t) for s, t in _pairs(system)))
 
 
 def _braid_moves(word, blocks):
@@ -89,7 +90,7 @@ def _braid_moves(word, blocks):
 
 def braid_class(system, word):
     """The closure of word under the alternating-block swaps."""
-    blocks = _braid_blocks(system)
+    blocks = _braid_tables(system)[0]
     return cx.closure(tw._word(system, word), lambda u: _braid_moves(u, blocks))
 
 
@@ -164,33 +165,29 @@ def involution_braid_neighbors(system, word, twist=None):
 
 
 class _Node:
-    """A class of words under the truncated swaps inside them: its words are
-    the words of P followed by a for each piece (P, a). ``swaps`` is the
-    block-to-swap table of its fold, ``size`` its number of words, and
-    ``kids`` maps a letter to the shared node one letter up (None for a
-    node built per call)."""
+    """A class of words under the swaps inside them: the words of P then a
+    for each piece (P, a). ``swaps`` is the block-to-swap table after the
+    prefix it spells, ``size`` its number of words (1 with no pieces: the
+    root), and ``kids`` maps a letter to the shared node one letter up
+    (None for a node built per call)."""
 
     __slots__ = ("fold", "swaps", "pieces", "kids", "size")
 
+    def __init__(self, fold, kids, swaps):
+        self.fold, self.kids, self.pieces, self.swaps, self.size = fold, kids, [], swaps, 1
+
 
 class _PrefixClasses:
-    """The shared DAG of prefix classes of one system and twist (see the
-    module docstring). ``nodes`` lists the shared nodes, each after the
-    nodes its pieces hang from."""
+    """The DAG of prefix classes of one move rule (see the module
+    docstring): the root folds to the id ``base`` and has the table
+    ``root_swaps``, a node of fold u the table ``swaps(u)``, and ``dact``
+    gives the Demazure step of a fold by a letter. ``nodes`` lists the
+    shared nodes, each after the nodes its pieces hang from."""
 
-    def __init__(self, system, twist):
-        self.system, self.twist = system, twist
-        ids = tw._ids(system, twist)
-        self.dact = ids.dact  # the Demazure step of a fold by a letter
-        self.root = self._new(ids.root, {})
-        self.root.size = 1
+    def __init__(self, system, dact, base, root_swaps, swaps):
+        self.system, self.dact, self.swaps = system, dact, swaps
+        self.root = _Node(base, {}, root_swaps)
         self.nodes = [self.root]
-
-    def _new(self, fold, kids):
-        node = _Node()
-        node.fold, node.kids, node.pieces = fold, kids, []
-        node.swaps = _fold_tables(self.system, fold, self.twist)[1]
-        return node
 
     def node(self, word):
         """The node of the class of word, a tuple of valid letters. Nodes
@@ -204,33 +201,23 @@ class _PrefixClasses:
         return node
 
     def _child(self, node, a, extra):
-        kids = node.kids
-        if kids is not None:
-            got = kids.get(a)
-            if got is not None:
-                return got
-        got = extra.get((node, a))
-        if got is None:
-            got = self._build(node, a, extra)
-        return got
+        # a shared kid, else a per-call one (possibly over a shared node), else a new node
+        got = node.kids.get(a) if node.kids is not None else None
+        return got or extra.get((node, a)) or self._build(node, a, extra)
 
     def _build(self, node, a, extra):
         fold = self.dact[node.fold][a - 1]
         # the class of an involution word: every prefix is one too, and a
         # letter that rises from a shared node keeps the class shared
         shared = node.kids is not None and fold != node.fold
-        new = self._new(fold, {} if shared else None)
+        new = _Node(fold, {} if shared else None, self.swaps(fold))
         todo = [(node, a)]
         while todo:
             p, b = todo.pop()
-            if shared:
-                if p.kids.get(b) is new:
-                    continue
-                p.kids[b] = new
-            else:
-                if extra.get((p, b)) is new:
-                    continue
-                extra[p, b] = new
+            links, key = (p.kids, b) if shared else (extra, (p, b))
+            if links.get(key) is new:
+                continue
+            links[key] = new
             new.pieces.append((p, b))
             self._linked(p, b, extra, todo)
         new.size = sum(p.size for p, _ in new.pieces)
@@ -259,11 +246,24 @@ class _PrefixClasses:
                 ends.extend((q, (x,) + block) for q, y in r.pieces if y == x)
 
 
-def _prefix_classes(system, twist):
+def _prefix_classes(system, twist, rule=None, base=None):
+    """The DAG of prefix classes of a move rule, cached per twist by rule and
+    base, the fold of the empty word (the identity when None). Rule None is
+    the truncated swaps; a start rule maps (system, twist) to its table."""
     cache = tw._caches(system, twist)
-    dag = cache.get("prefix_classes")
-    if dag is None:
-        dag = cache["prefix_classes"] = _PrefixClasses(system, twist)
+    try:
+        return cache["prefix_classes"][rule, base]
+    except KeyError:
+        pass
+    ids = tw._ids(system, twist)
+    # defaults, not closures, keep cells off the cached path above
+    if rule is None:
+        start, swaps = {}, lambda u, system=system, twist=twist: _fold_tables(system, u, twist)[1]
+    else:
+        start, swaps = rule(system, twist), lambda u, braid=_braid_tables(system)[1]: braid
+    root = ids.member(system.identity if base is None else base)
+    dag = _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
+    cache.setdefault("prefix_classes", {})[rule, base] = dag
     return dag
 
 
@@ -279,26 +279,20 @@ def _words(node):
     return {w + (a,) for p, a in node.pieces for w in words[p]} if levels else {()}
 
 
+def _class(system, word, twist, rule, base=None):
+    """The words of the node of word in the DAG of the start rule."""
+    return _words(_prefix_classes(system, twist, rule, base).node(tw._word(system, word)))
+
+
 def involution_braid_class(system, word, twist=None):
     """The closure of word under the prefix-truncated block swaps: the words
     of its node in the DAG of prefix classes (see the module docstring)."""
     twist = tw._twist_key(system, twist)
-    word = tw._word(system, word)
-    return _words(_prefix_classes(system, twist).node(word))
+    return _words(_prefix_classes(system, twist).node(tw._word(system, word)))
 
 
-def _start_class(system, word, start_blocks):
-    """Closure of word under braid moves anywhere plus start_blocks swaps at
-    the start of the word."""
-    blocks = _braid_blocks(system)
-
-    def neighbors(u):
-        out = _braid_moves(u, blocks)
-        if u:
-            _swaps(u, 0, start_blocks, out)
-        return out
-
-    return cx.closure(tw._word(system, word), neighbors)
+def _empty_prefix_start(system, twist):
+    return _fold_tables(system, tw._ids(system, twist).root, twist)[1]
 
 
 def empty_prefix_class(system, word, twist=None):
@@ -307,9 +301,7 @@ def empty_prefix_class(system, word, twist=None):
     The generic class needs truncated moves after arbitrary prefixes; this
     weaker closure exists to measure how far the initial moves alone reach.
     """
-    twist = tw._twist_key(system, twist)
-    return _start_class(system, word, _fold_tables(
-        system, tw._ids(system, twist).root, twist)[0])
+    return _class(system, word, tw._twist_key(system, twist), _empty_prefix_start)
 
 
 # -- symmetric group specializations ----------------------------------------------
@@ -320,10 +312,18 @@ def _require_type_a(system):
         raise ValueError("system is not a type A chain")
 
 
+def _hu_zhang_start(system, twist):
+    return {p: p[::-1] for i in range(1, system.rank) for p in ((i, i + 1), (i + 1, i))}
+
+
 def hu_zhang_class(system, word):
     """Closure under braid moves plus swapping an adjacent-generator initial pair."""
     _require_type_a(system)
-    return _start_class(system, word, _blocks((i, i + 1, 2) for i in range(1, system.rank)))
+    return _class(system, word, tw._twist_key(system, None), _hu_zhang_start)
+
+
+def _fpf_start(system, twist):
+    return {(a, a + d): (a, a - d) for a in range(2, system.rank, 2) for d in (1, -1)}
 
 
 def fpf_class_words(system, word):
@@ -331,11 +331,8 @@ def fpf_class_words(system, word):
     _require_type_a(system)
     if (system.rank + 1) % 2:
         raise ValueError("fixed-point-free words need an even symmetric group")
-    swaps = {}
-    for a in range(2, system.rank, 2):
-        up, down = (a, a + 1), (a, a - 1)
-        swaps[a] = ((down, up), (up, down))
-    return _start_class(system, word, swaps)
+    base = system.product(range(1, system.rank + 1, 2))
+    return _class(system, word, tw._twist_key(system, None), _fpf_start, base)
 
 
 # -- fully commutative elements ------------------------------------------------------

@@ -318,8 +318,10 @@ class CoxeterSystem:
     # -- enumeration ------------------------------------------------------
 
     def elements(self):
-        """All group elements in BFS order, i.e. (length, lex-min word) order (cached)."""
+        """All group elements in (length, lex-min word) order, cached; ValueError above the cap."""
         if self._elements is None:
+            if self.order() > ENUMERATION_CAP:
+                raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
             self._enumerate()
         return self._elements
 

@@ -143,8 +143,8 @@ class _TwistedPerms:
     """The interface of _TwistedIds on root permutations, for a group above
     the cap: an element is its own id, and the entries of ``elements``,
     ``steps``, ``lower``, ``dact`` and ``hat`` are computed at each lookup
-    as lists (freed small tuples stay on CPython's free lists and raise the
-    peak). Only ``order`` keeps its closure, once per twist."""
+    as lists, a ``dact`` row one letter at a time (freed small tuples stay on
+    CPython's free lists and raise the peak). Only ``order`` is kept, per twist."""
 
     def __init__(self, system, twist):
         self.system, self.twist, self.root = system, twist, system.identity
@@ -159,7 +159,7 @@ class _TwistedPerms:
 
         self.elements, self.steps, self.hat = _Computed(lambda z: z), _Computed(steps), _Computed(hat)
         self.lower = _Computed(lambda z: [y for _, y in steps(z)])
-        self.dact = _Computed(lambda z: [_dact(system, z, s + 1, twist) for s in letters])
+        self.dact = _Computed(lambda z: _Computed(lambda s: _dact(system, z, s + 1, twist)))
 
     def member(self, w):
         """w itself; ValueError unless it is a twisted involution."""
@@ -176,7 +176,8 @@ class _TwistedPerms:
         """Every twisted involution in (length, lex-min word) order."""
         cache = _caches(self.system, self.twist)
         if "all" not in cache:
-            cache["all"] = tuple(_by_word(self.system, closure(self.root, self.dact.__getitem__)))
+            ups = closure(self.root, lambda z: [self.dact[z][s] for s in range(self.system.rank)])
+            cache["all"] = tuple(_by_word(self.system, ups))
         return cache["all"]
 
 

@@ -2,10 +2,10 @@
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
 criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4, D5, H4, and E6
-with both twists above the enumeration cap) and 11, the single colored
-comparison at n=6 with four cycles, and a cold-start gate on the cap
-decision for a bare E6 matrix, run when INVATOMS_EXTENDED is set in the
-environment.
+with both twists above the enumeration cap) and 11 (n=7 and 2n=8), the
+single colored comparison at n=6 with four cycles, and a cold-start gate
+on the cap decision for a bare E6 matrix, run when INVATOMS_EXTENDED is
+set in the environment.
 """
 
 import itertools
@@ -320,18 +320,29 @@ def test_criterion_11_initial_move_closures():
     _report(11, ok, "symmetric groups n<=6 and FPF 2n<=6, %.1fs" % elapsed)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the 2n=8 closure")
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for n=7 and 2n=8")
 def test_criterion_11_extended_fpf_closures_at_2n8():
+    # every class is listed and compared with the word set it must equal
+    t0 = time.time()
+    ok = True
+    system = cx.build_system("A6")
+    for x in tw.enumerate_twisted(system):
+        words = set(tw.involution_words(system, x))
+        ok &= br.hu_zhang_class(system, min(words)) == words
+    elapsed = time.time() - t0
+    ok &= elapsed < 7
+    _report(11, ok, "extended symmetric group n=7, %.1fs" % elapsed)
+    t0 = time.time()
     system = cx.build_system("A7")
     base = system.product((1, 3, 5, 7))
-    ok = True
     for y in tw.enumerate_twisted(system):
         if not tw.weak_leq_T(system, base, y):
             continue
         words = set(tw.involution_words(system, y, base))
-        if br.fpf_class_words(system, min(words)) != words:
-            ok = False
-    _report(11, ok, "extended FPF closures at 2n=8")
+        ok &= br.fpf_class_words(system, min(words)) == words
+    elapsed = time.time() - t0
+    ok &= elapsed < 7
+    _report(11, ok, "extended FPF closures at 2n=8, %.1fs" % elapsed)
 
 
 def test_criterion_12_figure_goldens():

@@ -330,6 +330,93 @@ def test_fpf_initial_move_closure():
                 assert br.fpf_class_words(system, min(words)) == words
 
 
+def _start_closure(system, word, start):
+    # the oracle: a BFS over whole words, braid moves anywhere plus the
+    # start swaps (a first-letter table, as br._blocks gives) at position 0
+    blocks = br._braid_tables(system)[0]
+
+    def neighbors(u):
+        out = br._braid_moves(u, blocks)
+        if u:
+            br._swaps(u, 0, start, out)
+        return out
+
+    return cx.closure(tuple(word), neighbors)
+
+
+def _start_rules(system, twist):
+    """(class function, start table, base) for each start rule of system
+    and twist; the truncated start table comes from the theta formula."""
+    rank = system.rank
+    theta = br.theta_prefix(system, (), twist)
+    truncated = br._blocks((s, t, br.m_star(system, s, t, theta))
+                           for s in range(1, rank + 1) for t in range(s + 1, rank + 1))
+    rules = [(lambda w: br.empty_prefix_class(system, w, twist), truncated, system.identity)]
+    if cx.is_type_a_chain(system) and tw._twist_key(system, twist) == tuple(range(1, rank + 1)):
+        hu_zhang = br._blocks((i, i + 1, 2) for i in range(1, rank))
+        rules.append((lambda w: br.hu_zhang_class(system, w), hu_zhang, system.identity))
+        if rank % 2:
+            fpf = {a: (((a, a - 1), (a, a + 1)), ((a, a + 1), (a, a - 1))) for a in range(2, rank, 2)}
+            base = system.product(range(1, rank + 1, 2))
+            rules.append((lambda w: br.fpf_class_words(system, w), fpf, base))
+    return rules
+
+
+def _check_start_rules(system, twist, rng, count):
+    """Compare every start rule's classes with the oracle on count random
+    words, then on the lex-min involution word of each twisted involution
+    above its base; return the number of words that are no involution word
+    from the base. Random words come first: a class is built from the
+    first word queried in it."""
+    others = 0
+    for call, start, base in _start_rules(system, twist):
+        words = [tuple(rng.randint(1, system.rank) for _ in range(rng.randint(0, 8)))
+                 for _ in range(count)]
+        ys = [y for y in tw.enumerate_twisted(system, twist) if tw.weak_leq_T(system, base, y, twist)]
+        words += [min(tw.involution_words(system, y, base, twist)) for y in ys]
+        for word in words:
+            y = tw.dact_word(system, base, word, twist)
+            others += len(word) != tw.hat_length(system, y, twist) - tw.hat_length(system, base, twist)
+            assert call(word) == _start_closure(system, word, start), (system.name, twist, word)
+    return others
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B3", "H3", "D4"])
+def test_start_classes_match_the_start_closure(name):
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    rng = random.Random(25)
+    for twist in system.diagram_automorphisms():
+        if cx.is_involutive_twist(system, twist):
+            assert _check_start_rules(system, twist, rng, 40) > 10  # most random words
+
+
+def test_start_classes_above_the_cap_match_the_start_closure(monkeypatch):
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # A5 has order 720
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("A5"), name="A5")
+    assert system.id_table() is None
+    assert len(_start_rules(system, None)) == 3  # empty prefix, Hu-Zhang, FPF
+    assert _check_start_rules(system, None, random.Random(7), 30) > 40
+
+
+def test_start_classes_share_a_dag_per_rule_and_base():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("A5"), name="A5")
+    key = tw._twist_key(system, None)
+    base = system.product((1, 3, 5))
+    for y in tw.enumerate_twisted(system):
+        br.hu_zhang_class(system, min(tw.involution_words(system, y)))
+        if tw.weak_leq_T(system, base, y):
+            br.fpf_class_words(system, min(tw.involution_words(system, y, base)))
+    dags = tw._caches(system, key)["prefix_classes"]
+    assert set(dags) == {(br._fpf_start, base), (br._hu_zhang_start, None)}
+    index = system.id_table().index
+    assert dags[br._fpf_start, base].root.fold == index[base]
+    # one shared node per class of involution words: Hu-Zhang's theorem and
+    # its FPF analogue make that one per involution (76 in S6) and one per
+    # FPF involution above the base (15 of them)
+    assert len(dags[br._hu_zhang_start, None].nodes) == 76
+    assert len(dags[br._fpf_start, base].nodes) == 15
+
+
 def test_type_a_only_guards():
     b3 = cx.build_system("B3")
     with pytest.raises(ValueError, match="type A chain"):

@@ -409,6 +409,20 @@ def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, m
     assert system._elements is None
 
 
+def test_elements_above_the_cap_raise_without_enumerating(monkeypatch):
+    # 2,903,040 elements of 126 entries each; a fresh system decides nothing yet
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("E7"), name="E7")
+    monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
+    with pytest.raises(ValueError, match="group too large to enumerate"):
+        system.elements()
+    assert system._elements is None and system._id_table is None
+    # a group enumerated before the cap drops keeps its elements
+    b4 = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
+    elements = b4.elements()
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)
+    assert b4.elements() is elements and len(elements) == 384
+
+
 def _tuple_bfs(system):
     """The right BFS on root-permutation tuples, generators in order, first
     discovery kept: elements, their index and the right tables. The oracle

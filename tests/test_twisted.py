@@ -366,6 +366,24 @@ def test_the_cap_is_decided_once_per_system(monkeypatch):
     assert tw.bruhat_hecke(system, y) == bruhat
 
 
+def test_a_demazure_row_above_the_cap_computes_the_letter_asked_for(monkeypatch):
+    twist = (4, 3, 2, 1)
+    fast = cx.build_system("F4")
+    within = tw._ids(fast, twist)
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # F4 has order 1152
+    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
+    ids, calls, real = tw._ids(slow, twist), [], tw._dact
+    monkeypatch.setattr(tw, "_dact", lambda *args: calls.append(args) or real(*args))
+    for x in list(within.order())[::7]:
+        row, z = ids.dact[within.elements[x]], within.elements[x]
+        for s in range(fast.rank):
+            assert row[s] == within.elements[within.dact[x][s]]
+            assert calls.pop() == (slow, z, s + 1, twist) and not calls
+    # the closure of order() asks for every letter of every row once
+    assert ids.order() == tuple(within.elements[x] for x in within.order())
+    assert len(calls) == fast.rank * len(ids.order())
+
+
 def test_bruhat_descriptions_of_hecke_sets_and_atoms():
     for name, twist in [("A4", None), ("B3", None), ("A3", (3, 2, 1))]:
         report = tw.check_bruhat_descriptions(cx.build_system(name), twist)
