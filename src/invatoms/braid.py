@@ -26,6 +26,9 @@ swaps at the start only, inside every prefix of length 2 or more, so its
 root gets the braid and start tables and every other node the braid
 table. involution_braid_neighbors is the truncated classes' oracle.
 
+The swap tables, the tables of each fold, the DAGs and the fully
+commutative memo live in the system's one store through ``coxeter.memo``.
+
 Words are tuples of 1-based generator indices.
 """
 
@@ -62,16 +65,13 @@ def _pairs(system):
     return [(s, t) for s in range(1, rank + 1) for t in range(s + 1, rank + 1)]
 
 
+@cx.memo
 def _tables(system, lengths):
     """The swap tables of the pairs s < t with the given block lengths, built
     once per system and shared by every fold with those lengths: keyed by
     first letter as _blocks gives, and each block mapped to its swap."""
-    store = system.__dict__.setdefault("_swap_tables", {})
-    got = store.get(lengths)
-    if got is None:
-        first = _blocks((s, t, m) for (s, t), m in zip(_pairs(system), lengths))
-        got = store[lengths] = (first, {b: o for pairs in first.values() for b, o in pairs})
-    return got
+    first = _blocks((s, t, m) for (s, t), m in zip(_pairs(system), lengths))
+    return first, {b: o for pairs in first.values() for b, o in pairs}
 
 
 # -- ordinary braid relations --------------------------------------------------
@@ -130,22 +130,18 @@ def theta_prefix(system, prefix, twist=None):
     return theta
 
 
+@cx.memo
 def _fold_tables(system, u, twist):
-    """The swap tables (see _tables) after a prefix folding to u, cached per
-    fold: u is the fold's id among the twisted involutions (see tw._ids)."""
-    cache = tw._caches(system, twist).setdefault("m_star", {})
-    tables = cache.get(u)
-    if tables is None:
-        w = tw._ids(system, twist).elements[u]
-        # theta(s) = (w s w^-1)* is the reflection in the twisted root
-        # w(alpha_s): the generator t exactly when that root is +-alpha_t,
-        # and simple roots come first in the root order
-        rho, p = system._twist_perms(twist)[0], system.num_positive
-        image = [rho[w[s]] % p + 1 for s in range(system.rank)]
-        tables = cache[u] = _tables(system, tuple(
-            _truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1])
-            for s, t in _pairs(system)))
-    return tables
+    """The swap tables (see _tables) after a prefix folding to u, the fold's
+    id among the twisted involutions (see tw._ids)."""
+    w = tw._ids(system, twist).elements[u]
+    # theta(s) = (w s w^-1)* is the reflection in the twisted root
+    # w(alpha_s): the generator t exactly when that root is +-alpha_t,
+    # and simple roots come first in the root order
+    rho, p = system._twist_perms(twist)[0], system.num_positive
+    image = [rho[w[s]] % p + 1 for s in range(system.rank)]
+    return _tables(system, tuple(_truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1])
+                                 for s, t in _pairs(system)))
 
 
 # -- involution braid relations --------------------------------------------------
@@ -246,25 +242,19 @@ class _PrefixClasses:
                 ends.extend((q, (x,) + block) for q, y in r.pieces if y == x)
 
 
+@cx.memo
 def _prefix_classes(system, twist, rule=None, base=None):
-    """The DAG of prefix classes of a move rule, cached per twist by rule and
+    """The DAG of prefix classes of a move rule, one per twist, rule and
     base, the fold of the empty word (the identity when None). Rule None is
     the truncated swaps; a start rule maps (system, twist) to its table."""
-    cache = tw._caches(system, twist)
-    try:
-        return cache["prefix_classes"][rule, base]
-    except KeyError:
-        pass
     ids = tw._ids(system, twist)
-    # defaults, not closures, keep cells off the cached path above
     if rule is None:
-        start, swaps = {}, lambda u, system=system, twist=twist: _fold_tables(system, u, twist)[1]
+        start, swaps = {}, lambda u: _fold_tables(system, u, twist)[1]
     else:
-        start, swaps = rule(system, twist), lambda u, braid=_braid_tables(system)[1]: braid
+        braid = _braid_tables(system)[1]
+        start, swaps = rule(system, twist), lambda u: braid
     root = ids.member(system.identity if base is None else base)
-    dag = _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
-    cache.setdefault("prefix_classes", {})[rule, base] = dag
-    return dag
+    return _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
 
 
 def _words(node):
@@ -343,26 +333,20 @@ def is_fully_commutative(system, w):
 
     A block of bond order m sits inside some reduced word exactly when a
     right-weak-order prefix has both block letters as right descents, so
-    the test walks the prefix ideal with a memo shared per system.
+    the test walks the prefix ideal, each element's answer kept in the
+    system's store.
     """
-    memo = system.__dict__.setdefault("_fc_memo", {})
-    return _fc(system, w, memo)
+    return _fc(system, w)
 
 
-def _fc(system, w, memo):
-    known = memo.get(w)
-    if known is not None:
-        return known
+@cx.memo
+def _fc(system, w):
     des = system.descents_right(w)
-    result = True
     for i, s in enumerate(des):
         for t in des[i + 1:]:
             if system.bond(s, t) > 2:
-                result = False
-    if result:
-        result = all(_fc(system, system.right_mult(w, s), memo) for s in des)
-    memo[w] = result
-    return result
+                return False
+    return all(_fc(system, system.right_mult(w, s)) for s in des)
 
 
 def check_fc_atoms(system, twist=None):

@@ -12,8 +12,8 @@ Generators are numbered 1..rank everywhere in the public interface.
 import itertools
 import math
 import numbers
-from collections import deque
-from functools import lru_cache
+from collections import Counter, deque
+from functools import lru_cache, wraps
 from operator import itemgetter
 
 DEFAULT_ROOT_CAP = 10000  # the most positive roots a system may have: a memory bound
@@ -30,6 +30,32 @@ def closure(seed, neighbors):
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def memo(fn):
+    """Keep fn(system, *args) in the system's one store of derived tables,
+    keyed by fn's "module.function" name and by args with fn's defaults
+    filled in, so each value has one key. A call with an unhashable
+    argument, such as a twist given as a list, is computed and kept nowhere.
+    ``CoxeterSystem.cache_sizes`` counts the entries."""
+    name = "%s.%s" % (fn.__module__.rpartition(".")[2], fn.__name__)
+    arity, defaults = fn.__code__.co_argcount - 1, fn.__defaults__ or ()
+
+    @wraps(fn)
+    def cached(system, *args):
+        if len(args) < arity:
+            args += defaults[len(args) - arity:]
+        key = name, args
+        try:
+            return system._store[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument
+            return fn(system, *args)
+        got = system._store[key] = fn(system, *args)
+        return got
+
+    return cached
 
 
 def _validate_matrix(matrix):
@@ -108,7 +134,11 @@ class CoxeterSystem:
         self._elements = None
         self._element_index = None
         self._id_table = None  # None until decided, then the table or False above the cap
-        self._twist_perm_cache = {}
+        self._store = {}  # the tables derived per twist, base, ...: see memo
+
+    def cache_sizes(self):
+        """The number of stored entries of each memo table, by "module.function"."""
+        return dict(Counter(name for name, _ in self._store))
 
     def _build_roots(self):
         """Number the positive roots by BFS from the simple roots, generators
@@ -407,28 +437,20 @@ class CoxeterSystem:
                 out.append(tuple(q + 1 for q in perm))
         return tuple(out)
 
+    @memo
     def _twist_perms(self, twist):
-        """The relabeling rho and its inverse, cached under the normalized
-        twist; any other form is validated on each call."""
-        cache = self._twist_perm_cache
-        try:
-            return cache[twist]
-        except (KeyError, TypeError):  # a miss, or an unhashable twist such as a list
-            pass
+        """The relabeling rho and its inverse for the twist."""
         key = normalize_twist(self, twist)
-        got = cache.get(key)
-        if got is None:
-            # rho(alpha_s) = alpha_s*, and rho(g_s r) = g_s*(rho r) for the
-            # generator s and root r that first reached each further root
-            rho = [t - 1 for t in key]
-            for r, s in self._reached:
-                rho.append(self._gen_perms[key[s] - 1][rho[r]])
-            rho += [j + self.num_positive for j in rho]
-            rho_inv = [0] * len(rho)
-            for i, j in enumerate(rho):
-                rho_inv[j] = i
-            got = cache[key] = (tuple(rho), tuple(rho_inv))
-        return got
+        # rho(alpha_s) = alpha_s*, and rho(g_s r) = g_s*(rho r) for the
+        # generator s and root r that first reached each further root
+        rho = [t - 1 for t in key]
+        for r, s in self._reached:
+            rho.append(self._gen_perms[key[s] - 1][rho[r]])
+        rho += [j + self.num_positive for j in rho]
+        rho_inv = [0] * len(rho)
+        for i, j in enumerate(rho):
+            rho_inv[j] = i
+        return tuple(rho), tuple(rho_inv)
 
     def apply_twist(self, w, twist):
         """The image of w under the diagram automorphism given by twist."""

@@ -10,17 +10,17 @@ generator s to s*xs, or to xs when those coincide; folding it over a
 reduced word walks the weak order on twisted involutions. Its monotone
 variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
+
+The tables derived per system, twist and base (the validated twist, the
+twisted involutions as ids and the Hecke fibers of each base) live in the
+system's one store through ``coxeter.memo``, and
+``CoxeterSystem.cache_sizes()`` counts them.
 """
 
 from functools import partial
 
 from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist
-
-
-def _caches(system, twist):
-    store = system.__dict__.setdefault("_twisted_caches", {})
-    return store.setdefault(twist, {})
 
 
 def _id_table(system):
@@ -36,21 +36,13 @@ def _by_word(system, ws):
     return sorted(ws, key=lambda w: (system.length(w), system.reduced_word(w)))
 
 
+@cx.memo
 def _twist_key(system, twist):
-    """The twist as a validated tuple; each twist as given is validated once
-    per system."""
-    keys = system.__dict__.setdefault("_twist_keys", {})
-    try:
-        return keys[twist]
-    except (KeyError, TypeError):  # a new twist, or an unhashable one such as a list
-        pass
+    """The twist as a validated tuple; each hashable twist as given is
+    validated once per system."""
     key = normalize_twist(system, twist)
     if not is_involutive_twist(system, key):
         raise ValueError("invalid twist: not involutive")
-    try:
-        keys[twist] = key
-    except TypeError:
-        pass
     return key
 
 
@@ -144,10 +136,11 @@ class _TwistedPerms:
     the cap: an element is its own id, and the entries of ``elements``,
     ``steps``, ``lower``, ``dact`` and ``hat`` are computed at each lookup
     as lists, a ``dact`` row one letter at a time (freed small tuples stay on
-    CPython's free lists and raise the peak). Only ``order`` is kept, per twist."""
+    CPython's free lists and raise the peak). Only ``order`` is kept."""
 
     def __init__(self, system, twist):
         self.system, self.twist, self.root = system, twist, system.identity
+        self._order = None
         letters, p = range(system.rank), system.num_positive
         self.left = [partial(system.left_mult, s + 1) for s in letters]
 
@@ -174,24 +167,18 @@ class _TwistedPerms:
 
     def order(self):
         """Every twisted involution in (length, lex-min word) order."""
-        cache = _caches(self.system, self.twist)
-        if "all" not in cache:
+        if self._order is None:
             ups = closure(self.root, lambda z: [self.dact[z][s] for s in range(self.system.rank)])
-            cache["all"] = tuple(_by_word(self.system, ups))
-        return cache["all"]
+            self._order = tuple(_by_word(self.system, ups))
+        return self._order
 
 
+@cx.memo
 def _ids(system, twist):
-    """The twisted involutions of the twist: as ids within the cap (built
-    once per twist), as root permutations above it (built per call)."""
-    cache = _caches(system, twist)
-    ids = cache.get("ids")
-    if ids is None:
-        t = system.id_table()
-        if t is None:
-            return _TwistedPerms(system, twist)
-        ids = cache["ids"] = _TwistedIds(t, twist)
-    return ids
+    """The twisted involutions of the twist: as ids within the cap, as root
+    permutations above it."""
+    t = system.id_table()
+    return _TwistedPerms(system, twist) if t is None else _TwistedIds(t, twist)
 
 
 def rtimes(system, x, s, twist=None):
@@ -276,7 +263,8 @@ def weak_leq_T(system, x, y, twist=None):
 
 
 def hecke_table(system, base, twist=None):
-    """The Hecke atoms of every y relative to base, keyed by y (cached).
+    """The Hecke atoms of every y relative to base, keyed by y, kept in the
+    system's store per twist and base.
 
     The fold w -> base o w sends each element to a twisted involution, and
     its fibers are the Hecke atom sets, each sorted by (length, word). Only
@@ -284,11 +272,11 @@ def hecke_table(system, base, twist=None):
     ids in id order, so each element extends a shorter one by its first
     right descent.
     """
-    twist = _twist_key(system, twist)
-    cache = _caches(system, twist).setdefault("hecke_table", {})
-    got = cache.get(base)
-    if got is not None:
-        return got
+    return _hecke_table(system, base, _twist_key(system, twist))
+
+
+@cx.memo
+def _hecke_table(system, base, twist):
     t = _id_table(system)
     ids = _ids(system, twist)
     dact, right, first = ids.dact, t.right, t.first_descent
@@ -299,8 +287,7 @@ def hecke_table(system, base, twist=None):
     fibers = {}
     for w, y in enumerate(images):
         fibers.setdefault(y, []).append(t.elements[w])
-    cache[base] = table = {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
-    return table
+    return {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
 
 
 def hecke_atoms(system, y, x=None, twist=None):
@@ -464,7 +451,7 @@ def check_conjecture(system, twist=None, ys=None):
 
     For each y, one top-down pass gives the atoms of every x in the
     down-set of y, and one row of w* y serves the oracle's scan for each of
-    those x; neither writes to the cache of ``hecke_table``. Failures are
+    those x; neither stores a ``hecke_table``. Failures are
     listed by y, then by x in id order.
 
     ys restricts the sweep to the given upper elements, so the pair space

@@ -406,7 +406,8 @@ def test_start_classes_share_a_dag_per_rule_and_base():
         br.hu_zhang_class(system, min(tw.involution_words(system, y)))
         if tw.weak_leq_T(system, base, y):
             br.fpf_class_words(system, min(tw.involution_words(system, y, base)))
-    dags = tw._caches(system, key)["prefix_classes"]
+    dags = {args[1:]: dag for (name, args), dag in system._store.items()
+            if name == "braid._prefix_classes" and args[0] == key}
     assert set(dags) == {(br._fpf_start, base), (br._hu_zhang_start, None)}
     index = system.id_table().index
     assert dags[br._fpf_start, base].root.fold == index[base]
@@ -415,6 +416,59 @@ def test_start_classes_share_a_dag_per_rule_and_base():
     # FPF involution above the base (15 of them)
     assert len(dags[br._hu_zhang_start, None].nodes) == 76
     assert len(dags[br._fpf_start, base].nodes) == 15
+
+
+_MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
+                "twisted._hecke_table", "braid._tables", "braid._fold_tables",
+                "braid._prefix_classes", "braid._fc"}
+
+
+@pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])
+def test_every_entry_point_keeps_its_tables_in_the_one_store(name, twist):
+    matrix = cx.coxeter_matrix_from_name(name)
+    system = cx.CoxeterSystem(matrix, name=name)
+    w0, e = system.longest_element(), system.identity
+    for y in tw.enumerate_twisted(system, twist):
+        tw.atoms(system, y, twist=twist)
+        tw.hecke_atoms(system, y, twist=twist)
+        word = min(tw.involution_words(system, y, twist=twist))
+        br.braid_class(system, system.reduced_word(y))
+        br.involution_braid_class(system, word, twist)
+        br.empty_prefix_class(system, word, twist)
+        br.is_fully_commutative(system, y)
+        if cx.is_type_a_chain(system) and twist is None:
+            br.hu_zhang_class(system, word)
+    if cx.is_type_a_chain(system):
+        base = system.product((1, 3))
+        br.fpf_class_words(system, min(tw.involution_words(system, w0, base)))
+    central = w0 if tw.is_central_parabolic_longest(system, w0) else e
+    reports = [tw.check_conjecture(system, twist), tw.check_duality(system, w0, twist),
+               tw.check_central_closure(system, central, twist),
+               tw.check_bruhat_descriptions(system, twist),
+               br.check_fc_atoms(system, twist), br.check_braid_classes(system, twist)]
+    # the flip of A3 breaks the lone atom rule's hypothesis (s1* = s3 commutes with s1)
+    assert all(r["failures"] == [] for r in reports if r.get("hypothesis_ok", True))
+    reference = cx.CoxeterSystem(matrix, name=name)
+    reference.id_table()
+    assert set(vars(system)) == set(vars(reference))
+    assert set(system.cache_sizes()) == _MEMO_TABLES
+
+
+def test_each_stored_value_has_one_key():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("A3"), name="A3")
+    key = tw._twist_key(system, None)
+    assert br._prefix_classes(system, key) is br._prefix_classes(system, key, None, None)
+    assert system.cache_sizes()["braid._prefix_classes"] == 1
+    y = system.longest_element()
+    got = tw.atoms(system, y, twist=None)
+    assert tw.atoms(system, y, twist=(1, 2, 3)) == got
+    flipped = system.apply_twist(y, (3, 2, 1))
+    sizes = system.cache_sizes()
+    assert sizes["twisted._ids"] == 1 and sizes["twisted._twist_key"] == 2
+    # a list twist answers, and keeps nothing under itself
+    assert tw.atoms(system, y, twist=[1, 2, 3]) == got
+    assert system.apply_twist(y, [3, 2, 1]) == flipped
+    assert system.cache_sizes() == sizes
 
 
 def test_type_a_only_guards():

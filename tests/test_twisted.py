@@ -314,8 +314,8 @@ def test_the_sweep_leaves_no_hecke_tables_behind():
     for twist in (None, (3, 2, 1)):
         report = tw.check_conjecture(system, twist)
         assert report["pairs_checked"] == 41 and report["failures"] == []
-    caches = system.__dict__["_twisted_caches"]
-    assert len(caches) == 2 and all("hecke_table" not in c for c in caches.values())
+    sizes = system.cache_sizes()
+    assert sizes["twisted._ids"] == 2 and "twisted._hecke_table" not in sizes
 
 
 def _within_cap_atoms():
