@@ -18,6 +18,9 @@ from operator import itemgetter
 
 DEFAULT_ROOT_CAP = 10000  # the most positive roots a system may have: a memory bound
 ENUMERATION_CAP = 50000  # the largest |W| whose id table is built
+# the most root indices the id table's element tuples may hold, |W| * 2|Phi+|:
+# a memory bound just above B6's 46080 * 72, which leaves I2(m) for m >= 922 above it
+ENTRY_CAP = 3400000
 
 
 def closure(seed, neighbors):
@@ -350,14 +353,20 @@ class CoxeterSystem:
     def elements(self):
         """All group elements in (length, lex-min word) order, cached; ValueError above the cap."""
         if self._elements is None:
-            if self.order() > ENUMERATION_CAP:
-                raise ValueError("group too large to enumerate (order > %d)" % ENUMERATION_CAP)
+            if not self._within_cap():
+                raise too_large()
             self._enumerate()
         return self._elements
 
     def order(self):
         """|W|, the product of the degrees (Humphreys 3.9); enumerates nothing."""
         return math.prod(self.degrees)
+
+    def _within_cap(self):
+        """Whether the group may be enumerated: at most ENUMERATION_CAP
+        elements, whose tuples hold at most ENTRY_CAP root indices in all."""
+        order = self.order()
+        return order <= ENUMERATION_CAP and order * 2 * self.num_positive <= ENTRY_CAP
 
     def _enumerate(self):
         """BFS over right multiplication from the identity, generators tried
@@ -397,10 +406,10 @@ class CoxeterSystem:
         self._right = right
 
     def id_table(self):
-        """The integer-id tables of the whole group, or None when order()
-        exceeds ENUMERATION_CAP. Decided once per system."""
+        """The integer-id tables of the whole group, or None above the cap
+        (see _within_cap). Decided once per system."""
         if self._id_table is None:
-            self._id_table = self.order() <= ENUMERATION_CAP and ElementTable(self)
+            self._id_table = self._within_cap() and ElementTable(self)
         return self._id_table or None
 
     def longest_element(self, J=None):
@@ -515,6 +524,12 @@ class ElementTable:
                 u = right[s][u]
             w = right[s][w]
         return u == w
+
+
+def too_large():
+    """The error for a group above the enumeration cap."""
+    return ValueError("group too large to enumerate (order > %d or more than %d table entries)"
+                      % (ENUMERATION_CAP, ENTRY_CAP))
 
 
 def normalize_twist(system, twist):

@@ -11,10 +11,12 @@ reduced word walks the weak order on twisted involutions. Its monotone
 variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 
-The tables derived per system, twist and base (the validated twist, the
-twisted involutions as ids and the Hecke fibers of each base) live in the
+The tables derived per system and twist (the validated twist, the twisted
+involutions as ids and the Hecke fibers of the identity base) live in the
 system's one store through ``coxeter.memo``, and
-``CoxeterSystem.cache_sizes()`` counts them.
+``CoxeterSystem.cache_sizes()`` counts them. The Hecke fibers of any other
+base x are the identity's, pulled back along a chain of ascents up to x, so
+nothing is kept per base.
 """
 
 from functools import partial
@@ -27,7 +29,7 @@ def _id_table(system):
     """The system's id table; ValueError when the group is above the cap."""
     t = system.id_table()
     if t is None:
-        raise ValueError("group too large to enumerate (order > %d)" % cx.ENUMERATION_CAP)
+        raise cx.too_large()
     return t
 
 
@@ -263,31 +265,81 @@ def weak_leq_T(system, x, y, twist=None):
 
 
 def hecke_table(system, base, twist=None):
-    """The Hecke atoms of every y relative to base, keyed by y, kept in the
-    system's store per twist and base.
+    """The Hecke atoms of every y relative to base, keyed by y.
 
     The fold w -> base o w sends each element to a twisted involution, and
-    its fibers are the Hecke atom sets, each sorted by (length, word). Only
-    available when the group is small enough to enumerate. The fold runs on
-    ids in id order, so each element extends a shorter one by its first
-    right descent.
+    its fibers are the Hecke atom sets, each sorted by (length, word); the
+    keys run by the first atom of each. Only available when the group is
+    small enough to enumerate. Each fiber is the identity base's fiber
+    pulled back along base (see ``_pull_back``), so nothing is kept per base.
     """
-    return _hecke_table(system, base, _twist_key(system, twist))
+    twist = _twist_key(system, twist)
+    t = _id_table(system)
+    ids = _ids(system, twist)
+    letters = _ascents_to(ids, ids.member(base))
+    pulled = ((_pull_back(t, ws, letters), y) for y, ws in _id_fibers(system, twist).items())
+    return {t.elements[y]: tuple(map(t.elements.__getitem__, ws)) for ws, y in sorted(pulled) if ws}
 
 
 @cx.memo
-def _hecke_table(system, base, twist):
+def _id_fibers(system, twist):
+    """The fibers of the identity base's fold w -> e o w, as lists of group
+    ids in id order keyed by the twisted involution's id. The fold runs on
+    ids in id order, so each element extends a shorter one by its first
+    right descent."""
     t = _id_table(system)
-    ids = _ids(system, twist)
-    dact, right, first = ids.dact, t.right, t.first_descent
-    images = [ids.member(base)] * len(t.elements)
+    dact, right, first = _ids(system, twist).dact, t.right, t.first_descent
+    images = [0] * len(t.elements)  # the identity's id is 0 in both tables
+    fibers = {0: [0]}
     for w in range(1, len(images)):
         s = first[w]
-        images[w] = dact[images[right[s][w]]][s]
-    fibers = {}
-    for w, y in enumerate(images):
-        fibers.setdefault(y, []).append(t.elements[w])
-    return {t.elements[y]: tuple(ws) for y, ws in fibers.items()}
+        y = images[w] = dact[images[right[s][w]]][s]
+        fibers.setdefault(y, []).append(w)
+    return fibers
+
+
+# The fold is an action of the 0-Hecke monoid: x o (u * v) = (x o u) o v for
+# the Demazure product u * v. So for a step up x = x' o s along an ascent s of
+# x', x o w = x' o (s * w), and the fiber of x over y is the preimage of the
+# fiber of x' under w -> s * w. That map fixes w when s is a left descent of
+# w and sends w to s w otherwise, so the preimage of v is {v, s v} when
+# s v < v and empty otherwise: no element is reached twice. Every fiber is
+# thus the identity base's fiber pulled back along a chain of ascents from
+# the identity up to x.
+
+
+def _ascents_to(ids, x):
+    """The letters of a chain of ascents from the root up to the id x, read
+    off the first step down of each id on the way down."""
+    letters = []
+    while x != ids.root:
+        s, x = ids.steps[x][0]
+        letters.append(s)
+    return letters[::-1]
+
+
+def _pull_back(t, fiber, letters):
+    """The ids w with x o w = y, in id order, for the identity base's fiber
+    of y and the letters of a chain of ascents up to x."""
+    for s in letters:
+        times_s = t.left[s]
+        kept = [v for v in fiber if times_s[v] < v]
+        fiber = kept + [times_s[v] for v in kept]
+    return sorted(fiber)
+
+
+def _pull_back_shortest(t, fiber, letters):
+    """The first run of ``_pull_back(t, fiber, letters)``, from the first run
+    of fiber alone. A fiber over x is empty unless x <= y, and its shortest
+    elements then have length hat(y) - hat(x): a chain of ascents from x to
+    y folds x to y, and each letter raises hat by at most one. So a step up
+    x = x' o s lowers the shortest length by one, and the shortest elements
+    over x are the s v with s v < v for the shortest v over x'."""
+    us = _first_run(t, fiber)
+    for s in letters:
+        times_s = t.left[s]
+        us = [times_s[v] for v in us if times_s[v] < v]
+    return sorted(us)
 
 
 def hecke_atoms(system, y, x=None, twist=None):
@@ -295,8 +347,11 @@ def hecke_atoms(system, y, x=None, twist=None):
     twist = _twist_key(system, twist)
     if x is None:
         x = system.identity
-    _ids(system, twist).member(y)
-    return hecke_table(system, x, twist).get(y, ())
+    ids = _ids(system, twist)
+    yi = ids.member(y)
+    t = _id_table(system)
+    ws = _pull_back(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, ids.member(x)))
+    return tuple(map(t.elements.__getitem__, ws))
 
 
 def atoms(system, y, x=None, twist=None):
@@ -308,8 +363,8 @@ def atoms(system, y, x=None, twist=None):
     xi, yi = ids.member(x), ids.member(y)
     t = system.id_table()
     if t is not None:
-        hk = map(t.index.__getitem__, hecke_table(system, x, twist).get(y, ()))
-        return tuple(t.elements[w] for w in _first_run(t, hk))
+        us = _pull_back_shortest(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, xi))
+        return tuple(map(t.elements.__getitem__, us))
     # above the cap: the atom pass on root permutations, down to x
     for z, us in _atom_pass(ids.top_down(yi), ids.steps.__getitem__, ids.left, ids.root):
         if z == xi:
@@ -577,8 +632,9 @@ def check_duality(system, v0, twist=None):
                             "y": list(system.reduced_word(y)),
                         }
                     )
-                r_d = set(involution_words(system, y, x, diamond))
-                r_s = set(involution_words(system, wx, wy, twist))
+                # the involution words are the reduced words of the atoms
+                r_d = {e for w in a_d for e in system.reduced_words(w)}
+                r_s = {e for w in a_s for e in system.reduced_words(w)}
                 checks += 1
                 if {tuple(reversed(e)) for e in r_s} != r_d:
                     failures.append(

@@ -419,7 +419,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 
 _MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
-                "twisted._hecke_table", "braid._tables", "braid._fold_tables",
+                "twisted._id_fibers", "braid._tables", "braid._fold_tables",
                 "braid._prefix_classes", "braid._fc"}
 
 

@@ -219,16 +219,36 @@ def test_a_group_past_the_root_cap_is_a_usage_error(capsys):
     assert "too large" in err
 
 
+# runs the CLI on the given arguments, then writes the exit code and the
+# peak RSS in MB to stderr: VmHWM, the peak of the memory map that the
+# child's exec started afresh (ru_maxrss would count the parent's at the fork)
+_CLI_PEAK = """
+import resource, sys
+from invatoms import cli
+code = cli.main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as f:
+        mb = next(int(ln.split()[1]) for ln in f if ln.startswith("VmHWM:")) / 1024
+except OSError:  # off Linux
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS
+    mb = kb / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+print(code, mb, file=sys.stderr)
+"""
+
+
 def test_a_large_dihedral_group_builds():
-    # in a child process, which frees the group's id table: 10^4 elements of
-    # 10^4 root indices each
+    # 10^4 elements of 10^4 root indices each are over the table's entry
+    # bound, so the one-word answer takes the route above the cap instead
+    # of a table of about 1 GB
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "invatoms.cli", "words", "--system", "I2(5000)", "--y", "1"],
+        [sys.executable, "-c", _CLI_PEAK, "words", "--system", "I2(5000)", "--y", "1"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
+    code, mb = proc.stderr.split()[-2:]
+    assert code == "0", proc.stderr
     assert json.loads(proc.stdout) == {"words": [[1]]}
+    assert float(mb) < 60
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):

@@ -409,6 +409,19 @@ def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, m
     assert system._elements is None
 
 
+def test_the_id_table_is_bounded_by_its_entry_count(monkeypatch):
+    # I2(922): 1844 elements of 1844 root indices each, just over ENTRY_CAP
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("I2(922)"))
+    monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
+    assert system.order() <= cx.ENUMERATION_CAP
+    assert system.id_table() is None
+    with pytest.raises(ValueError, match="group too large to enumerate"):
+        system.elements()
+    # B6, the largest table within the cap: 46080 elements of 72 entries
+    assert cx.CoxeterSystem(cx.coxeter_matrix_from_name("B6"))._within_cap()
+    assert cx.CoxeterSystem(cx.coxeter_matrix_from_name("I2(921)"))._within_cap()
+
+
 def test_elements_above_the_cap_raise_without_enumerating(monkeypatch):
     # 2,903,040 elements of 126 entries each; a fresh system decides nothing yet
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("E7"), name="E7")

@@ -315,7 +315,43 @@ def test_the_sweep_leaves_no_hecke_tables_behind():
         report = tw.check_conjecture(system, twist)
         assert report["pairs_checked"] == 41 and report["failures"] == []
     sizes = system.cache_sizes()
-    assert sizes["twisted._ids"] == 2 and "twisted._hecke_table" not in sizes
+    assert sizes["twisted._ids"] == 2 and "twisted._id_fibers" not in sizes
+
+
+def _direct_fold(system, base, twist):
+    """The Hecke fibers of base, keyed by y in the order of their first
+    atoms, from folding base against every element of the group: the fold
+    against w extends the fold against w s for the first right descent s."""
+    t = system.id_table()
+    ids = tw._ids(system, tw._twist_key(system, twist))
+    images = [ids.member(base)] * len(t.elements)
+    for w in range(1, len(images)):
+        s = t.first_descent[w]
+        images[w] = ids.dact[images[t.right[s][w]]][s]
+    fibers = {}
+    for w, y in enumerate(images):
+        fibers.setdefault(t.elements[y], []).append(t.elements[w])
+    return {y: tuple(ws) for y, ws in fibers.items()}
+
+
+@pytest.mark.parametrize("name, twist", [
+    ("B3", None), ("H3", None), ("B4", None), ("F4", (4, 3, 2, 1)),
+    ("D4", (3, 2, 1, 4)), ("A4", (4, 3, 2, 1)), ("I2(7)", None)])
+def test_fibers_pulled_back_along_x_match_a_direct_fold_of_x(name, twist):
+    # every pair (x, y), x = y and x not below y among them; one fold is kept
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    involutions = tw.enumerate_twisted(system, twist)
+    for x in involutions:
+        fibers = _direct_fold(system, x, twist)
+        assert list(tw.hecke_table(system, x, twist).items()) == list(fibers.items())
+        for y in involutions:
+            fiber = fibers.get(y, ())
+            shortest = min(map(system.length, fiber), default=None)
+            assert tw.hecke_atoms(system, y, x, twist) == fiber
+            assert tw.atoms(system, y, x, twist) == tuple(
+                w for w in fiber if system.length(w) == shortest)
+    assert system.cache_sizes() == {"twisted._twist_key": 1, "twisted._ids": 1,
+                                    "twisted._id_fibers": 1}
 
 
 def _within_cap_atoms():
@@ -410,6 +446,16 @@ def test_duality_translation():
         assert report["failures"] == []
     b3 = cx.build_system("B3")
     assert tw.check_duality(b3, b3.longest_element())["failures"] == []
+
+
+def test_the_duality_check_keeps_one_fold_per_twist():
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("D5"), name="D5")
+    report = tw.check_duality(system, system.longest_element())
+    assert report["pairs_checked"] == 9785 and report["failures"] == []
+    # one fold for each of the two twists, the identity and its w0-conjugate
+    # (the flip of the fork); the keys of the identity as None and as a tuple
+    assert system.cache_sizes() == {"twisted._twist_key": 3, "coxeter._twist_perms": 1,
+                                    "twisted._ids": 2, "twisted._id_fibers": 2}
 
 
 def test_central_longest_element_closure():
