@@ -349,13 +349,25 @@ def _fc(system, w):
     return all(_fc(system, system.right_mult(w, s)) for s in des)
 
 
+def _chains(ids):
+    """Yield each id x of ids in order with its steps down and the number of
+    ascent chains from the root to x, i.e. of its involution words: the
+    chains through each step down, counted before x."""
+    chains = {}
+    for x in ids.order():
+        steps = ids.steps[x]
+        chains[x] = sum(chains[z] for _, z in steps) if steps else 1
+        yield x, steps, chains[x]
+
+
 def check_fc_atoms(system, twist=None):
     """Check that fully commutative twisted involutions have a lone atom.
 
-    The atom must be fully commutative and its reduced words must exhaust
-    the transforming words. Needs every generator to satisfy m(s, s*) > 2
-    or s* = s; the report carries a flag for that hypothesis instead of
-    failing, so violating twists can be examined.
+    The atom must be fully commutative and its reduced words must be as
+    many as the transforming words, which are the ascent chains to x (see
+    ``_chains``). Needs every generator to satisfy m(s, s*) > 2 or s* = s;
+    the report carries a flag for that hypothesis instead of failing, so
+    violating twists can be examined.
     """
     twist = tw._twist_key(system, twist)
     hypothesis_ok = True
@@ -363,9 +375,11 @@ def check_fc_atoms(system, twist=None):
         sstar = twist[s - 1]
         if sstar != s and system.bond(s, sstar) == 2:
             hypothesis_ok = False
+    ids = tw._ids(system, twist)
     failures = []
     checked = 0
-    for x in tw.enumerate_twisted(system, twist):
+    for i, _, chains in _chains(ids):
+        x = ids.elements[i]
         if not is_fully_commutative(system, x):
             continue
         checked += 1
@@ -377,16 +391,11 @@ def check_fc_atoms(system, twist=None):
             w = ats[0]
             if not is_fully_commutative(system, w):
                 problem = "atom not fully commutative"
-            elif set(tw.involution_words(system, x, twist=twist)) != set(system.reduced_words(w)):
+            elif len(system.reduced_words(w)) != chains:
                 problem = "words differ from the atom's reduced words"
         if problem is not None:
             failures.append({"x": list(system.reduced_word(x)), "problem": problem})
-    return {
-        "system": system.name or "custom",
-        "hypothesis_ok": hypothesis_ok,
-        "pairs_checked": checked,
-        "failures": failures,
-    }
+    return tw._report(system, checked, failures, hypothesis_ok=hypothesis_ok)
 
 
 def check_braid_classes(system, twist=None):
@@ -405,28 +414,22 @@ def check_braid_classes(system, twist=None):
     twist = tw._twist_key(system, twist)
     ids = tw._ids(system, twist)
     dag = _prefix_classes(system, twist)
-    chains, least, nodes = {}, {}, []
-    for x in ids.order():
-        steps = ids.steps[x]
-        chains[x] = sum(chains[z] for _, z in steps) if steps else 1
+    least, nodes = {}, []
+    for x, steps, chains in _chains(ids):
         least[x] = min((least[z] + (s + 1,) for s, z in steps), default=())
-        nodes.append((x, dag.node(least[x])))
+        nodes.append((x, chains, dag.node(least[x])))
     # the paths to each node whose pieces all rise; a node's pieces hang
     # from nodes made before it
     dact, rising = ids.dact, {dag.root: 1}
     for n in dag.nodes[1:]:
         rising[n] = sum(rising[p] for p, a in n.pieces if dact[p.fold][a - 1] == n.fold != p.fold)
     failures = []
-    for x, node in nodes:
-        good, want = rising[node], chains[x]
+    for x, want, node in nodes:
+        good = rising[node]
         if good != node.size or good != want:
             failures.append({
                 "x": list(system.reduced_word(ids.elements[x])),
                 "missing": want - good,
                 "extra": node.size - good,
             })
-    return {
-        "system": system.name or "custom",
-        "pairs_checked": len(nodes),
-        "failures": failures,
-    }
+    return tw._report(system, len(nodes), failures)

@@ -94,10 +94,7 @@ def parse_element(system, text):
     if body == "w0":
         return system.longest_element()
     if body == "wfpf":
-        if not cx.is_type_a_chain(system):
-            raise UsageError("wfpf needs a symmetric group (type A chain)")
-        from . import typea as ta
-        return cx.permutation_to_element(system, ta.fpf_base(system.rank + 1))
+        return _fpf_base(system, "wfpf")
     if cx.is_type_a_chain(system):
         return cx.permutation_to_element(system, parse_permutation(body, system.rank + 1))
     word = [int(p) for p in re.split(r"[,\s]+", body) if p]
@@ -105,6 +102,14 @@ def parse_element(system, text):
         if not 1 <= s <= system.rank:
             raise UsageError("generator %d out of range 1..%d" % (s, system.rank))
     return system.product(word)
+
+
+def _fpf_base(system, name):
+    """The FPF base element, for the keyword or flag name (type A only)."""
+    if not cx.is_type_a_chain(system):
+        raise UsageError("%s needs a symmetric group (type A chain)" % name)
+    from . import typea as ta
+    return cx.permutation_to_element(system, ta.fpf_base(system.rank + 1))
 
 
 def parse_twist(system, text):
@@ -160,10 +165,7 @@ def _default_start(system, args):
     if args.x is not None:
         return parse_element(system, args.x)
     if getattr(args, "fpf", False):
-        if not cx.is_type_a_chain(system):
-            raise UsageError("--fpf needs a symmetric group (type A chain)")
-        from . import typea as ta
-        return cx.permutation_to_element(system, ta.fpf_base(system.rank + 1))
+        return _fpf_base(system, "--fpf")
     return None
 
 

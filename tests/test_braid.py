@@ -503,6 +503,17 @@ def test_fully_commutative_involutions_have_a_lone_atom():
         assert report["failures"] == []
 
 
+def test_the_fc_check_counts_the_words_apart_from_the_atom(monkeypatch):
+    # the words are counted as ascent chains, so a reduced-word listing that
+    # misses a word shows; the atom's own listing would agree with itself
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B3"), name="B3")
+    real = system.reduced_words
+    monkeypatch.setattr(system, "reduced_words", lambda w: real(w)[:-1] or real(w))
+    problem = "words differ from the atom's reduced words"
+    assert br.check_fc_atoms(system)["failures"] == [
+        {"x": x, "problem": problem} for x in ([1, 3], [2, 1, 3, 2], [3, 2, 1, 3, 2, 3])]
+
+
 def test_braid_checkers_name_a_matrix_built_system_custom():
     system = cx.build_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]])
     # the matrix of A3: 10 involutions, 6 of them fully commutative

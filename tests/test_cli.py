@@ -202,9 +202,10 @@ def test_element_keywords(capsys):
     code, out, _ = run(capsys, "words", "--system", "A3", "--y", "wfpf", "--fpf")
     assert code == 0
     assert json.loads(out) == {"words": [[]]}
-    code, _, err = run(capsys, "words", "--system", "B3", "--y", "wfpf")
-    assert code == 2
-    assert "type A chain" in err
+    for flags, name in [(("--y", "wfpf"), "wfpf"), (("--y", "id", "--fpf"), "--fpf")]:
+        code, _, err = run(capsys, "words", "--system", "B3", *flags)
+        assert code == 2
+        assert err == "error: %s needs a symmetric group (type A chain)\n" % name
 
 
 def test_an_infinite_matrix_is_a_usage_error(capsys):

@@ -458,6 +458,37 @@ def test_the_duality_check_keeps_one_fold_per_twist():
                                     "twisted._ids": 2, "twisted._id_fibers": 2}
 
 
+@pytest.mark.parametrize("name, twist", [("B3", None), ("A3", (3, 2, 1))])
+def test_the_duality_check_reads_the_tables_only(monkeypatch, name, twist):
+    system = cx.build_system(name)
+    expected = tw.check_duality(system, system.longest_element(), twist)
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("the duality check recomputed a table entry")
+
+    for fn in ("_rtimes", "hat_length", "enumerate_twisted"):
+        monkeypatch.setattr(tw, fn, recomputed)
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    assert tw.check_duality(system, system.longest_element(), twist) == expected
+
+
+def test_the_duality_check_lists_a_wrong_pair_and_goes_on(monkeypatch):
+    system = cx.build_system("A3")
+    w0, x, real = system.longest_element(), system.product((2,)), tw.atoms
+
+    def one_atom_short(system_, y, x_=None, twist=None):
+        # drop an atom of (x, w0) under the twist conjugated by w0, the flip
+        got = real(system_, y, x_, twist)
+        return got[1:] if (x_, y, twist) == (x, w0, (3, 2, 1)) else got
+
+    monkeypatch.setattr(tw, "atoms", one_atom_short)
+    report = tw.check_duality(system, w0)
+    assert report["pairs_checked"] == 123
+    pair = {"x": [2], "y": [1, 2, 1, 3, 2, 1]}
+    assert report["failures"] == [{"check": "atoms-inverse", **pair},
+                                  {"check": "words-reversed", **pair}]
+
+
 def test_central_longest_element_closure():
     for name in ("B2", "B3"):
         system = cx.build_system(name)
