@@ -11,13 +11,15 @@ the moves act on aligned windows of four letters and the resulting poset
 embeds into the right weak order of a symmetric group of half the size.
 
 Permutations are one-line tuples as in the typea module; the class and
-order closures accept arbitrary integer sequences.
+order closures accept arbitrary integer sequences. Classes and sweeps run
+on packed integers, b bits a letter, first letter most significant (so
+integer order is lex order), where a window move adds one integer.
 """
 
 import itertools
 import math
-from functools import lru_cache
-from operator import itemgetter
+from collections import Counter
+from operator import countOf
 
 from . import coxeter as cx
 from . import typea as ta
@@ -34,109 +36,90 @@ def _dedupe(values):
     return tuple(dict.fromkeys(values))
 
 
-# -- window moves read off order keys ----------------------------------------
-
-
-def _key3(a, b, c):
-    """The relative order of three letters, ties included: one base-3 digit
-    (less, equal, greater) per pair of positions, an index below 27."""
-    return 9 * ((a > b) + (a >= b)) + 3 * ((a > c) + (a >= c)) + (b > c) + (b >= c)
-
-
-def _key4(a, b, c, d):
-    """The relative order of four letters, ties included, an index below 729."""
-    return (243 * ((a > b) + (a >= b)) + 81 * ((a > c) + (a >= c))
-            + 27 * ((a > d) + (a >= d)) + 9 * ((b > c) + (b >= c))
-            + 3 * ((b > d) + (b >= d)) + (c > d) + (c >= d))
-
-
 def _triple_mates(window):
     a, b, c = sorted(window)
     pats = _dedupe([(c, a, b), (b, c, a), (c, b, a)])
-    if window in pats:
-        return [p for p in pats if p != window]
-    return []
+    return [p for p in pats if p != window] if window in pats else []
 
 
 def _quad_mates(window):
     a, b, c, d = sorted(window)
     pats = _dedupe([(a, d, b, c), (b, c, a, d), (b, d, a, c), (c, d, a, b)])
-    if window in pats:
-        return [p for p in pats if p != window]
-    return []
+    return [p for p in pats if p != window] if window in pats else []
 
 
-def _mates_table(width, key, mates):
-    """Per relative order of a window of width letters, ties included, the
-    tuples of window positions that spell mates(window).
-
-    mates reads only the relative order of the window, so every window over
-    range(width) stands for its order and fills the entry under its key.
-    """
-    table = [()] * 3 ** (width * (width - 1) // 2)
-    for window in itertools.product(range(width), repeat=width):
-        table[key(*window)] = tuple(tuple(window.index(v) for v in m) for m in mates(window))
-    return table
+# -- window moves on packed sequences -------------------------------------------
 
 
-# kind -> (window width, step between window starts, order key, mates)
-_WINDOWS = {
-    "chinese": (3, 1, _key3, _triple_mates),
-    "fpf": (4, 2, _key4, _quad_mates),
-}
+def _pack(seq, b):
+    p = 0
+    for v in seq:
+        p = p << b | v
+    return p
 
 
-@lru_cache(maxsize=32)
-def _window_moves(n, kind):
-    """Per window start i of an n-letter sequence, the table from the
-    window's order key to itemgetters that read each whole mate sequence."""
-    width, step, key, mates = _WINDOWS[kind]
-    table = _mates_table(width, key, mates)
-    out = []
-    for i in range(0, n - width + 1, step):
-        row = []
-        for spots in table:
-            getters = []
-            for spot in spots:
-                idx = list(range(n))
-                idx[i:i + width] = [i + j for j in spot]
-                getters.append(itemgetter(*idx))
-            row.append(tuple(getters))
-        out.append((i, row))
-    return tuple(out)
+def _unpack(p, n, b):
+    mask = (1 << b) - 1
+    return tuple([p >> s & mask for s in range(b * (n - 1), -1, -b)])
 
 
-def _triple_steps(seq, kind):
-    out = []
-    for i, row in _window_moves(len(seq), kind):
-        for g in row[_key3(seq[i], seq[i + 1], seq[i + 2])]:
-            out.append(g(seq))
-    return out
+def _ranked(seq):
+    """The ranks 0, 1, ... of seq's values, ties kept, their bits a letter
+    and the map back from packed sequences of the length of seq."""
+    values = sorted(set(seq))
+    rank = {v: r for r, v in enumerate(values)}
+    n, b = len(seq), max(len(values) - 1, 1).bit_length()
+    return (tuple(map(rank.__getitem__, seq)), b,
+            lambda p: tuple(map(values.__getitem__, _unpack(p, n, b))))
 
 
-def _quad_steps(seq, kind):
-    out = []
-    for i, row in _window_moves(len(seq), kind):
-        for g in row[_key4(seq[i], seq[i + 1], seq[i + 2], seq[i + 3])]:
-            out.append(g(seq))
-    return out
+def _neighbors(seq, *kinds):
+    """The sequences one move away from seq, by kind (width, step, mates)."""
+    return [seq[:i] + m + seq[i + width:] for width, step, mates in kinds
+            for i in range(0, len(seq) - width + 1, step) for m in mates(seq[i:i + width])]
+
+
+def _closer(n, b, width, step, mates):
+    """The function from a packed n-letter sequence p to its class, in BFS
+    order, under mates on the windows of width letters at 0, step, ...:
+    what turns a window into each mate, shifted to its place, moves p."""
+    rows = [(b * (n - width - i), (1 << b * width) - 1) for i in range(0, n - width + 1, step)]
+    moves = {}
+
+    def close(start):
+        seen = {start}
+        queue = [start]
+        for p in queue:
+            for s, m in rows:
+                w = p >> s & m
+                try:
+                    ds = moves[w]
+                except KeyError:
+                    ds = moves[w] = tuple(_pack(v, b) - w for v in mates(_unpack(w, width, b)))
+                for d in ds:
+                    q = p + (d << s)
+                    if q not in seen:
+                        seen.add(q)
+                        queue.append(q)
+        return queue
+    return close
 
 
 # -- the Chinese relation and its class partition ----------------------------
 
-
-def _chinese_step(seq):
-    return _triple_steps(seq, "chinese")
+_CHINESE = (3, 1, _triple_mates)
+_FPF = (4, 2, _quad_mates)
 
 
 def chinese_neighbors(seq):
     """Sequences one three-letter move away from seq."""
-    return _chinese_step(_seq(seq))
+    return _neighbors(_seq(seq), _CHINESE)
 
 
 def chinese_class(seq):
     """The full equivalence class of seq under the three-letter relation."""
-    return cx.closure(_seq(seq), _chinese_step)
+    ranks, b, values = _ranked(_seq(seq))
+    return set(map(values, _closer(len(ranks), b, *_CHINESE)(_pack(ranks, b))))
 
 
 def _blocks(descents):
@@ -151,53 +134,76 @@ def _blocks(descents):
     return [slice(lo, hi) for lo, hi in out]
 
 
-def _verify_classes(n, base, class_of):
+def _fold(n, base, b):
+    """{w^-1 on letters 0..n-1, packed with b bits a letter: the id of base
+    folded against w} and the images by id, for each w in S_n with no left
+    descent s_a, a in J, the right descents of base (the fold is constant on
+    cosets W_J w): one BFS over ascents from the identity on packed p with
+    u = p^-1. p s_i swaps the letters a = p(i), c = p(i + 1) of p and adds
+    one at position a of u, takes one at position c; it gains the left
+    descent s_a exactly when c = a + 1, skipped for a in J (Deodhar's lemma)."""
+    folds = {}  # image -> its folds by s_1, ..., s_{n-1}
+    cx.closure(base, lambda y: folds.setdefault(y, [ta.dact_perm(y, i) for i in range(1, n)]))
+    ids = dict(zip(folds, itertools.count()))
+    steps = [[None] + [ids[z] for z in row] for row in folds.values()]
+    skip = frozenset(a - 1 for a in ta.right_descents_perm(base))
+    mask = (1 << b) - 1
+    unit = [1 << b * (n - 1 - j) for j in range(n)]  # one at position j
+    rows = [(i, b * (n - 1 - i), unit[i - 1] - unit[i]) for i in range(1, n)]
+    p = u = _pack(range(n), b)
+    labels = {u: 0}
+    ps, us = [p], [u]
+    for p, u in zip(ps, us):
+        fold = steps[labels[u]]
+        a = p >> b * max(n - 1, 0)
+        for i, shift, swap in rows:
+            c = p >> shift & mask
+            if a < c and (c != a + 1 or a not in skip):
+                v = u + unit[a] - unit[c]
+                if v not in labels:
+                    labels[v] = fold[i]
+                    ps.append(p + (c - a) * swap)
+                    us.append(v)
+            a = c
+    return labels, list(folds)
+
+
+def _verify_classes(n, base, relation):
     """The report of verify_chinese and verify_fpf: each inverted Hecke atom
     set of base against the class of one of its members.
 
-    The Hecke atom sets partition S_n. When each inverted set is the class
-    of one of its members, the classes are exactly these sets, so checking
-    one class per set is complete; ``classes`` counts the distinct classes
-    built and equals ``involutions`` on a passing run.
-
-    Both sides are compared on J-minimal sequences, J the right descents of
-    base. base folded against s w is base folded against w for s in J, so
-    each Hecke atom set is a union of cosets W_J w and its inverse a union
-    of orbits u W_J, each with one J-minimal member (increasing on every
-    block of J). class_of(v) must give the J-minimal members of the class
-    of v, which stand for the whole class when the relation joins each
-    orbit. The class is started from the top of the least orbit (every
-    block of J reversed), so a relation that does not join it fails. Sizes
-    in failures count whole sets: J-minimal members times |W_J|.
+    The Hecke atom sets partition S_n, so if each inverted set is the class
+    of one of its members the classes are these sets; ``classes`` counts the
+    distinct classes built, ``involutions`` on a passing run. Both sides are
+    compared on J-minimal sequences, J the right descents of base: each
+    inverted set is a union of orbits u W_J (see _fold), each with one
+    member increasing on every block of J. relation(n, b) gives the function
+    from a packed v to the packed J-minimal members of its class, started
+    from the top (every block of J reversed) of the least orbit, so a
+    relation that does not join orbits fails. A class matches its set when
+    every member carries the set's image and the counts agree. Failure
+    sizes are J-minimal members times |W_J|.
     """
-    if base is None:
-        base = ta.identity_perm(n)
-    descents = ta.right_descents_perm(base)
-    blocks = _blocks(descents)
-    orbit = math.prod(math.factorial(b.stop - b.start) for b in blocks)
-    fibers = {}
-    for w, img in ta._hecke_fold(n, base, frozenset(descents)).items():
-        fibers.setdefault(img, set()).add(ta.inverse_perm(w))
-    classes = set()
+    blocks = _blocks(ta.right_descents_perm(base))
+    orbit = math.prod(math.factorial(block.stop - block.start) for block in blocks)
+    b = max(n - 1, 1).bit_length()
+    labels, images = _fold(n, base, b)
+    members = sorted(labels, reverse=True)
+    least = dict(zip(map(labels.get, members), members))
+    class_of = relation(n, b)
+    ids = {}  # member -> the set whose class first held it
     failures = []
-    for target, fiber in fibers.items():
-        top = list(min(fiber))
-        for b in blocks:
-            top[b] = top[b][::-1]
-        cls = frozenset(class_of(tuple(top)))
-        classes.add(cls)
-        if cls != fiber:
-            failures.append({
-                "involution": list(target),
-                "class_size": orbit * len(cls),
-                "hecke_size": orbit * len(fiber),
-            })
-    return {
-        "n": n,
-        "classes": len(classes),
-        "involutions": len(fibers),
-        "failures": failures,
-    }
+    for k, size in Counter(labels.values()).items():
+        top = list(_unpack(least[k], n, b))
+        for block in blocks:
+            top[block] = top[block][::-1]
+        cls = class_of(_pack(top, b))
+        ids.update(dict.fromkeys(cls, ids.get(next(iter(cls)), k)))
+        if len(cls) != size or countOf(map(labels.get, cls), k) != size:
+            failures.append({"involution": list(images[k]), "class_size": orbit * len(cls),
+                             "hecke_size": orbit * size})
+    return {"n": n, "classes": len(set(ids.values())), "involutions": len(least),
+            "failures": failures}
 
 
 def verify_chinese(n):
@@ -210,7 +216,7 @@ def verify_chinese(n):
         raise ValueError("n must be non-negative")
     if n > CHINESE_SWEEP_CAP:
         raise ValueError("n too large for the Chinese sweep (max %d)" % CHINESE_SWEEP_CAP)
-    return _verify_classes(n, None, chinese_class)
+    return _verify_classes(n, ta.identity_perm(n), lambda n, b: _closer(n, b, *_CHINESE))
 
 
 # -- the fixed-point-free relation -------------------------------------------
@@ -221,25 +227,16 @@ def fpf_neighbors(seq):
     seq = _seq(seq)
     if len(seq) % 2:
         raise ValueError("sequence has odd length")
-    swap = ta._swappers(len(seq))  # swap[i + 1] swaps the 0-based positions i, i + 1
-    return [swap[i + 1](seq) for i in range(0, len(seq), 2)] + _quad_steps(seq, "fpf")
+    return _neighbors(seq, (2, 2, lambda pair: [pair[::-1]]), _FPF)
 
 
-def _fpf_moves(seq):
-    return _quad_steps(seq, "fpf")
-
-
-def _fpf_sorted_class(seq):
-    """The members of the class of seq with each aligned pair in order.
-
-    Every move pattern has both of its pairs in order, so sorting the pairs
-    maps a move to a move and a swap to nothing: these members are the
-    closure of seq with its pairs sorted under the four-letter moves alone.
-    """
-    start = []
-    for i in range(0, len(seq), 2):
-        start += sorted(seq[i:i + 2])
-    return cx.closure(tuple(start), _fpf_moves)
+def _fpf_sorted_closer(n, b):
+    """The function from a packed sequence to its class members with each
+    aligned pair in order: every move pattern has both pairs in order, so
+    they are the pair-sorted sequence's closure under the moves alone."""
+    close = _closer(n, b, *_FPF)
+    return lambda p: close(_pack(itertools.chain.from_iterable(
+        map(sorted, zip(*[iter(_unpack(p, n, b))] * 2))), b))
 
 
 def fpf_class(seq):
@@ -248,9 +245,10 @@ def fpf_class(seq):
     start = _seq(seq)
     if len(start) % 2:
         raise ValueError("sequence has odd length")
+    ranks, b, values = _ranked(start)
     out = set()
-    for v in _fpf_sorted_class(start):
-        pairs = [_dedupe([(a, b), (b, a)]) for a, b in zip(v[::2], v[1::2])]
+    for v in map(values, _fpf_sorted_closer(len(start), b)(_pack(ranks, b))):
+        pairs = [_dedupe([(x, y), (y, x)]) for x, y in zip(v[::2], v[1::2])]
         out.update(tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*pairs))
     return out
 
@@ -263,7 +261,7 @@ def verify_fpf(n2):
         raise ValueError("the FPF sweep needs an even size, got %d" % n2)
     if n2 > FPF_SWEEP_CAP:
         raise ValueError("2n too large for the FPF sweep (max %d)" % FPF_SWEEP_CAP)
-    return _verify_classes(n2, ta.fpf_base(n2), _fpf_sorted_class)
+    return _verify_classes(n2, ta.fpf_base(n2), _fpf_sorted_closer)
 
 
 # -- the atom orders ----------------------------------------------------------
@@ -407,29 +405,29 @@ def _build_poset(bottom, bottom_rank, moves):
     """The order generated from bottom by upward moves, ranked from the rank
     of bottom. moves(u) gives each (v, rise) one move above u, rise the
     exact change of the rank; each rise must be one, so the moves are the
-    covers and the rank of v is one more than the rank of any u below it."""
+    covers and each layer of the BFS from bottom, sorted, is one rank."""
     ranks = {bottom: bottom_rank}
-    covers = []
-    tops = []
-
-    def record(u):
-        out = moves(u)
-        if not out:
-            tops.append(u)
-        rank = ranks[u] + 1
-        for v, rise in out:
-            if rise != 1:
-                raise RuntimeError("rank function does not rise by one along moves")
-            covers.append((u, v))
-            ranks[v] = rank
-        return [v for v, _ in out]
-
-    cx.closure(bottom, record)
+    elements, covers, tops = [], [], []
+    layer = [bottom]
+    while layer:
+        layer.sort()
+        elements += layer
+        above = []
+        for u in layer:
+            out = sorted(moves(u))
+            if not out:
+                tops.append(u)
+            for v, rise in out:
+                if rise != 1:
+                    raise RuntimeError("rank function does not rise by one along moves")
+                covers.append((u, v))
+                if v not in ranks:
+                    ranks[v] = ranks[u] + 1
+                    above.append(v)
+        layer = above
     if len(tops) != 1:
         raise RuntimeError("atom order is not bounded above")
-    elements = tuple(sorted(ranks, key=lambda u: (ranks[u], u)))
-    covers = tuple(sorted(covers, key=lambda e: (ranks[e[0]], e)))
-    return AtomPoset(elements, covers, bottom, tops[0], ranks)
+    return AtomPoset(tuple(elements), tuple(covers), bottom, tops[0], ranks)
 
 
 def _ranked_moves(x):

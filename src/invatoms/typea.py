@@ -196,20 +196,12 @@ def _swappers(n):
     return tuple(out)
 
 
-def _hecke_fold(n, base, skip):
-    """base folded against each element of S_n with no left descent s_a for
-    a in skip, keyed by element.
+def _hecke_fold(n, base):
+    """base folded against every element of S_n, keyed by element.
 
     One BFS over ascents from the identity: each element is folded once,
     from the element that first reaches it, and the fold steps of each
-    image are computed once. q = p s_i gains a left descent exactly when
-    p(i + 1) = p(i) + 1, namely s_{p(i)}, so q is skipped when p(i) is in
-    skip. Every element without a left descent in skip is reached through
-    such elements (Deodhar's lemma), so they are all folded.
-
-    When skip holds right descents of base, base folded against s_a w is
-    base folded against w for a in skip, so the fold is constant on each
-    coset W_skip w and the table holds its minimal representatives.
+    image are computed once.
     """
     swap = _swappers(n)
     start = identity_perm(n)
@@ -224,7 +216,7 @@ def _hecke_fold(n, base, skip):
         for i in range(1, n):
             if p[i - 1] < p[i]:
                 q = swap[i](p)
-                if q not in table and (p[i] != p[i - 1] + 1 or p[i - 1] not in skip):
+                if q not in table:
                     table[q] = folds[i]
                     queue.append(q)
     return table
@@ -235,7 +227,7 @@ def hecke_image_table(n, base=None):
     if base is None:
         base = identity_perm(n)
     _check_involutions("Hecke images", n, base)
-    return _hecke_fold(n, base, ())
+    return _hecke_fold(n, base)
 
 
 def hecke_atoms_perm(y, base=None):

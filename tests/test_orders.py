@@ -130,19 +130,25 @@ def test_fpf_class_partition_matches_hecke_fibers():
 
 
 def test_class_verifier_reports_a_wrong_relation():
+    # a relation is injected as relation(n, b), which gives the function from
+    # a packed sequence to the packed members of its class
+    def unpacked(class_of):
+        return lambda n, b: lambda p: {od._pack(v, b) for v in class_of(od._unpack(p, n, b))}
+
     # too fine: every class a singleton; 16 of the 26 Hecke sets of S5 have
     # more than one element
-    report = od._verify_classes(5, None, lambda u: {u})
+    report = od._verify_classes(5, ta.identity_perm(5), unpacked(lambda u: {u}))
     assert report["involutions"] == 26
     assert len(report["failures"]) == 16
     assert all(f["class_size"] == 1 < f["hecke_size"] for f in report["failures"])
     # too coarse: one class, all of S5
-    report = od._verify_classes(5, None, lambda u: set(itertools.permutations(u)))
+    report = od._verify_classes(5, ta.identity_perm(5),
+                                unpacked(lambda u: set(itertools.permutations(u))))
     assert report["classes"] == 1
     assert len(report["failures"]) == 26
     assert all(f["class_size"] == 120 for f in report["failures"])
     # wrong: the plain relation against the fixed-point-free Hecke sets
-    report = od._verify_classes(6, ta.fpf_base(6), od.chinese_class)
+    report = od._verify_classes(6, ta.fpf_base(6), lambda n, b: od._closer(n, b, *od._CHINESE))
     assert report["involutions"] == 15
     assert len(report["failures"]) == 15
     for f in report["failures"]:
@@ -154,7 +160,7 @@ def test_class_verifier_reports_a_wrong_relation():
         def class_of(u):
             start = tuple(v for i in range(0, len(u), 2) for v in sorted(u[i:i + 2]))
             return cx.closure(start, lambda v: _reference_quads(v, patterns))
-        return class_of
+        return unpacked(class_of)
 
     for dropped in (None, 0, 1, 2, 3):
         def patterns(a, b, c, d, dropped=dropped):
@@ -168,6 +174,24 @@ def test_class_verifier_reports_a_wrong_relation():
             assert len(report["failures"]) == 91
             assert all(f["class_size"] < f["hecke_size"] for f in report["failures"])
             assert all(f["hecke_size"] % 16 == 0 for f in report["failures"])
+
+
+def test_packed_moves_and_classes_match_the_tuple_references():
+    # ties, letters above 15 and up to 12 letters; from nine letters on, the
+    # classes draw on three values, which keeps them small
+    rng = random.Random(29)
+    for trial in range(120):
+        n = rng.randrange(13)
+        letters = rng.sample(range(1, 60), rng.randint(1, max(n, 1)))
+        seq = tuple(rng.choice(letters) for _ in range(n))
+        assert od.chinese_neighbors(seq) == _reference_chinese(seq)
+        if n % 2 == 0:
+            assert od.fpf_neighbors(seq) == _reference_fpf(seq)
+        if n > 8:
+            seq = tuple(rng.choice(letters[:3]) for _ in range(n))
+        assert od.chinese_class(seq) == cx.closure(seq, _reference_chinese), seq
+        if n % 2 == 0:
+            assert od.fpf_class(seq) == cx.closure(seq, _reference_fpf), seq
 
 
 def test_fpf_class_of_size_fifty_six():
@@ -453,6 +477,41 @@ def test_poset_leq_matches_cover_reachability():
     poset = od.atom_poset((4, 3, 2, 1))
     with pytest.raises(ValueError, match="u is not an element of the atom order"):
         poset.leq((1, 2, 3, 4), poset.top)
+
+
+def _closure_poset(bottom, bottom_rank, moves):
+    # one closure, then the elements and the covers sorted by rank
+    ranks = {bottom: bottom_rank}
+    covers = []
+
+    def up(u):
+        for v, rise in moves(u):
+            covers.append((u, v))
+            ranks[v] = ranks[u] + rise
+        return [v for v, _ in moves(u)]
+
+    cx.closure(bottom, up)
+    elements = tuple(sorted(ranks, key=lambda u: (ranks[u], u)))
+    tops = [u for u in elements if not moves(u)]
+    return elements, tuple(sorted(covers, key=lambda e: (ranks[e[0]], e))), tops, ranks
+
+
+def test_layered_posets_match_the_sorted_closure():
+    cases = [(x, False) for x in ta.enumerate_involutions(8)]
+    cases += [(x, True) for n2 in (8, 10) for x in ta.enumerate_involutions(n2, fpf=True)]
+    assert len(cases) == 764 + 105 + 945
+    for x, fpf in cases:
+        if fpf:
+            poset = od.atom_poset_fpf(x)
+            bottom = od.hat0_fpf(x)
+            want = _closure_poset(bottom, ta.perm_length(od.fpf_embedding(bottom, x)),
+                                  od._ranked_moves_fpf(x))
+        else:
+            poset = od.atom_poset(x)
+            bottom = od.hat0(x)
+            want = _closure_poset(bottom, len(od._a_inversions(bottom, x)), od._ranked_moves(x))
+        assert (poset.elements, poset.covers, [poset.top], poset.ranks) == want
+        assert poset.bottom == bottom
 
 
 def test_build_rejects_a_move_that_skips_a_rank():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import invatoms.coxeter as cx
+import invatoms.orders as od
 import invatoms.twisted as tw
 import invatoms.typea as ta
 
@@ -84,15 +85,20 @@ def test_hecke_image_table_folds_every_reduced_word():
 
 
 def test_coset_fold_is_the_full_table_on_minimal_representatives():
-    # J = the right descents of the base; the fold keeps the elements w with
-    # no left descent s_a for a in J, that is a left of a + 1 in w
+    # J = the right descents of the base; the packed fold of the sweeps keeps
+    # the elements w with no left descent s_a for a in J, that is a left of
+    # a + 1 in w, keyed by w^-1 on the letters 0..n-1
     cases = [(n, x) for n in range(1, 7) for x in ta.enumerate_involutions(n)]
     cases.append((8, ta.fpf_base(8)))
     for n, base in cases:
         J = frozenset(ta.right_descents_perm(base))
         want = {w: img for w, img in ta.hecke_image_table(n, base).items()
                 if all(w.index(a) < w.index(a + 1) for a in J)}
-        assert ta._hecke_fold(n, base, J) == want
+        b = max(n - 1, 1).bit_length()
+        labels, images = od._fold(n, base, b)
+        got = {ta.inverse_perm(tuple(v + 1 for v in od._unpack(u, n, b))): images[k]
+               for u, k in labels.items()}
+        assert got == want
     assert len(want) == 2520  # 8! / 2^4 at the matching base of S8
 
 
