@@ -117,19 +117,6 @@ def _truncate(m, s, t, ims, imt):
     return m // 2
 
 
-def theta_prefix(system, prefix, twist=None):
-    """The automorphism g -> (u g u^-1)* for u the fold of the prefix."""
-    twist = tw._twist_key(system, twist)
-    u = tw.dact_word(system, system.identity, prefix, twist)
-    uinv = system.inverse(u)
-
-    def theta(g):
-        return system.apply_twist(system.multiply(system.multiply(u, g), uinv), twist)
-
-    theta.base = u
-    return theta
-
-
 @cx.memo
 def _fold_tables(system, u, twist):
     """The swap tables (see _tables) after a prefix folding to u, the fold's

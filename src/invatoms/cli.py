@@ -298,8 +298,7 @@ def _cmd_sweep(args):
                 for done, bad in pool.map(_sweep_worker, payloads):
                     pairs += done
                     failures.extend(bad)
-            raw = {"system": system.name or "custom", "pairs_checked": pairs,
-                   "failures": failures}
+            raw = tw._report(system, pairs, failures)
         reports.append(_report(system, t, raw))
     return _finish(args, reports)
 

@@ -343,11 +343,6 @@ class CoxeterSystem:
             w = self.right_mult(w, s)
         return True
 
-    def weak_leq_right(self, u, w):
-        """Right weak order: u <= w iff l(u) + l(inverse(u) w) = l(w)."""
-        rest = self.multiply(self.inverse(u), w)
-        return self.length(u) + self.length(rest) == self.length(w)
-
     # -- enumeration ------------------------------------------------------
 
     def elements(self):

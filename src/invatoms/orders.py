@@ -73,12 +73,6 @@ def _ranked(seq):
             lambda p: tuple(map(values.__getitem__, _unpack(p, n, b))))
 
 
-def _neighbors(seq, *kinds):
-    """The sequences one move away from seq, by kind (width, step, mates)."""
-    return [seq[:i] + m + seq[i + width:] for width, step, mates in kinds
-            for i in range(0, len(seq) - width + 1, step) for m in mates(seq[i:i + width])]
-
-
 def _closer(n, b, width, step, mates):
     """The function from a packed n-letter sequence p to its class, in BFS
     order, under mates on the windows of width letters at 0, step, ...:
@@ -109,11 +103,6 @@ def _closer(n, b, width, step, mates):
 
 _CHINESE = (3, 1, _triple_mates)
 _FPF = (4, 2, _quad_mates)
-
-
-def chinese_neighbors(seq):
-    """Sequences one three-letter move away from seq."""
-    return _neighbors(_seq(seq), _CHINESE)
 
 
 def chinese_class(seq):
@@ -220,14 +209,6 @@ def verify_chinese(n):
 
 
 # -- the fixed-point-free relation -------------------------------------------
-
-
-def fpf_neighbors(seq):
-    """Sequences one aligned swap or four-letter move away from seq."""
-    seq = _seq(seq)
-    if len(seq) % 2:
-        raise ValueError("sequence has odd length")
-    return _neighbors(seq, (2, 2, lambda pair: [pair[::-1]]), _FPF)
 
 
 def _fpf_sorted_closer(n, b):
@@ -346,14 +327,6 @@ def _a_inversions(u, x):
             if uinv[p - 1] < uinv[q - 1]:
                 out.add((p, q))
     return out
-
-
-def a_inversion_set(u, x):
-    """Inversions of an inverted atom u over the two-sided pair set of x."""
-    u, x = _seq(u), _seq(x)
-    if not ta.is_atom_absolute(ta.inverse_perm(u), x):
-        raise ValueError("u not an atom inverse")
-    return _a_inversions(u, x)
 
 
 def fpf_embedding(u, x):

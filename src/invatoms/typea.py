@@ -1,9 +1,9 @@
 """Involution combinatorics of the symmetric group on one-line tuples.
 
 Permutations are tuples p of 1..n with p[i-1] the image of i, composed
-functionally: compose(u, v) applies v first. Right multiplication by the
-adjacent transposition s_i swaps positions i, i+1; left multiplication
-swaps values i, i+1. This module is independent of the reflection
+functionally (u v applies v first). Right multiplication by the adjacent
+transposition s_i swaps positions i, i+1; left multiplication swaps values
+i, i+1. This module is independent of the reflection
 representation in coxeter.py so the two can cross-check each other; it
 borrows only the generic BFS helper closure.
 
@@ -24,12 +24,6 @@ def identity_perm(n):
     return tuple(range(1, n + 1))
 
 
-def compose(u, v):
-    if len(u) != len(v):
-        raise ValueError("permutations have different sizes")
-    return tuple(u[j - 1] for j in v)
-
-
 def inverse_perm(p):
     out = [0] * len(p)
     for i, v in enumerate(p, 1):
@@ -48,44 +42,6 @@ def is_permutation(p):
 
 def right_descents_perm(p):
     return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def mult_right(p, i):
-    """p times the transposition of i, i+1 (swaps positions i, i+1)."""
-    q = list(p)
-    q[i - 1], q[i] = q[i], q[i - 1]
-    return tuple(q)
-
-
-def mult_left(p, i):
-    """The transposition of i, i+1 times p (swaps values i, i+1)."""
-    a, b = p.index(i), p.index(i + 1)
-    q = list(p)
-    q[a], q[b] = i + 1, i
-    return tuple(q)
-
-
-def reduced_word_perm(p):
-    """Lexicographically smallest reduced word."""
-    word = []
-    p = list(p)
-    while True:
-        inv = [0] * len(p)
-        for i, v in enumerate(p, 1):
-            inv[v - 1] = i
-        s = next((i for i in range(1, len(p)) if inv[i - 1] > inv[i]), None)
-        if s is None:
-            return tuple(word)
-        word.append(s)
-        a, b = inv[s - 1], inv[s]
-        p[a - 1], p[b - 1] = s + 1, s
-
-
-def perm_from_word(n, word):
-    p = identity_perm(n)
-    for i in word:
-        p = mult_right(p, i)
-    return p
 
 
 def is_involution_perm(p):
@@ -512,22 +468,6 @@ def tau(w):
     return (tuple(colors), tuple(sorted(edges)))
 
 
-def tau_via_wreath(w):
-    """Same map computed from the wreath product formula: conjugate the
-    product of odd right descents by w and push the color vector through w."""
-    n2 = len(w)
-    theta = identity_perm(n2)
-    for i in right_descents_perm(w):
-        if i % 2:
-            theta = mult_right(theta, i)
-    conj = compose(compose(w, theta), inverse_perm(w))
-    colors = [0] * n2
-    for j in range(1, n2 + 1):
-        colors[w[j - 1] - 1] = (j + 1) // 2
-    edges = [(a, conj[a - 1]) for a in range(1, n2 + 1) if a < conj[a - 1]]
-    return (tuple(colors), tuple(sorted(edges)))
-
-
 def sigma(*pairs):
     """Colored involution of a sequence of integer pairs (a_i, b_i): vertices
     carry the standardized positions, color i joined exactly when a_i < b_i."""
@@ -605,19 +545,14 @@ def is_atom_colored(w, x, y):
 
 
 def _sigma_test(x, y):
-    """sigma_conjecture_holds(w, x, y) as a predicate on w: the cycles of y,
-    Gamma(x) and the colored involutions below sigma of those cycles are
-    read once."""
+    """The single-comparison form of the pattern test as a predicate on w:
+    cycle images in order, one colored comparison across all cycles of y at
+    once. The cycles of y, Gamma(x) and the colored involutions below sigma
+    of those cycles are read once."""
     cycles, gam = cyc(y), gamma_set(x)
     below = _colored_down(sigma(*cycles))
     return lambda w: (all(_pair_image(w, g) in gam for g in cycles)
                       and sigma(*(_pair_image(w, g) for g in cycles)) in below)
-
-
-def sigma_conjecture_holds(w, x, y):
-    """The single-comparison form of the pattern test: cycle images in order,
-    one colored comparison across all cycles of y at once."""
-    return _sigma_test(x, y)(w)
 
 
 def check_sigma_conjecture(n_max=5, k_max=3):

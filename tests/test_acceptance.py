@@ -23,7 +23,7 @@ import invatoms.orders as od
 import invatoms.twisted as tw
 import invatoms.typea as ta
 
-from test_orders import FIG1_NODES, FIG1_COVERS, FIG2_NODES, FIG2_COVERS
+from test_orders import FIG1_NODES, FIG1_COVERS, FIG2_NODES, FIG2_COVERS, _weak_leq_right
 
 EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
@@ -363,7 +363,7 @@ def test_criterion_13_posets_are_graded_and_fpf_posets_are_lattices():
             poset = od.atom_poset(x)
             ok &= poset.bottom == od.hat0(x) and poset.top == od.hat1(x)
             for u in poset.elements:
-                ok &= poset.ranks[u] == len(od.a_inversion_set(u, x))
+                ok &= poset.ranks[u] == len(od._a_inversions(u, x))
             for u, v in poset.covers:
                 ok &= poset.ranks[v] == poset.ranks[u] + 1
     for n2 in (2, 4, 6, 8):
@@ -378,7 +378,7 @@ def test_criterion_13_posets_are_graded_and_fpf_posets_are_lattices():
                 continue
             top = cx.permutation_to_element(half, images[poset.top])
             interval = {w for w in half.elements()
-                        if half.weak_leq_right(w, top)}
+                        if _weak_leq_right(half, w, top)}
             got = {cx.permutation_to_element(half, p) for p in images.values()}
             ok &= got == interval
     elapsed = time.time() - t0
@@ -410,17 +410,18 @@ def test_criterion_14_singleton_atoms_and_pattern_avoidance():
 
 def test_criterion_15_duality_and_reversal_closure():
     t0 = time.time()
-    system = cx.build_system("A3")
     ok = True
-    for twist in (None, (3, 2, 1)):
-        report = tw.check_duality(system, system.longest_element(), twist)
-        ok &= report["failures"] == []
+    for name, twists in (("A3", (None, (3, 2, 1))), ("D5", (None, (1, 2, 3, 5, 4)))):
+        system = cx.build_system(name)
+        for twist in twists:
+            report = tw.check_duality(system, system.longest_element(), twist)
+            ok &= report["failures"] == []
     for name in ("B2", "B3"):
         sys2 = cx.build_system(name)
         ok &= tw.check_central_closure(sys2, sys2.longest_element())["failures"] == []
     elapsed = time.time() - t0
     ok &= elapsed < 1
-    _report(15, ok, "S4 dual twists and central reversal closure, %.1fs" % elapsed)
+    _report(15, ok, "S4 and D5 dual twists and central reversal closure, %.1fs" % elapsed)
 
 
 @pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the n=6 colored test")

@@ -117,11 +117,14 @@ def test_classes_verbs(capsys):
 
 
 def test_sweep_matches_the_serial_checker(capsys):
-    code, serial, _ = run(capsys, "sweep", "--system", "A2", "--jobs", "1")
-    assert code == 0
-    code, parallel, _ = run(capsys, "sweep", "--system", "A2", "--jobs", "2")
-    assert code == 0
-    assert serial == parallel
+    # a matrix text has no name, so both routes report it as "custom"
+    for system in ("A2", "rank 3\n1 3 2\n3 1 3\n2 3 1"):
+        code, serial, _ = run(capsys, "sweep", "--system", system, "--jobs", "1")
+        assert code == 0
+        code, parallel, _ = run(capsys, "sweep", "--system", system, "--jobs", "2")
+        assert code == 0
+        assert serial == parallel
+    assert "custom" in serial
 
 
 def test_atoms_above_the_cap_drop_the_hecke_atoms(capsys, monkeypatch):

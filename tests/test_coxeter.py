@@ -110,18 +110,6 @@ def test_bruhat_order_matches_the_subword_oracle():
             assert system.bruhat_leq(u, v) == _subword_leq(system, u, v)
 
 
-def test_weak_order_matches_the_length_additivity_formula():
-    system = cx.build_system("B2x A1".replace(" ", ""))
-    elements = system.elements()
-    for u in elements:
-        for v in elements:
-            expected = (
-                system.length(u) + system.length(system.multiply(system.inverse(u), v))
-                == system.length(v)
-            )
-            assert system.weak_leq_right(u, v) == expected
-
-
 def test_demazure_product_absorbs_descents():
     system = cx.build_system("A3")
     w0 = system.longest_element()

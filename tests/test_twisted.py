@@ -8,8 +8,9 @@ from test_coxeter import _subword_leq
 
 def _filter_route(system, twist=None):
     # twisted involutions by the defining equation instead of the BFS
+    key = tw._twist_key(system, twist)
     return {w for w in system.elements()
-            if system.inverse(w) == tw.star(system, w, twist)}
+            if system.inverse(w) == system.apply_twist(w, key)}
 
 
 def test_twisted_involution_counts_by_two_routes():
@@ -36,7 +37,7 @@ def test_conjugation_step_and_fold_step():
                 left = system.multiply(sstar, x)
                 assert up == (xs if left == xs else system.multiply(left, gen))
                 folded = tw.dact(system, x, s, twist)
-                assert tw.is_twisted_involution(system, up, twist)
+                assert system.apply_twist(up, key) == system.inverse(up)
                 if system.length(up) > system.length(x):
                     assert folded == up
                 else:
@@ -60,7 +61,6 @@ def test_fold_routes_agree_on_every_pair():
         for x in tw.enumerate_twisted(system, twist):
             for w in system.elements():
                 byword = tw.dact_word(system, x, system.reduced_word(w), twist)
-                assert byword == tw.dact_element(system, x, w, twist)
                 assert byword == tw.dact_element_via_demazure(system, x, w, twist)
 
 
@@ -95,7 +95,7 @@ def test_hecke_fibers_partition_the_group():
             assert list(fiber) == sorted(
                 fiber, key=lambda w: (system.length(w), system.reduced_word(w)))
             for w in fiber:
-                assert tw.dact_element(system, system.identity, w, twist) == y
+                assert tw.dact_word(system, system.identity, system.reduced_word(w), twist) == y
 
 
 def test_transforming_words_are_the_atoms_reduced_words():
@@ -460,16 +460,26 @@ def test_the_duality_check_keeps_one_fold_per_twist():
 
 @pytest.mark.parametrize("name, twist", [("B3", None), ("A3", (3, 2, 1))])
 def test_the_duality_check_reads_the_tables_only(monkeypatch, name, twist):
-    system = cx.build_system(name)
-    expected = tw.check_duality(system, system.longest_element(), twist)
+    def reports(system):
+        # the central closure too, where the longest element is central (B3)
+        w0 = system.longest_element()
+        out = [tw.check_duality(system, w0, twist)]
+        if tw.is_central_parabolic_longest(system, w0):
+            out.append(tw.check_central_closure(system, w0, twist))
+        return out
+
+    expected = reports(cx.build_system(name))
+    assert len(expected) == (2 if name == "B3" else 1)
 
     def recomputed(*args, **kwargs):
         raise AssertionError("the duality check recomputed a table entry")
 
     for fn in ("_rtimes", "hat_length", "enumerate_twisted"):
         monkeypatch.setattr(tw, fn, recomputed)
+    # the word verdicts are read off the atom verdicts, so no word is listed
+    monkeypatch.setattr(cx.CoxeterSystem, "reduced_words", recomputed)
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
-    assert tw.check_duality(system, system.longest_element(), twist) == expected
+    assert reports(system) == expected
 
 
 def test_the_duality_check_lists_a_wrong_pair_and_goes_on(monkeypatch):
