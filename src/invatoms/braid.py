@@ -121,7 +121,7 @@ def _truncate(m, s, t, ims, imt):
 def _fold_tables(system, u, twist):
     """The swap tables (see _tables) after a prefix folding to u, the fold's
     id among the twisted involutions (see tw._ids)."""
-    w = tw._ids(system, twist).elements[u]
+    w = tw._ids(system, twist).key(u)
     # theta(s) = (w s w^-1)* is the reflection in the twisted root
     # w(alpha_s): the generator t exactly when that root is +-alpha_t,
     # and simple roots come first in the root order
@@ -336,37 +336,30 @@ def _fc(system, w):
     return all(_fc(system, system.right_mult(w, s)) for s in des)
 
 
-def _chains(ids):
-    """Yield each id x of ids in order with its steps down and the number of
-    ascent chains from the root to x, i.e. of its involution words: the
-    chains through each step down, counted before x."""
-    chains = {}
-    for x in ids.order():
-        steps = ids.steps[x]
-        chains[x] = sum(chains[z] for _, z in steps) if steps else 1
-        yield x, steps, chains[x]
+def _by_word(failures):
+    """Failures by (length, lex-min word) of x: a no-op within the cap."""
+    return sorted(failures, key=lambda f: (len(f["x"]), f["x"]))
 
 
 def check_fc_atoms(system, twist=None):
     """Check that fully commutative twisted involutions have a lone atom.
 
     The atom must be fully commutative and its reduced words must be as
-    many as the transforming words, which are the ascent chains to x (see
-    ``_chains``). Needs every generator to satisfy m(s, s*) > 2 or s* = s;
+    many as the transforming words, which are the ascent chains to x.
+    Needs every generator to satisfy m(s, s*) > 2 or s* = s;
     the report carries a flag for that hypothesis instead of failing, so
     violating twists can be examined.
     """
     twist = tw._twist_key(system, twist)
-    hypothesis_ok = True
-    for s in range(1, system.rank + 1):
-        sstar = twist[s - 1]
-        if sstar != s and system.bond(s, sstar) == 2:
-            hypothesis_ok = False
+    hypothesis_ok = all(system.bond(s, twist[s - 1]) != 2 for s in range(1, system.rank + 1))
     ids = tw._ids(system, twist)
-    failures = []
-    checked = 0
-    for i, _, chains in _chains(ids):
-        x = ids.elements[i]
+    failures, chains, checked = [], {}, 0
+    for i in ids.order():
+        # the ascent chains to i, i.e. its involution words, counted through
+        # each step down, shorter ids first
+        steps = ids.steps[i]
+        chains[i] = sum(chains[z] for _, z in steps) if steps else 1
+        x = ids.element(i)
         if not is_fully_commutative(system, x):
             continue
         checked += 1
@@ -378,11 +371,11 @@ def check_fc_atoms(system, twist=None):
             w = ats[0]
             if not is_fully_commutative(system, w):
                 problem = "atom not fully commutative"
-            elif len(system.reduced_words(w)) != chains:
+            elif len(system.reduced_words(w)) != chains[i]:
                 problem = "words differ from the atom's reduced words"
         if problem is not None:
             failures.append({"x": list(system.reduced_word(x)), "problem": problem})
-    return tw._report(system, checked, failures, hypothesis_ok=hypothesis_ok)
+    return tw._report(system, checked, _by_word(failures), hypothesis_ok=hypothesis_ok)
 
 
 def check_braid_classes(system, twist=None):
@@ -399,24 +392,29 @@ def check_braid_classes(system, twist=None):
     the words it holds beyond them. Returns a JSON-ready report.
     """
     twist = tw._twist_key(system, twist)
-    ids = tw._ids(system, twist)
-    dag = _prefix_classes(system, twist)
-    least, nodes = {}, []
-    for x, steps, chains in _chains(ids):
-        least[x] = min((least[z] + (s + 1,) for s, z in steps), default=())
-        nodes.append((x, chains, dag.node(least[x])))
-    # the paths to each node whose pieces all rise; a node's pieces hang
-    # from nodes made before it
-    dact, rising = ids.dact, {dag.root: 1}
-    for n in dag.nodes[1:]:
-        rising[n] = sum(rising[p] for p, a in n.pieces if dact[p.fold][a - 1] == n.fold != p.fold)
-    failures = []
-    for x, want, node in nodes:
+    ids, dag = tw._ids(system, twist), _prefix_classes(system, twist)
+    # below[z]: the number of chains to z, the least one, its node and the
+    # ascents of z not yet passed, so z is dropped after the last id above it
+    below, rising, failures = {}, {dag.root: 1}, []
+    for checked, x in enumerate(ids.order(), 1):
+        steps = ids.steps[x]
+        chains, word, node = 1, (), dag.root
+        if steps:
+            chains = sum(below[z][0] for _, z in steps)
+            word, z = min((below[z][1] + (s + 1,), z) for s, z in steps)
+            node = dag._child(below[z][2], word[-1], {})  # shared: an involution word
+        for _, z in steps:
+            below[z][3] -= 1
+            if not below[z][3]:
+                del below[z]
+        below[x] = [chains, word, node, system.rank - len(steps)]
+        # the paths to each new node whose pieces all rise; a node's pieces
+        # hang from nodes made before it
+        for n in dag.nodes[len(rising):]:
+            rising[n] = sum(rising[p] for p, a in n.pieces
+                            if ids.dact[p.fold][a - 1] == n.fold != p.fold)
         good = rising[node]
-        if good != node.size or good != want:
-            failures.append({
-                "x": list(system.reduced_word(ids.elements[x])),
-                "missing": want - good,
-                "extra": node.size - good,
-            })
-    return tw._report(system, len(nodes), failures)
+        if good != node.size or good != chains:
+            failures.append({"x": list(system.reduced_word(ids.element(x))),
+                             "missing": chains - good, "extra": node.size - good})
+    return tw._report(system, checked, _by_word(failures))

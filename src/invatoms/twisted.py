@@ -19,7 +19,7 @@ base x are the identity's, pulled back along a chain of ascents up to x, so
 nothing is kept per base.
 """
 
-from functools import partial, reduce
+from functools import partial
 
 from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist
@@ -48,30 +48,52 @@ def _twist_key(system, twist):
     return key
 
 
-_NOT_MEMBER = "element is not a twisted involution for this twist"
+class _Rows(dict):
+    """Rows by id, each filled by ``fill(x)`` the first time it is read."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, x):
+        self.fill(x)
+        return self[x]
 
 
 class _TwistedIds:
-    """The twisted involutions of one twist as group ids, for a group within
-    the cap.
+    """The twisted involutions of one twist, numbered by ints.
 
-    ``elements[x]`` is the element with id x and ``root`` the identity's
-    id. ``dact[x]`` holds, for each generator s = 1..rank, the id of the
-    Demazure step of x by s (x itself on a right descent), ``lower[x]``
-    the ids of the conjugation steps down the right descents of x, and
-    ``steps[x]`` the same steps as (letter, id) pairs, letters from 0.
-    ``hat[x]`` is the common length of the involution words of x, one more
-    than that of the step down its first right descent; its keys run in id
-    order, i.e. (length, lex-min word) order. ``left[s]`` multiplies any
-    group id on the left by the letter s, from 0.
+    ``root`` is the identity's id. ``dact[x]`` holds, for each generator
+    s = 1..rank, the id of the Demazure step of x by s (x itself on a right
+    descent), ``lower[x]`` the ids of the conjugation steps down the right
+    descents of x, and ``steps[x]`` the same steps as (letter, id) pairs,
+    letters from 0. ``hat[x]`` is the common length of the involution words
+    of x, one more than that of the step down its first right descent.
+
+    Within the cap an id is the element's group id, so ids run in (length,
+    lex-min word) order, and one closure of the identity fills every row.
+    Above the cap ids number the twisted involutions as they are met, keyed
+    by their images w[:rank] of the simple roots, which fix w. A row is
+    filled when first read, from its id's root permutation, kept only until
+    then: a query numbers only the ids whose rows it reads and their steps.
     """
 
     root = 0
 
-    def __init__(self, t, twist):
-        self.elements, self.index = t.elements, t.index
+    def __init__(self, system, twist):
+        self.system, self.twist = system, twist
+        t = system.id_table()
+        self._elements = t and t.elements
+        if t is None:
+            self._keys, self._number, self._perms = [], {}, {}
+            # the roots s alpha_t for t = 1..rank, for each generator s
+            self._heads = [g[:system.rank] for g in system._gen_perms]
+            self.dact, self.lower, self.steps = (_Rows(self._fill) for _ in range(3))
+            self.hat = _Rows(self._fill_hat)
+            self.hat[self._id(system.identity[:system.rank], system.identity)] = 0
+            self._order_key = self.hat.__getitem__
+            return
+        self._index, self._order_key = t.index, None
         right, left, descents = t.right, t.left, t.descents
-        self.left = [row.__getitem__ for row in left]
         gens = [(s, twist[s] - 1) for s in range(len(right))]
         self.dact, self.lower, self.steps = dact, lower, steps = {}, {}, {}
 
@@ -92,84 +114,82 @@ class _TwistedIds:
         for x in sorted(lower):
             hat[x] = hat[lower[x][0]] + 1 if lower[x] else 0
 
+    def _id(self, key, w):
+        """The id of the twisted involution w of key w[:rank], numbered if new."""
+        x = self._number.get(key)
+        if x is None:
+            x = self._number[key] = len(self._keys)
+            self._keys.append(key)
+            self._perms[x] = w
+        return x
+
+    def _fill(self, x):
+        """The dact, lower and steps rows of x from its root permutation w.
+        Each conjugation step is formed only when its key is new: (w s)(alpha_t)
+        is w(s alpha_t), and s* w s maps that by s* in turn."""
+        system, twist, w = self.system, self.twist, self._perms.pop(x)
+        p, gens = system.num_positive, system._gen_perms
+        ys = []
+        for s in range(system.rank):
+            key = tuple(map(w.__getitem__, self._heads[s]))
+            if w[s] % p != twist[s] - 1:  # not w(alpha_s) = +-alpha_s*, so s* w s
+                key = tuple(map(gens[twist[s] - 1].__getitem__, key))
+            y = self._number.get(key)
+            ys.append(self._id(key, _rtimes(system, w, s + 1, twist)) if y is None else y)
+        down = [s for s in range(system.rank) if w[s] >= p]
+        self.steps[x] = tuple((s, ys[s]) for s in down)
+        self.lower[x] = tuple(ys[s] for s in down)
+        self.dact[x] = tuple(x if s in down else y for s, y in enumerate(ys))
+
+    def _fill_hat(self, x):
+        """Fill hat up from x's first steps down to a known one, without recursion."""
+        chain = []
+        while x not in self.hat:
+            chain.append(x)
+            x = self.lower[x][0]
+        for z in reversed(chain):
+            self.hat[z] = self.hat[x] + 1
+            x = z
+
     def member(self, w):
         """The id of the element w; ValueError unless it is a twisted involution."""
-        x = self.index.get(w)
-        if x not in self.hat:
-            raise ValueError(_NOT_MEMBER)
-        return x
+        system = self.system
+        if self._elements is not None:  # no tuple of another length is in the index
+            x = self._index.get(w)
+            if x in self.hat:
+                return x
+        elif len(w) == 2 * system.num_positive:  # then a known key fixes w
+            key = w[:system.rank]
+            if key in self._number or system.apply_twist(w, self.twist) == system.inverse(w):
+                return self._id(key, w)
+        raise ValueError("element is not a twisted involution for this twist")
+
+    def element(self, x):
+        """The root permutation of the id x; above the cap, folded up its ascents."""
+        if self._elements is not None:
+            return self._elements[x]
+        w = self.system.identity
+        for s in _ascents_to(self, x):
+            w = _rtimes(self.system, w, s + 1, self.twist)
+        return w
+
+    def key(self, x):
+        """The images w[:rank] of the simple roots under the element w with id x."""
+        return self._keys[x] if self._elements is None else self._elements[x][:self.system.rank]
 
     def down(self, y):
         """The ids of the weak down-set of the twisted involution with id y."""
         return closure(y, self.lower.__getitem__)
 
-    def top_down(self, y):
-        """The down-set of y with y first and each id after those above it."""
-        return sorted(self.down(y), reverse=True)
-
     def order(self):
-        """Every id in id order."""
-        return self.hat.keys()
-
-
-class _Computed:
-    """A mapping whose entries are computed at each lookup and never stored."""
-
-    def __init__(self, get):
-        self.get = get
-
-    def __getitem__(self, key):
-        return self.get(key)
-
-
-class _TwistedPerms:
-    """The interface of _TwistedIds on root permutations, for a group above
-    the cap: an element is its own id, and the entries of ``elements``,
-    ``steps``, ``lower``, ``dact`` and ``hat`` are computed at each lookup
-    as lists, a ``dact`` row one letter at a time (freed small tuples stay on
-    CPython's free lists and raise the peak). Only ``order`` is kept."""
-
-    def __init__(self, system, twist):
-        self.system, self.twist, self.root = system, twist, system.identity
-        self._order = None
-        letters, p = range(system.rank), system.num_positive
-        self.left = [partial(system.left_mult, s + 1) for s in letters]
-
-        def steps(z):
-            return [(s, _rtimes(system, z, s + 1, twist)) for s in letters if z[s] >= p]
-
-        def hat(z):  # one more than the step down the first right descent
-            return hat(steps(z)[0][1]) + 1 if z != self.root else 0
-
-        self.elements, self.steps, self.hat = _Computed(lambda z: z), _Computed(steps), _Computed(hat)
-        self.lower = _Computed(lambda z: [y for _, y in steps(z)])
-        self.dact = _Computed(lambda z: _Computed(lambda s: _dact(system, z, s + 1, twist)))
-
-    def member(self, w):
-        """w itself; ValueError unless it is a twisted involution."""
-        if self.system.apply_twist(w, self.twist) != self.system.inverse(w):
-            raise ValueError(_NOT_MEMBER)
-        return w
-
-    down = _TwistedIds.down
-
-    def top_down(self, y):
-        return sorted(self.down(y), key=self.system.length, reverse=True)
-
-    def order(self):
-        """Every twisted involution in (length, lex-min word) order."""
-        if self._order is None:
-            ups = closure(self.root, lambda z: [self.dact[z][s] for s in range(self.system.rank)])
-            self._order = tuple(_by_word(self.system, ups))
-        return self._order
+        """Every id, each after its steps down: by id within the cap, by hat above it."""
+        return sorted(closure(self.root, self.dact.__getitem__), key=self._order_key)
 
 
 @cx.memo
 def _ids(system, twist):
-    """The twisted involutions of the twist: as ids within the cap, as root
-    permutations above it."""
-    t = system.id_table()
-    return _TwistedPerms(system, twist) if t is None else _TwistedIds(t, twist)
+    """The twisted involutions of the twist as ids, on either side of the cap."""
+    return _TwistedIds(system, twist)
 
 
 def rtimes(system, x, s, twist=None):
@@ -225,26 +245,24 @@ def dact_element_via_demazure(system, x, w, twist=None):
 
 
 def enumerate_twisted(system, twist=None):
-    """All twisted involutions in (length, word) order: the closure of the
-    identity under the conjugation step, read off the id closure within the
-    cap and kept per twist above it."""
-    twist = _twist_key(system, twist)
-    ids = _ids(system, twist)
-    return tuple(map(ids.elements.__getitem__, ids.order()))
+    """All twisted involutions in (length, lex-min word) order: the closure
+    of the identity under the conjugation step, which the ids run in within
+    the cap and are sorted into above it."""
+    ids = _ids(system, _twist_key(system, twist))
+    ws = map(ids.element, ids.order())
+    return tuple(ws if system.id_table() is not None else _by_word(system, ws))
 
 
 def hat_length(system, x, twist=None):
-    """Common length of all involution words of x: a lookup within the cap,
-    else found by stripping right descents without enumerating the group."""
-    twist = _twist_key(system, twist)
-    ids = _ids(system, twist)
+    """Common length of all involution words of x: a stored row, filled
+    above the cap by walking the first steps down from x to a known one."""
+    ids = _ids(system, _twist_key(system, twist))
     return ids.hat[ids.member(x)]
 
 
 def weak_leq_T(system, x, y, twist=None):
     """Weak order on twisted involutions: is x below y (downward closure from y)."""
-    twist = _twist_key(system, twist)
-    ids = _ids(system, twist)
+    ids = _ids(system, _twist_key(system, twist))
     return ids.member(x) in ids.down(ids.member(y))
 
 
@@ -329,30 +347,29 @@ def _pull_back_shortest(t, fiber, letters):
 def hecke_atoms(system, y, x=None, twist=None):
     """All w with x folded against w equal to y, sorted by (length, word)."""
     twist = _twist_key(system, twist)
-    if x is None:
-        x = system.identity
     ids = _ids(system, twist)
-    yi = ids.member(y)
+    xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
     t = _id_table(system)
-    ws = _pull_back(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, ids.member(x)))
+    ws = _pull_back(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, xi))
     return tuple(map(t.elements.__getitem__, ws))
 
 
 def atoms(system, y, x=None, twist=None):
     """Minimal length Hecke atoms of y relative to x, sorted by reduced word."""
     twist = _twist_key(system, twist)
-    if x is None:
-        x = system.identity
     ids = _ids(system, twist)
-    xi, yi = ids.member(x), ids.member(y)
+    xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
     t = system.id_table()
     if t is not None:
         us = _pull_back_shortest(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, xi))
         return tuple(map(t.elements.__getitem__, us))
-    # above the cap: the atom pass on root permutations, down to x
-    for z, us in _atom_pass(ids.top_down(yi), ids.steps.__getitem__, ids.left, ids.root):
+    # above the cap: the atom pass down the ids of y's down-set to x, its
+    # atoms root permutations
+    left = [partial(system.left_mult, s + 1) for s in range(system.rank)]
+    down = sorted(ids.down(yi), key=ids.hat.__getitem__, reverse=True)
+    for z, us in _atom_pass(down, ids.steps.__getitem__, left, system.identity):
         if z == xi:
-            return tuple(_by_word(system, map(ids.elements.__getitem__, us)))
+            return tuple(_by_word(system, us))
     return ()
 
 
@@ -368,9 +385,9 @@ def involution_words(system, y, x=None, twist=None):
 # ascents from x to y in the weak order on twisted involutions, and the atoms
 # are the products of those chains. So one top-down pass over the weak
 # down-set of y gives the atoms of every x below it, with no fold of the
-# group. The pass keeps a set only until it is complete: the sweep runs it on
-# ids for each y, and atoms above the cap run it on root permutations, where
-# there is no id table to fold.
+# group. The pass keeps a set only until it is complete: the sweep runs it
+# with atoms as group ids for each y, and atoms above the cap, where there is
+# no group table to fold, with atoms as root permutations.
 #
 # The Bruhat oracle scans the ids w for w* y <= x w in Bruhat order. It reads
 # only the id tables and the twist, never atoms, Hecke fibers or hat lengths,
@@ -461,10 +478,8 @@ def _first_run(t, ids):
 def _bruhat_scan(system, y, x, twist):
     """The id table and the hit levels of one pair of elements."""
     twist = _twist_key(system, twist)
-    if x is None:
-        x = system.identity
     ids = _ids(system, twist)
-    x, y = ids.member(x), ids.member(y)
+    x, y = ids.member(system.identity if x is None else x), ids.member(y)
     t = _id_table(system)
     return t, _hits(t, _star_row(t, y, twist), y, x)
 
@@ -500,26 +515,21 @@ def check_conjecture(system, twist=None, ys=None):
     t = _id_table(system)
     ids = _ids(system, twist)
     word, steps = t.word, ids.steps.__getitem__
+    left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
     for y in ids.order() if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
         wrong = []
-        for x, us in _atom_pass(ids.top_down(y), steps, ids.left, ids.root):
+        for x, us in _atom_pass(sorted(ids.down(y), reverse=True), steps, left, ids.root):
             pairs += 1
             expected = sorted(us)
             got = next(_hits(t, row, y, x), [])
             if expected != got:
                 wrong.append((x, expected, got))
-        for x, expected, got in sorted(wrong):
-            failures.append(
-                {
-                    "x": list(word[x]),
-                    "y": list(word[y]),
-                    "expected": [list(word[w]) for w in expected],
-                    "got": [list(word[w]) for w in got],
-                }
-            )
+        failures += [{"x": list(word[x]), "y": list(word[y]),
+                      "expected": [list(word[w]) for w in expected],
+                      "got": [list(word[w]) for w in got]} for x, expected, got in sorted(wrong)]
     return _report(system, pairs, failures)
 
 
@@ -575,16 +585,17 @@ def check_duality(system, v0, twist=None):
     read off the atoms' (see the note above).
 
     Both twists are read off their tables (see ``_ids``) on either side of
-    the cap: v0 x takes one ``left`` lookup per letter of v0, a conjugation
-    step is a ``dact`` or ``steps`` entry and a hat length a ``hat`` entry.
+    the cap: v0 x is the ``member`` id of the product of elements, a
+    conjugation step is a ``dact`` or ``steps`` entry and a hat length a
+    ``hat`` entry.
     """
     twist = _twist_key(system, twist)
     diamond = dual_twist(system, v0, twist)
     star, dia = _ids(system, twist), _ids(system, diamond)
-    elements, letters = star.elements, range(system.rank)
-    by_v0 = [star.left[s - 1] for s in reversed(system.reduced_word(v0))]
-    # the id of v0 x for each id x of the conjugated twist
-    vx = {x: reduce(lambda z, left: left(z), by_v0, x) for x in dia.order()}
+    # each id x of the conjugated twist: its element, v0 x, and the id of v0 x
+    elements = {x: dia.element(x) for x in dia.order()}
+    v0x = {x: system.multiply(v0, w) for x, w in elements.items()}
+    vx = {x: star.member(w) for x, w in v0x.items()}
 
     def word(x):
         return list(system.reduced_word(elements[x]))
@@ -594,10 +605,9 @@ def check_duality(system, v0, twist=None):
     if set(vx.values()) != set(star.order()):
         failures.append({"check": "bijection", "detail": "v0 * I_diamond != I_star"})
     for x, z in vx.items():
-        lhs, rhs = _conjugations(star, z, letters), _conjugations(dia, x, letters)
-        for s in letters:
+        for s, (lhs, rhs) in enumerate(zip(_conjugations(star, z), _conjugations(dia, x))):
             checks += 1
-            if lhs[s] != vx[rhs[s]]:
+            if lhs != vx[rhs]:
                 failures.append({"check": "intertwine", "x": word(x), "s": s + 1})
 
     if v0 == system.longest_element():
@@ -610,7 +620,7 @@ def check_duality(system, v0, twist=None):
             for x in dia.down(y):
                 checks += 2
                 a_d = set(atoms(system, elements[y], elements[x], diamond))
-                a_s = set(atoms(system, elements[vx[x]], elements[vx[y]], twist))
+                a_s = set(atoms(system, v0x[x], v0x[y], twist))
                 if {system.inverse(w) for w in a_s} != a_d:
                     # and the words are not reversed (see the note above)
                     failures.extend({"check": c, "x": word(x), "y": word(y)}
@@ -618,10 +628,10 @@ def check_duality(system, v0, twist=None):
     return _report(system, checks, failures)
 
 
-def _conjugations(ids, x, letters):
+def _conjugations(ids, x):
     """The conjugation steps of the id x by each letter, from 0: its
     Demazure step on an ascent and its step down on a descent."""
-    row = [ids.dact[x][s] for s in letters]
+    row = list(ids.dact[x])
     for s, z in ids.steps[x]:
         row[s] = z
     return row
@@ -663,17 +673,9 @@ def check_bruhat_descriptions(system, twist=None):
     """Compare the two routes to Hecke atoms of the longest element and to
     atoms of every twisted involution. Returns a JSON-ready report."""
     twist = _twist_key(system, twist)
-    failures = []
-    checks = 0
-
-    w0 = system.longest_element()
-    checks += 1
-    if hecke_atoms(system, w0, None, twist) != bruhat_hecke(system, w0, None, twist):
-        failures.append({"check": "hecke-longest"})
-
-    for y in enumerate_twisted(system, twist):
-        checks += 1
-        if set(atoms(system, y, None, twist)) != set(bruhat_atoms(system, y, None, twist)):
-            failures.append({"check": "atoms", "y": list(system.reduced_word(y))})
-
-    return _report(system, checks, failures)
+    w0, ys = system.longest_element(), enumerate_twisted(system, twist)
+    failures = [{"check": "hecke-longest"}] if (
+        hecke_atoms(system, w0, None, twist) != bruhat_hecke(system, w0, None, twist)) else []
+    failures += [{"check": "atoms", "y": list(system.reduced_word(y))} for y in ys
+                 if set(atoms(system, y, None, twist)) != set(bruhat_atoms(system, y, None, twist))]
+    return _report(system, 1 + len(ys), failures)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 import invatoms.braid as br
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
+
+EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
 
 def test_braid_moves_in_a_single_word():
@@ -68,9 +71,10 @@ def test_truncated_block_length_when_the_pair_is_not_preserved():
 def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkeypatch):
     fast = cx.build_system(name)
     index = fast.id_table().index
-    monkeypatch.setattr(cx, "ENUMERATION_CAP", 1)  # the tuple route keys folds by element
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 1)  # above it, folds are keyed by their own ids
     slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     key = tw._twist_key(fast, twist)
+    member = tw._ids(slow, key).member
     pairs = [(s, t) for s in range(1, fast.rank + 1) for t in range(s + 1, fast.rank + 1)]
     for y in tw.enumerate_twisted(fast, twist):
         theta = _theta_prefix(fast, min(tw.involution_words(fast, y, twist=twist)), twist)
@@ -78,7 +82,7 @@ def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkey
         first = br._blocks((s, t, br.m_star(fast, s, t, theta)) for s, t in pairs)
         want = (first, {b: o for pairs in first.values() for b, o in pairs})
         assert br._fold_tables(fast, index[y], key) == want
-        assert br._fold_tables(slow, y, key) == want
+        assert br._fold_tables(slow, member(y), key) == want
 
 
 def test_prefix_conjugated_twist():
@@ -115,7 +119,7 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
     unrelated = 0
     for y in invs:
         assert tw.hat_length(slow, y, twist) == tw.hat_length(fast, y, twist)
-        # each pair costs a down-set walk on the tuple route: sample the x
+        # each pair costs an atom pass down the down-set above the cap: sample the x
         xs = rng.sample(invs, 8) + [fast.identity, y]
         below = [tw.weak_leq_T(fast, x, y, twist) for x in xs]
         assert [tw.weak_leq_T(slow, x, y, twist) for x in xs] == below
@@ -131,7 +135,7 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
         assert (br.involution_braid_class(slow, word, twist)
                 == br.involution_braid_class(fast, word, twist))
     assert unrelated
-    # the chain counts and least chains run on elements instead of ids
+    # the chain counts and least chains run on ids numbered by their keys
     assert br.check_braid_classes(slow, twist) == br.check_braid_classes(fast, twist)
     # both routes reject an element that is not a twisted involution
     for system in (fast, slow):
@@ -139,23 +143,52 @@ def test_the_tuple_route_above_the_cap_matches_the_id_route(monkeypatch, name, t
             tw.hat_length(system, system.product((1, 2)), twist)
 
 
-@pytest.mark.parametrize("name, twist, duality_checks", [
-    ("B3", None, 333), ("A3", (3, 2, 1), 123), ("H3", None, 751)])
-def test_the_checkers_above_the_cap_match_the_id_route(monkeypatch, name, twist, duality_checks):
-    def reports(system):
-        return [tw.check_duality(system, system.longest_element(), twist),
-                br.check_fc_atoms(system, twist)]
-
+def _checker_reports(monkeypatch, name, twist, reports):
+    """reports(system) with the group within the cap and with the cap lowered
+    below it, for a fresh system each time."""
     fast = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     within = reports(fast)
-    assert within[0]["pairs_checked"] == duality_checks
-    assert within[0]["failures"] == []
-    # the twist of A3 swaps the commuting s1 and s3, so lone atoms fail there
-    assert (within[1]["failures"] == []) == within[1]["hypothesis_ok"]
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 10)  # A3 has order 24
     slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     assert slow.id_table() is None
-    assert reports(slow) == within
+    return within, reports(slow)
+
+
+@pytest.mark.parametrize("name, twist, duality_checks", [
+    ("B3", None, 333), ("A3", (3, 2, 1), 123), ("H3", None, 751),
+    # the duality checks of F4 and D5 above the cap take seconds: see the
+    # extended test below
+    ("F4", None, None), ("F4", (4, 3, 2, 1), None),
+    ("D5", None, None), ("D5", (1, 2, 3, 5, 4), None)])
+def test_the_checkers_above_the_cap_match_the_id_route(monkeypatch, name, twist, duality_checks):
+    def reports(system):
+        out = [br.check_fc_atoms(system, twist), br.check_braid_classes(system, twist)]
+        if duality_checks:
+            out.append(tw.check_duality(system, system.longest_element(), twist))
+        return out
+
+    within, above = _checker_reports(monkeypatch, name, twist, reports)
+    # the twist of A3 swaps the commuting s1 and s3, so lone atoms fail there
+    assert (within[0]["failures"] == []) == within[0]["hypothesis_ok"]
+    assert within[1]["failures"] == [] and within[1]["pairs_checked"] > 1
+    if duality_checks:
+        assert within[2]["pairs_checked"] == duality_checks
+        assert within[2]["failures"] == []
+    assert above == within
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for duality above the cap")
+@pytest.mark.parametrize("name, twist, duality_checks", [
+    ("F4", None, 8259), ("F4", (4, 3, 2, 1), 3251),
+    ("D5", None, 9785), ("D5", (1, 2, 3, 5, 4), 9785)])
+def test_extended_duality_above_the_cap_matches_the_id_route(monkeypatch, name, twist,
+                                                              duality_checks):
+    def reports(system):
+        return tw.check_duality(system, system.longest_element(), twist)
+
+    within, above = _checker_reports(monkeypatch, name, twist, reports)
+    assert within["pairs_checked"] == duality_checks and within["failures"] == []
+    assert above == within
 
 
 def _neighbor_closure(system, word, twist):

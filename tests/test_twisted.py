@@ -3,6 +3,7 @@ import pytest
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
+from test_braid import _MEMO_TABLES
 from test_coxeter import _subword_leq
 
 
@@ -364,7 +365,7 @@ def _within_cap_atoms():
 
 def _check_the_cap_routes(system, within):
     """With B4 above the cap: the whole-group routes raise, atoms falls back
-    to the atom pass on root permutations, and nothing is stored."""
+    to the atom pass down the numbered down-set, and no group is enumerated."""
     y = system.product((1, 2, 1))
     with pytest.raises(ValueError, match="too large"):
         tw.bruhat_hecke(system, y)
@@ -402,22 +403,83 @@ def test_the_cap_is_decided_once_per_system(monkeypatch):
     assert tw.bruhat_hecke(system, y) == bruhat
 
 
-def test_a_demazure_row_above_the_cap_computes_the_letter_asked_for(monkeypatch):
-    twist = (4, 3, 2, 1)
-    fast = cx.build_system("F4")
-    within = tw._ids(fast, twist)
-    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # F4 has order 1152
-    slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
-    ids, calls, real = tw._ids(slow, twist), [], tw._dact
-    monkeypatch.setattr(tw, "_dact", lambda *args: calls.append(args) or real(*args))
-    for x in list(within.order())[::7]:
-        row, z = ids.dact[within.elements[x]], within.elements[x]
-        for s in range(fast.rank):
-            assert row[s] == within.elements[within.dact[x][s]]
-            assert calls.pop() == (slow, z, s + 1, twist) and not calls
-    # the closure of order() asks for every letter of every row once
-    assert ids.order() == tuple(within.elements[x] for x in within.order())
-    assert len(calls) == fast.rank * len(ids.order())
+def _above_the_cap(monkeypatch, name):
+    """A fresh system of the named type with the cap lowered below its order,
+    and a reference system of the same type for comparing attributes."""
+    monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384, F4 1152
+    matrix = cx.coxeter_matrix_from_name(name)
+    system, reference = (cx.CoxeterSystem(matrix, name=name) for _ in range(2))
+    assert system.id_table() is None and reference.id_table() is None
+    return system, reference
+
+
+def _check_the_store(system, reference):
+    # the ids keep their tables in the system's one store, as within the cap
+    assert set(vars(system)) == set(vars(reference))
+    assert set(system.cache_sizes()) <= _MEMO_TABLES
+
+
+@pytest.mark.parametrize("name, twist", [("B4", (1, 2, 3, 4)), ("F4", (4, 3, 2, 1))])
+def test_rows_above_the_cap_are_the_rows_within_it(monkeypatch, name, twist):
+    fast = cx.build_system(name)
+    elements, within = fast.id_table().elements, tw._ids(fast, twist)
+    slow, reference = _above_the_cap(monkeypatch, name)
+    ids = tw._ids(slow, twist)
+    # the id correspondence: each group id within the cap to the id of its
+    # element above it, onto every id that the table numbers
+    above = {x: ids.member(elements[x]) for x in within.order()}
+    assert above[within.root] == ids.root
+    assert sorted(above.values()) == sorted(ids.order()) == list(range(len(above)))
+    for x, y in above.items():
+        assert ids.dact[y] == tuple(above[z] for z in within.dact[x])
+        assert ids.lower[y] == tuple(above[z] for z in within.lower[x])
+        assert ids.steps[y] == tuple((s, above[z]) for s, z in within.steps[x])
+        assert ids.hat[y] == within.hat[x]
+        assert ids.element(y) == elements[x]
+        assert ids.key(y) == within.key(x) == elements[x][:slow.rank]
+    assert not ids._perms  # every row filled, and no root permutation kept
+    _check_the_store(slow, reference)
+
+
+def test_an_atoms_query_above_the_cap_numbers_only_the_down_set_and_its_neighbours(monkeypatch):
+    within = _within_cap_atoms()
+    system, reference = _above_the_cap(monkeypatch, "B4")
+    y = system.product((1, 2, 1))
+    assert tw.atoms(system, y) == within
+    ids = tw._ids(system, tw._twist_key(system, None))
+    down = ids.down(ids.member(y))
+    # the rows of the down-set are filled, and only its conjugation steps numbered
+    assert set(ids.dact) == set(ids.steps) == set(ids.lower) == set(ids.hat) == down
+    numbered = down | {z for x in down for z in ids.dact[x]}
+    assert len(down) == 4 and len(numbered) == 12  # of B4's 76 twisted involutions
+    assert set(range(len(ids._keys))) == numbered
+    assert set(ids._perms) == numbered - down
+    _check_the_store(system, reference)
+
+
+def test_hat_length_walks_a_long_chain_without_recursion():
+    # I2(5000) is above the cap; its reflection (s1 s2)^1200 s1 is 1200
+    # steps down from a generator
+    system = cx.build_system("I2(5000)")
+    assert system.id_table() is None
+    y, rotation, k = system.generator(1), system.product((1, 2)), 1200
+    while k:  # y = (s1 s2)^1200 s1, by repeated squaring
+        if k & 1:
+            y = system.multiply(rotation, y)
+        rotation, k = system.multiply(rotation, rotation), k >> 1
+    assert system.length(y) == 2401 and tw.hat_length(system, y) == 1201
+
+
+def test_elements_of_another_system_are_rejected_on_both_routes(monkeypatch):
+    # the identity of E7 starts with that of E6: the key alone would accept it
+    e6, b3, b4 = (cx.build_system(name) for name in ("E6", "B3", "B4"))
+    slow, _ = _above_the_cap(monkeypatch, "B4")
+    for system, other in [(e6, b3.identity), (e6, cx.build_system("E7").identity),
+                          (b4, b3.identity), (slow, b3.identity), (b3, b4.identity),
+                          (slow, cx.build_system("B5").identity)]:
+        with pytest.raises(ValueError, match="not a twisted involution"):
+            tw.hat_length(system, other)
+    assert tw.hat_length(e6, e6.identity) == tw.hat_length(slow, slow.identity) == 0
 
 
 def test_bruhat_descriptions_of_hecke_sets_and_atoms():
