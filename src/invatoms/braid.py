@@ -26,8 +26,8 @@ swaps at the start only, inside every prefix of length 2 or more, so its
 root gets the braid and start tables and every other node the braid
 table. involution_braid_neighbors is the truncated classes' oracle.
 
-The swap tables, the tables of each fold, the DAGs and the fully
-commutative memo live in the system's one store through ``coxeter.memo``.
+The swap tables, the tables of each fold and the DAGs live in the
+system's one store through ``coxeter.memo``.
 
 Words are tuples of 1-based generator indices.
 """
@@ -244,28 +244,17 @@ def _prefix_classes(system, twist, rule=None, base=None):
     return _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
 
 
-def _words(node):
-    """The words of a node as a set, built one length at a time from the
-    root, so only two lengths of word lists are alive at once."""
-    levels = [[node]]
-    while levels[-1][0].pieces:
-        levels.append(list({p: None for n in levels[-1] for p, _ in n.pieces}))
-    words = {levels.pop()[0]: [()]}  # the root
-    for level in reversed(levels[1:]):
-        words = {n: [w + (a,) for p, a in n.pieces for w in words[p]] for n in level}
-    return {w + (a,) for p, a in node.pieces for w in words[p]} if levels else {()}
-
-
-def _class(system, word, twist, rule, base=None):
-    """The words of the node of word in the DAG of the start rule."""
-    return _words(_prefix_classes(system, twist, rule, base).node(tw._word(system, word)))
+def _class(system, word, twist, rule=None, base=None):
+    """The words of the node of word in the DAG of the rule, as a set: the
+    paths from the node down its pieces to the root."""
+    dag = _prefix_classes(system, twist, rule, base)
+    return set(cx.paths(dag.node(tw._word(system, word)), dag.root, lambda n: n.pieces))
 
 
 def involution_braid_class(system, word, twist=None):
     """The closure of word under the prefix-truncated block swaps: the words
     of its node in the DAG of prefix classes (see the module docstring)."""
-    twist = tw._twist_key(system, twist)
-    return _words(_prefix_classes(system, twist).node(tw._word(system, word)))
+    return _class(system, word, tw._twist_key(system, twist))
 
 
 def _empty_prefix_start(system, twist):
@@ -320,20 +309,23 @@ def is_fully_commutative(system, w):
 
     A block of bond order m sits inside some reduced word exactly when a
     right-weak-order prefix has both block letters as right descents, so
-    the test walks the prefix ideal, each element's answer kept in the
-    system's store.
+    the test walks the prefix ideal down the right descents, each prefix
+    once by its images w[:rank] of the simple roots, and stops at the
+    first prefix with two bonded descents.
     """
-    return _fc(system, w)
-
-
-@cx.memo
-def _fc(system, w):
-    des = system.descents_right(w)
-    for i, s in enumerate(des):
-        for t in des[i + 1:]:
-            if system.bond(s, t) > 2:
-                return False
-    return all(_fc(system, system.right_mult(w, s)) for s in des)
+    rank = system.rank
+    seen, todo = {w[:rank]}, [w]
+    while todo:
+        u = todo.pop()
+        des = system.descents_right(u)
+        if any(system.bond(s, t) > 2 for i, s in enumerate(des) for t in des[i + 1:]):
+            return False
+        for s in des:
+            v = system.right_mult(u, s)
+            if v[:rank] not in seen:
+                seen.add(v[:rank])
+                todo.append(v)
+    return True
 
 
 def _by_word(failures):

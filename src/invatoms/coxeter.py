@@ -35,6 +35,28 @@ def closure(seed, neighbors):
     return seen
 
 
+def paths(top, bottom, down):
+    """The words of the paths from top down to bottom, as a list; a word
+    reads its letters from bottom up.
+
+    down(u) gives a (v, letter) pair for each step from u down to v. Each
+    step lowers a rank by exactly one, so the nodes k steps below top form
+    one level, and no node of bottom's rank has a step down, so the lowest
+    level holds bottom if a path reaches it. The words are built one level
+    at a time from the lowest, with no recursion, so only two levels of
+    word lists are alive at once.
+    """
+    levels, level = [], [top]
+    while level:
+        level = [(u, down(u)) for u in level]
+        levels.append(level)
+        level = {v: None for _, steps in level for v, _ in steps}
+    words = {u: [()] if u == bottom else [] for u, _ in levels.pop()}
+    for level in reversed(levels):
+        words = {u: [w + (a,) for v, a in steps for w in words[v]] for u, steps in level}
+    return words[top]
+
+
 def memo(fn):
     """Keep fn(system, *args) in the system's one store of derived tables,
     keyed by fn's "module.function" name and by args with fn's defaults
@@ -283,37 +305,14 @@ class CoxeterSystem:
         return tuple(out)
 
     def reduced_words(self, w):
-        """All reduced words for w, as a sorted tuple of tuples: a DFS over
-        right descents with a per-call memo, on ids within the cap and on
-        root permutations above it."""
-        gens = range(self.rank)
-        t = self.id_table()
-        if t is None:
-            p = self.num_positive
-            top, bottom = w, self.identity
+        """All reduced words for w, as a sorted tuple of tuples: the paths
+        from w down its right descents to the identity."""
+        p, times = self.num_positive, list(enumerate(self._times, 1))
 
-            def down(u):
-                return [(s + 1, self.right_mult(u, s + 1)) for s in gens if u[s] >= p]
-        else:
-            right, descents = t.right, t.descents
-            top, bottom = t.index[w], 0
+        def down(u):
+            return [(times_s(u), s) for s, times_s in times if u[s - 1] >= p]
 
-            def down(i):
-                d = descents[i]
-                return [(s + 1, right[s][i]) for s in gens if d >> s & 1]
-
-        memo = {bottom: ((),)}
-
-        def rec(u):
-            got = memo.get(u)
-            if got is None:
-                got = memo[u] = tuple(word + (s,) for s, v in down(u) for word in rec(v))
-            return got
-
-        try:
-            return tuple(sorted(rec(top)))
-        finally:
-            memo.clear()
+        return tuple(sorted(paths(w, self.identity, down)))
 
     def demazure_product(self, u, v):
         """The 0-Hecke product of two elements (monotone one-sided fold)."""

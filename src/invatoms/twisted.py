@@ -374,18 +374,26 @@ def atoms(system, y, x=None, twist=None):
 
 
 def involution_words(system, y, x=None, twist=None):
-    """All minimal transforming words from x to y, sorted."""
-    out = []
-    for w in atoms(system, y, x, twist):
-        out.extend(system.reduced_words(w))
-    return tuple(sorted(out))
+    """All minimal transforming words from x to y, sorted: the chains of
+    ascents from x up to y, listed as the paths from y down its steps to x.
+    Each step lowers hat by one, so no id at or below hat(x) has a step."""
+    twist = _twist_key(system, twist)
+    ids = _ids(system, twist)
+    xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
+    hat, steps, floor = ids.hat, ids.steps, ids.hat[xi]
+
+    def down(z):
+        return [(v, s + 1) for s, v in steps[z]] if hat[z] > floor else ()
+
+    return tuple(sorted(cx.paths(yi, xi, down)))
 
 
-# Atoms from involution words: an involution word of (x, y) is a chain of
-# ascents from x to y in the weak order on twisted involutions, and the atoms
-# are the products of those chains. So one top-down pass over the weak
-# down-set of y gives the atoms of every x below it, with no fold of the
-# group. The pass keeps a set only until it is complete: the sweep runs it
+# Atoms from the chains that are the involution words: an involution word of
+# (x, y) is a chain of ascents from x to y in the weak order on twisted
+# involutions, which involution_words lists as a path, and the atoms are the
+# products of those chains. So one top-down pass over the weak down-set of y
+# gives the atoms of every x below it, with no fold of the group and no word
+# listed. The pass keeps a set only until it is complete: the sweep runs it
 # with atoms as group ids for each y, and atoms above the cap, where there is
 # no group table to fold, with atoms as root permutations.
 #

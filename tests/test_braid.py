@@ -466,7 +466,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 _MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
                 "twisted._id_fibers", "braid._tables", "braid._fold_tables",
-                "braid._prefix_classes", "braid._fc"}
+                "braid._prefix_classes"}
 
 
 @pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])
@@ -539,6 +539,13 @@ def test_full_commutativity_in_other_types():
     assert br.is_fully_commutative(b2, b2.product((1,)))
     assert br.is_fully_commutative(b2, b2.product((1, 2)))
     assert not br.is_fully_commutative(b2, b2.longest_element())
+
+
+def test_full_commutativity_of_a_long_element_needs_no_recursion():
+    # a prefix ideal of 598 levels, deeper than the default recursion limit
+    system = cx.build_system("I2(600)")
+    assert br.is_fully_commutative(system, system.product((1, 2) * 299))
+    assert not br.is_fully_commutative(system, system.longest_element())
 
 
 def test_fully_commutative_involutions_have_a_lone_atom():

@@ -255,6 +255,20 @@ def test_a_large_dihedral_group_builds():
     assert float(mb) < 60
 
 
+def test_words_of_a_long_dihedral_element():
+    # 601 levels of the path lister above the cap, deeper than the default
+    # recursion limit
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_PEAK, "words", "--system", "I2(1200)", "--y", "w0"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    code, mb = proc.stderr.split()[-2:]
+    assert code == "0", proc.stderr
+    assert json.loads(proc.stdout) == {"words": [[1, 2] * 300 + [1], [2, 1] * 300 + [2]]}
+    assert float(mb) < 60
+
+
 def test_internal_errors_exit_three(capsys, monkeypatch):
     def broken(args):
         raise KeyError("bug")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import invatoms.braid as br
 import invatoms.coxeter as cx
 
 # degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
@@ -74,8 +75,25 @@ def test_reduced_word_is_lexicographically_minimal():
         assert all(len(e) == system.length(w) for e in words)
 
 
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_reduced_words_are_the_words_of_length_l_with_product_w(name):
+    system = cx.build_system(name)
+    letters = range(1, system.rank + 1)
+    by_product = {}
+    for k in range(system.num_positive + 1):
+        for word in itertools.product(letters, repeat=k):  # in lex order
+            w = system.product(word)
+            if system.length(w) == k:
+                by_product.setdefault(w, []).append(word)
+    assert len(by_product) == system.order()
+    for w in system.elements():
+        assert system.reduced_words(w) == tuple(by_product[w])
+
+
 @pytest.mark.parametrize("name", ["B4", "H3"])
-def test_reduced_words_agree_on_the_id_and_tuple_routes(name, monkeypatch):
+def test_reduced_words_are_one_braid_class(name, monkeypatch):
+    # the word property (Bjorner-Brenti 3.3.1): the reduced words of w are
+    # the braid class of any one of them, listed by a BFS closure
     fast = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     assert fast.id_table() is not None
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384, H3 120
@@ -85,10 +103,16 @@ def test_reduced_words_agree_on_the_id_and_tuple_routes(name, monkeypatch):
     for w in fast.elements():
         if fast.length(w) > fast.length(fast.longest_element()) - 4:
             continue
-        words = fast.reduced_words(w)
-        assert slow.reduced_words(w) == words
-        assert words == tuple(sorted(words)) and len(set(words)) == len(words)
+        words = slow.reduced_words(w)
+        assert words == tuple(sorted(br.braid_class(fast, fast.reduced_word(w))))
+        assert fast.reduced_words(w) == words
         assert all(fast.product(e) == w for e in words)
+
+
+def test_reduced_words_of_a_long_element_need_no_recursion():
+    # 500 levels of the path lister, deeper than the default recursion limit
+    system = cx.build_system("I2(500)")
+    assert system.reduced_words(system.longest_element()) == ((1, 2) * 250, (2, 1) * 250)
 
 
 def _subword_leq(system, u, v):

@@ -99,15 +99,46 @@ def test_hecke_fibers_partition_the_group():
                 assert tw.dact_word(system, system.identity, system.reduced_word(w), twist) == y
 
 
-def test_transforming_words_are_the_atoms_reduced_words():
-    system = cx.build_system("A3")
-    for twist in (None, (3, 2, 1)):
-        for y in tw.enumerate_twisted(system, twist):
-            words = set(tw.involution_words(system, y, twist=twist))
-            pooled = set()
-            for w in tw.atoms(system, y, twist=twist):
-                pooled |= set(system.reduced_words(w))
-            assert words == pooled
+def test_transforming_words_are_the_atoms_reduced_words(monkeypatch):
+    # the paper's disjoint union: the words are listed as ascent chains and
+    # never through the atoms, so the two sides are computed apart
+    def systems():
+        for name, twist in [("A3", None), ("A3", (3, 2, 1)), ("B3", None), ("H3", None),
+                            ("D4", (3, 2, 1, 4))]:
+            yield cx.build_system(name), twist
+        yield _above_the_cap(monkeypatch, "B4")[0], None
+
+    for system, twist in systems():
+        ys = tw.enumerate_twisted(system, twist)
+        for y in ys:
+            for x in (x for x in ys if tw.weak_leq_T(system, x, y, twist)):
+                words = tw.involution_words(system, y, x, twist)
+                per_atom = [set(system.reduced_words(w)) for w in tw.atoms(system, y, x, twist)]
+                pooled = set().union(*per_atom)
+                assert len(pooled) == sum(map(len, per_atom))  # pairwise disjoint
+                assert words == tuple(sorted(pooled))
+
+
+@pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None)])
+def test_involution_words_are_the_ascent_chains(name, twist):
+    # every letter sequence that climbs from x by ascents of the public
+    # conjugation step, grouped by the twisted involution it ends at
+    system = cx.build_system(name)
+    ys = tw.enumerate_twisted(system, twist)
+    letters = range(1, system.rank + 1)
+    for x in ys:
+        chains, level = {}, [((), x)]
+        while level:
+            for word, z in level:
+                chains.setdefault(z, []).append(word)
+            level = [(word + (s,), up) for word, z in level for s in letters
+                     for up in [tw.rtimes(system, z, s, twist)]
+                     if system.length(up) > system.length(z)]
+        for y in ys:
+            want = sorted(chains.get(y, ()))
+            hat = tw.hat_length(system, y, twist) - tw.hat_length(system, x, twist)
+            assert all(len(word) == hat for word in want)
+            assert tw.involution_words(system, y, x, twist) == tuple(want)
 
 
 # the running S5 example: x = [3,5,1,4,2] = (1,3)(2,5), y = [4,5,3,1,2] = (1,4)(2,5)
