@@ -3,9 +3,9 @@
 Permutations are tuples p of 1..n with p[i-1] the image of i, composed
 functionally (u v applies v first). Right multiplication by the adjacent
 transposition s_i swaps positions i, i+1; left multiplication swaps values
-i, i+1. This module is independent of the reflection
-representation in coxeter.py so the two can cross-check each other; it
-borrows only the generic BFS helper closure.
+i, i+1. This module is independent of the reflection representation in
+coxeter.py so the two can cross-check each other: it borrows only the
+generic BFS helper closure, and the Hecke atoms' orders.chinese_class.
 
 The second half implements the colored involution calculus: partial
 matchings of [2n] with vertices colored by 1..n, two vertices per color,
@@ -152,15 +152,16 @@ def _swappers(n):
     return tuple(out)
 
 
-def _hecke_fold(n, base):
-    """base folded against every element of S_n, keyed by element.
-
-    One BFS over ascents from the identity: each element is folded once,
-    from the element that first reaches it, and the fold steps of each
-    image are computed once.
-    """
-    swap = _swappers(n)
+def hecke_image_table(n, base=None):
+    """base folded against every element of S_n, keyed by element: the
+    brute-force oracle of hecke_atoms_perm and atoms_perm. One BFS over
+    ascents from the identity folds each element once, from the element
+    that first reaches it, and computes each image's fold steps once."""
     start = identity_perm(n)
+    if base is None:
+        base = start
+    _check_involutions("Hecke images", n, base)
+    swap = _swappers(n)
     table = {start: base}
     steps = {}  # image -> its fold by each s_i
     queue = [start]
@@ -178,23 +179,49 @@ def _hecke_fold(n, base):
     return table
 
 
-def hecke_image_table(n, base=None):
-    """base folded against every element of S_n, keyed by element."""
-    if base is None:
-        base = identity_perm(n)
-    _check_involutions("Hecke images", n, base)
-    return _hecke_fold(n, base)
+# The fold is an action of the 0-Hecke monoid (see twisted.py): for a step up
+# x = x' o s_i along an ascent i of x', the fiber of x over y is {v, s_i v}
+# for the v over x' with s_i v < v, and its shortest elements are the s_i v
+# of the shortest v. So every fiber is the identity's pulled back along a
+# chain of ascents up to x. On u = v^-1, s_i v < v is u(i) > u(i + 1) and
+# s_i v is u s_i.
+
+
+def _ascents(base):
+    """The letters of a chain of ascents from the identity up to base, read
+    off the first right descent of each involution on the way down."""
+    letters = []
+    for _ in range(hat_perm(base)):  # each step down lowers hat by one
+        letters.append(right_descents_perm(base)[0])
+        base = rtimes_perm(base, letters[-1])
+    return letters[::-1]
+
+
+def _pull_back(inverted, base, shortest=False):
+    """The inverted fiber of base over y, from the inverted fiber of the
+    identity over y; with shortest, the shortest elements of the one from
+    the shortest elements of the other."""
+    swap = _swappers(len(base))
+    for i in _ascents(base):
+        kept = [u for u in inverted if u[i - 1] > u[i]]
+        inverted = list(map(swap[i], kept))
+        if not shortest:
+            inverted += kept
+    return inverted
 
 
 def hecke_atoms_perm(y, base=None):
-    """All w in S_n with base folded against w equal to y, sorted."""
+    """All w in S_n with base folded against w equal to y, sorted by
+    (length, w): relative to the identity, the inverses of the class of
+    hat0(y) under the Chinese relation; any other base pulls them back."""
+    from . import orders  # orders imports this module
+
     n = len(y)
     if base is None:
         base = identity_perm(n)
     _check_involutions("Hecke atoms", n, y, base)
-    table = hecke_image_table(n, base)
-    out = [w for w, img in table.items() if img == y]
-    return tuple(sorted(out, key=lambda w: (perm_length(w), w)))
+    inverted = _pull_back(orders.chinese_class(_hat(y, 0)), base)
+    return tuple(sorted(map(inverse_perm, inverted), key=lambda w: (perm_length(w), w)))
 
 
 # -- atoms as the closure of the bottom atom -----------------------------------
@@ -250,8 +277,7 @@ def atoms_perm(y, base=None):
     closure of hat0(y) under those moves. Relative to fpf_base(n) the same
     holds for a fixed-point-free y with hat0_fpf(y) and the aligned moves
     adbc -> bcad, and a y with a fixed point has no atoms. Any other base
-    takes the descent recursion of _atoms_by_descent, which is also the
-    oracle the two closures are tested against.
+    pulls the identity base's atoms back along a chain of ascents.
     """
     n = len(y)
     ident = identity_perm(n)
@@ -265,65 +291,8 @@ def atoms_perm(y, base=None):
             return ()
         inverted = closure(_hat_fpf(y, 0), _up_steps_fpf)
     else:
-        return _atoms_by_descent(y, base)
+        inverted = _pull_back(closure(_hat(y, 0), _up_steps), base, shortest=True)
     return tuple(sorted(map(inverse_perm, inverted)))
-
-
-# {(n, base): {z: atoms of z relative to base, bucketed}}; one slot
-_ATOMS_MEMO = {}
-
-
-def _atoms_by_descent(y, base):
-    """Minimal length Hecke atoms of the involution y relative to the
-    involution base, via the descent recursion (no full-group enumeration),
-    sorted.
-
-    A(z) is the union over right descents i of z of v s_i for v in
-    A(z x s_i) with i an ascent of v. Each atom w is built once, from its
-    first right descent d: the atoms of z are kept in buckets by first
-    right descent, the identity in bucket 0. For v in A(z x s_i) with i an
-    ascent, v s_i has first descent i exactly when v is the identity, v's
-    first descent is above i, or v's first descent is i - 1 with
-    v(i - 1) < v(i + 1).
-
-    The memo of atom buckets is shared across calls with the same (n,
-    base) and replaced when either changes, so it holds at most one entry
-    per involution of S_n, the peak a single call of that size reaches.
-    """
-    n = len(y)
-    memo = _ATOMS_MEMO.get((n, base))
-    if memo is None:
-        _ATOMS_MEMO.clear()
-        memo = _ATOMS_MEMO[(n, base)] = {}
-    swap = _swappers(n)
-    lbase = perm_length(base)
-    ident = [(identity_perm(n),)] + [()] * (n - 1)
-
-    def rec(z, lz):
-        if z == base:
-            return ident
-        got = memo.get(z)
-        if got is not None:
-            return got
-        out = [()] * n
-        if lz > lbase:
-            for i in range(1, n):
-                if z[i - 1] > z[i]:
-                    # the length drops by 1 on the toggle step z(i) = i + 1,
-                    # by 2 otherwise
-                    sub = rec(rtimes_perm(z, i), lz - 2 + (z[i - 1] == i + 1))
-                    g = swap[i]
-                    acc = list(map(g, sub[0]))
-                    for d in range(i + 1, n):
-                        acc += map(g, sub[d])
-                    if i > 1:
-                        # v(i) < v(i - 1) < v(i + 1): i is an ascent of v
-                        acc += [g(v) for v in sub[i - 1] if v[i - 2] < v[i]]
-                    out[i] = acc
-        memo[z] = out
-        return out
-
-    return tuple(sorted(chain.from_iterable(rec(y, perm_length(y)))))
 
 
 def atoms_fpf_perm(y):

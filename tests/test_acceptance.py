@@ -1,9 +1,9 @@
 """Acceptance gate: one test and one printed pass/fail line per criterion.
 
 Run with `pytest -v tests/test_acceptance.py`. Extended scale variants of
-criteria 2 (n=13), 6 (2n=10), 7, 8 (B5 and H4), 10 (F4, D5, H4, E6 with
-both twists, E7 and E8, the last three above the enumeration cap) and 11
-(n=7 and 2n=8), the single colored comparison at n=6 with four cycles, and
+criteria 2 (n=13), 3 (n=10), 6 (2n=10), 7 (n=6), 8 (B5 and H4), 10 (F4,
+D5, H4, E6 with both twists, E7 and E8, the last three above the
+enumeration cap) and 11 (n=7 and 2n=8), the single colored comparison at n=6 with four cycles, and
 a cold-start gate on the cap decision for a bare E6 matrix, run when
 INVATOMS_EXTENDED is set in the environment.
 """
@@ -82,8 +82,17 @@ def test_criterion_03_hecke_atom_counts_of_the_reversal():
         got.append(len(ta.hecke_atoms_perm(w0)))
     ok = tuple(got) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 2
-    _report(3, ok, "n=0..7 plus optional n=8: %s, %.1fs" % (got, elapsed))
+    ok &= elapsed < 0.5
+    _report(3, ok, "n=0..8: %s, %.2fs" % (got, elapsed))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the n=10 reversal")
+def test_criterion_03_extended_hecke_atoms_of_the_reversal_at_n10():
+    t0 = time.time()
+    count = len(ta.hecke_atoms_perm(tuple(range(10, 0, -1))))
+    elapsed = time.time() - t0
+    ok = count == 336825 and elapsed < 15
+    _report(3, ok, "extended n=10: %d Hecke atoms, %.1fs" % (count, elapsed))
 
 
 def test_criterion_04_fpf_hecke_atom_counts_of_the_reversal():
@@ -95,8 +104,8 @@ def test_criterion_04_fpf_hecke_atom_counts_of_the_reversal():
         got.append(len(ta.hecke_atoms_perm(w0, ta.fpf_base(n2))))
     ok = tuple(got) == expected
     elapsed = time.time() - t0
-    ok &= elapsed < 2
-    _report(4, ok, "2n=0..8: %s, %.1fs" % (got, elapsed))
+    ok &= elapsed < 0.5
+    _report(4, ok, "2n=0..8: %s, %.2fs" % (got, elapsed))
 
 
 def test_criterion_05_rewriting_classes_are_hecke_fibers():
@@ -173,8 +182,11 @@ def test_criterion_07_classifiers_match_brute_force():
 
 @pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the n=6 sweep")
 def test_criterion_07_extended_classifiers_at_n6():
+    t0 = time.time()
     bad = _classifier_sweep(6)
-    _report(7, bad == 0, "extended n=6 sweep, %d disagreements" % bad)
+    elapsed = time.time() - t0
+    ok = bad == 0 and elapsed < 135
+    _report(7, ok, "extended n=6 sweep, %d disagreements, %.1fs" % (bad, elapsed))
 
 
 def test_criterion_08_minimal_length_conjecture_sweep():

@@ -533,10 +533,13 @@ def test_build_rejects_an_order_with_two_maximal_elements():
 
 
 def test_relative_hecke_inverses_scatter_across_classes():
-    # the absolute Hecke set of [3,5,1,4,2] inverts onto one whole class,
-    # but the relative Hecke atoms from [3,5,1,4,2] to [4,5,3,1,2] do not
+    # the absolute Hecke set of [3,5,1,4,2], read off the fold table,
+    # inverts onto one whole class, but the relative Hecke atoms from
+    # [3,5,1,4,2] to [4,5,3,1,2] do not
     y = (3, 5, 1, 4, 2)
-    absolute = {ta.inverse_perm(w) for w in ta.hecke_atoms_perm(y)}
+    fiber = sorted(w for w, img in ta.hecke_image_table(5).items() if img == y)
+    assert sorted(ta.hecke_atoms_perm(y)) == fiber
+    absolute = set(map(ta.inverse_perm, fiber))
     assert len(absolute) == 3
     assert od.chinese_class(min(absolute)) == absolute
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -198,10 +199,27 @@ def test_fpf_hecke_atom_counts_for_the_longest_element():
         assert len(ta.hecke_atoms_perm(w0, ta.fpf_base(n2))) == count
 
 
+def test_pulled_back_atoms_are_the_fold_fibers():
+    # every pair of involutions for n <= 5, and at n = 6 a seeded sample of
+    # bases plus the matching base: one fold table per base
+    rng = random.Random(33)
+    invs = [ta.enumerate_involutions(n) for n in range(7)]
+    cases = [(x, ys) for ys in invs[:6] for x in ys]
+    cases += [(x, invs[6]) for x in rng.sample(invs[6], 6) + [ta.fpf_base(6)]]
+    for x, ys in cases:
+        fibers = {}
+        for w, img in ta.hecke_image_table(len(x), x).items():
+            fibers.setdefault(img, []).append(w)
+        for y in ys:
+            fiber = sorted(fibers.get(y, ()), key=lambda w: (ta.perm_length(w), w))
+            assert ta.hecke_atoms_perm(y, x) == tuple(fiber)
+            shortest = [w for w in fiber if ta.perm_length(w) == ta.perm_length(fiber[0])]
+            assert ta.atoms_perm(y, x) == tuple(shortest)
+
+
 def _brute_atom_sets(n, bases=None):
     # minimal length fibers of the fold table, for every start involution
-    # (or the given bases): the minimal-length layers of hecke_atoms_perm,
-    # which filters the same table
+    # (or the given bases)
     out = {}
     for x in bases or ta.enumerate_involutions(n):
         fibers = {}
@@ -310,26 +328,17 @@ def test_colored_structures_are_consistent():
                     assert ta.is_atom_colored(w, x, y) == ta.is_atom_general(w, x, y)
 
 
-def test_the_shared_atom_memo_survives_base_and_size_switches():
+def test_atoms_match_the_brute_layers_across_base_and_size_switches():
     rng = random.Random(10)
     id7 = ta.identity_perm(7)
     layers = {**_brute_atom_sets(5), **_brute_atom_sets(6), **_brute_atom_sets(7, [id7])}
     s5, s6, s7 = (ta.enumerate_involutions(n) for n in (5, 6, 7))
 
     def check(y, x):
-        n = len(y)
-        closed = x == ta.identity_perm(n) or (n % 2 == 0 and x == ta.fpf_base(n))
-        before = [(key, id(memo), len(memo)) for key, memo in ta._ATOMS_MEMO.items()]
         assert ta.atoms_perm(y, x) == tuple(sorted(layers.get((x, y), ())))
-        if closed:
-            # the identity and FPF bases take the closure route, not the memo
-            after = [(key, id(memo), len(memo)) for key, memo in ta._ATOMS_MEMO.items()]
-            assert after == before
-        else:
-            assert list(ta._ATOMS_MEMO) == [(n, x)]
 
     # every pair of S6: each base visited twice in runs of half its targets,
-    # so runs reuse the memo and revisits follow a switch
+    # interleaved with calls of other sizes and bases
     blocks = []
     for x in s6:
         ys = list(s6)
@@ -364,20 +373,64 @@ def test_atoms_need_involutions():
             ta.atoms_perm(y, base)
 
 
+def _atoms_by_descent(ys, base):
+    """The minimal length Hecke atoms of each involution in ys relative to
+    the involution base, sorted, by the descent recursion: no closure, no
+    pull-back and no fold of the group.
+
+    A(z) is the union over right descents i of z of v s_i for v in
+    A(z x s_i) with i an ascent of v. Each atom w is built once, from its
+    first right descent d: the atoms of z are kept in buckets by first
+    right descent, the identity in bucket 0. For v in A(z x s_i) with i an
+    ascent, v s_i has first descent i exactly when v is the identity, v's
+    first descent is above i, or v's first descent is i - 1 with
+    v(i - 1) < v(i + 1). The buckets of each z are kept for the rest of
+    the call.
+    """
+    n = len(base)
+    memo = {}
+    swap = [None] + [itemgetter(*range(i - 1), i, i - 1, *range(i + 1, n)) for i in range(1, n)]
+    lbase = ta.perm_length(base)
+    ident = [(ta.identity_perm(n),)] + [()] * (n - 1)
+
+    def rec(z, lz):
+        if z == base:
+            return ident
+        got = memo.get(z)
+        if got is not None:
+            return got
+        out = [()] * n
+        if lz > lbase:
+            for i in range(1, n):
+                if z[i - 1] > z[i]:
+                    # the length drops by 1 on the toggle step z(i) = i + 1,
+                    # by 2 otherwise
+                    sub = rec(ta.rtimes_perm(z, i), lz - 2 + (z[i - 1] == i + 1))
+                    g = swap[i]
+                    acc = list(map(g, sub[0]))
+                    for d in range(i + 1, n):
+                        acc += map(g, sub[d])
+                    if i > 1:
+                        # v(i) < v(i - 1) < v(i + 1): i is an ascent of v
+                        acc += [g(v) for v in sub[i - 1] if v[i - 2] < v[i]]
+                    out[i] = acc
+        memo[z] = out
+        return out
+
+    return [tuple(sorted(itertools.chain.from_iterable(rec(y, ta.perm_length(y))))) for y in ys]
+
+
 def test_atom_closures_match_the_descent_recursion():
     for n in range(9):
-        base = ta.identity_perm(n)
-        for y in ta.enumerate_involutions(n):
-            assert ta.atoms_perm(y) == ta._atoms_by_descent(y, base)
+        ys = ta.enumerate_involutions(n)
+        assert [ta.atoms_perm(y) for y in ys] == _atoms_by_descent(ys, ta.identity_perm(n))
     for n2 in range(0, 11, 2):
-        base = ta.fpf_base(n2)
-        for y in ta.enumerate_involutions(n2, fpf=True):
-            assert ta.atoms_fpf_perm(y) == ta._atoms_by_descent(y, base)
+        ys = ta.enumerate_involutions(n2, fpf=True)
+        assert [ta.atoms_fpf_perm(y) for y in ys] == _atoms_by_descent(ys, ta.fpf_base(n2))
     # y with a fixed point has no atoms against the FPF base
-    base = ta.fpf_base(6)
-    for y in ta.enumerate_involutions(6):
-        if not ta.is_fpf_involution(y):
-            assert ta.atoms_fpf_perm(y) == () == ta._atoms_by_descent(y, base)
+    ys = [y for y in ta.enumerate_involutions(6) if not ta.is_fpf_involution(y)]
+    assert [ta.atoms_fpf_perm(y) for y in ys] == [()] * len(ys)
+    assert _atoms_by_descent(ys, ta.fpf_base(6)) == [()] * len(ys)
     assert ta.atoms_perm(()) == ((),)
     assert ta.atoms_fpf_perm(()) == ((),)
     assert ta.atoms_perm((1,)) == ((1,),)
