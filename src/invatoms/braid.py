@@ -26,8 +26,10 @@ swaps at the start only, inside every prefix of length 2 or more, so its
 root gets the braid and start tables and every other node the braid
 table. involution_braid_neighbors is the truncated classes' oracle.
 
-The swap tables, the tables of each fold and the DAGs live in the
-system's one store through ``coxeter.memo``.
+The swap tables, keyed by their block lengths, and the DAGs live in the
+system's one store through ``coxeter.memo``; a fold's tables are those of
+its truncated lengths, looked up there on each call and never stored per
+fold.
 
 Words are tuples of 1-based generator indices.
 """
@@ -117,7 +119,6 @@ def _truncate(m, s, t, ims, imt):
     return m // 2
 
 
-@cx.memo
 def _fold_tables(system, u, twist):
     """The swap tables (see _tables) after a prefix folding to u, the fold's
     id among the twisted involutions (see tw._ids)."""
@@ -367,7 +368,7 @@ def check_fc_atoms(system, twist=None):
                 problem = "words differ from the atom's reduced words"
         if problem is not None:
             failures.append({"x": list(system.reduced_word(x)), "problem": problem})
-    return tw._report(system, checked, _by_word(failures), hypothesis_ok=hypothesis_ok)
+    return cx.report(system, checked, _by_word(failures), hypothesis_ok=hypothesis_ok)
 
 
 def check_braid_classes(system, twist=None):
@@ -409,4 +410,4 @@ def check_braid_classes(system, twist=None):
         if good != node.size or good != chains:
             failures.append({"x": list(system.reduced_word(ids.element(x))),
                              "missing": chains - good, "extra": node.size - good})
-    return tw._report(system, checked, _by_word(failures))
+    return cx.report(system, checked, _by_word(failures))

@@ -169,18 +169,14 @@ def _default_start(system, args):
     return None
 
 
-# the JSON answer to a single (x, y) query from the twisted module, by output key
-_ANSWERS = {
-    "atoms": lambda tw, system, *q: _words(system, tw.atoms(system, *q)),
-    "hecke_atoms": lambda tw, system, *q: _words(system, tw.hecke_atoms(system, *q)),
-    "words": lambda tw, system, *q: [list(w) for w in tw.involution_words(system, *q)],
-}
-
-# pair verb -> (help, the output keys it answers)
+# pair verb -> (help, output key, its JSON answer from the twisted module)
 _PAIR_VERBS = {
-    "atoms": ("atoms and Hecke atoms from x to y", ("atoms", "hecke_atoms")),
-    "words": ("transforming words from x to y", ("words",)),
-    "hecke": ("Hecke atoms from x to y", ("hecke_atoms",)),
+    "atoms": ("atoms from x to y", "atoms",
+              lambda tw, system, *q: _words(system, tw.atoms(system, *q))),
+    "words": ("transforming words from x to y", "words",
+              lambda tw, system, *q: [list(w) for w in tw.involution_words(system, *q)]),
+    "hecke": ("Hecke atoms from x to y", "hecke_atoms",
+              lambda tw, system, *q: _words(system, tw.hecke_atoms(system, *q))),
 }
 
 
@@ -190,10 +186,8 @@ def _cmd_pair(args):
     twist = parse_twist(system, args.twist)
     y = parse_element(system, args.y)
     x = _default_start(system, args)
-    keys = _PAIR_VERBS[args.verb][1]
-    if args.verb == "atoms" and system.id_table() is None:
-        keys = ("atoms",)  # Hecke atoms need the whole group; atoms do not
-    _emit({key: _ANSWERS[key](tw, system, y, x, twist) for key in keys})
+    _, key, answer = _PAIR_VERBS[args.verb]
+    _emit({key: answer(tw, system, y, x, twist)})
     return 0
 
 
@@ -248,8 +242,8 @@ def _cmd_verify(args):
         if not cx.is_type_a_chain(system):
             raise UsageError("the %s sweep needs a symmetric group (type A chain)" % args.what)
         from . import orders as od
-        n = system.rank + 1
-        return _finish(args, [od.verify_chinese(n) if args.what == "chinese" else od.verify_fpf(n)])
+        check = od.verify_chinese if args.what == "chinese" else od.verify_fpf
+        return _finish(args, [_report(system, None, check(system.rank + 1))])
     if args.what in ("braid", "fc"):
         from . import braid as br
         check = br.check_braid_classes if args.what == "braid" else br.check_fc_atoms
@@ -298,7 +292,7 @@ def _cmd_sweep(args):
                 for done, bad in pool.map(_sweep_worker, payloads):
                     pairs += done
                     failures.extend(bad)
-            raw = tw._report(system, pairs, failures)
+            raw = cx.report(system, pairs, failures)
         reports.append(_report(system, t, raw))
     return _finish(args, reports)
 
@@ -338,7 +332,7 @@ def build_parser():
         p.add_argument("--fpf", action="store_true",
                        help="start from the fixed-point-free base instead of the identity")
 
-    for verb, (help_text, _) in _PAIR_VERBS.items():
+    for verb, (help_text, _, _) in _PAIR_VERBS.items():
         add_pair(sub.add_parser(verb, help=help_text))
 
     poset_p = sub.add_parser("poset", help="atom order of an involution in a symmetric group")

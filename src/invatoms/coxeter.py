@@ -9,7 +9,6 @@ arithmetic, so no rounding decides which roots are equal.
 Generators are numbered 1..rank everywhere in the public interface.
 """
 
-import itertools
 import math
 import numbers
 from collections import Counter, deque
@@ -55,6 +54,14 @@ def paths(top, bottom, down):
     for level in reversed(levels):
         words = {u: [w + (a,) for v, a in steps for w in words[v]] for u, steps in level}
     return words[top]
+
+
+def report(system, checked, failures, **extra):
+    """The one JSON-ready report of every whole-set checker: the system's
+    name ("custom" for a bare matrix) or a given string, any extra keys,
+    then the number of checks made and the failures."""
+    name = system if isinstance(system, str) else system.name or "custom"
+    return {"system": name, **extra, "pairs_checked": checked, "failures": failures}
 
 
 def memo(fn):
@@ -427,18 +434,16 @@ class CoxeterSystem:
     def diagram_automorphisms(self):
         """All permutations p of the generators with m(p(s),p(t)) = m(s,t).
 
-        Returned as tuples mapping generator i (1-based) to p[i-1].
+        Returned as tuples mapping generator i (1-based) to p[i-1], in lex
+        order. A partial map of the first generators grows one generator at
+        a time and is kept only while it preserves every bond among the
+        generators placed so far, so no failing permutation is completed.
         """
-        n = self.rank
-        out = []
-        for perm in itertools.permutations(range(n)):
-            if all(
-                self.matrix[perm[i]][perm[j]] == self.matrix[i][j]
-                for i in range(n)
-                for j in range(i + 1, n)
-            ):
-                out.append(tuple(q + 1 for q in perm))
-        return tuple(out)
+        m, maps = self.matrix, [()]
+        for i in range(self.rank):
+            maps = [p + (j,) for p in maps for j in range(self.rank)
+                    if j not in p and all(m[j][q] == m[i][k] for k, q in enumerate(p))]
+        return tuple(tuple(q + 1 for q in p) for p in maps)
 
     @memo
     def _twist_perms(self, twist):

@@ -163,7 +163,8 @@ def _verify_classes(n, base, relation):
 
     The Hecke atom sets partition S_n, so if each inverted set is the class
     of one of its members the classes are these sets; ``classes`` counts the
-    distinct classes built, ``involutions`` on a passing run. Both sides are
+    distinct classes built, ``involutions`` on a passing run, and each
+    involution compared counts as one pair checked. Both sides are
     compared on J-minimal sequences, J the right descents of base: each
     inverted set is a union of orbits u W_J (see _fold), each with one
     member increasing on every block of J. relation(n, b) gives the function
@@ -191,8 +192,8 @@ def _verify_classes(n, base, relation):
         if len(cls) != size or countOf(map(labels.get, cls), k) != size:
             failures.append({"involution": list(images[k]), "class_size": orbit * len(cls),
                              "hecke_size": orbit * size})
-    return {"n": n, "classes": len(set(ids.values())), "involutions": len(least),
-            "failures": failures}
+    return cx.report("S%d" % n, len(least), failures,
+                     classes=len(set(ids.values())), involutions=len(least))
 
 
 def verify_chinese(n):

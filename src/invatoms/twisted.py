@@ -20,9 +20,10 @@ nothing is kept per base.
 """
 
 from functools import partial
+from heapq import heappop, heappush
 
 from . import coxeter as cx
-from .coxeter import closure, is_involutive_twist, normalize_twist
+from .coxeter import closure, is_involutive_twist, normalize_twist, report
 
 
 def _id_table(system):
@@ -64,10 +65,10 @@ class _TwistedIds:
 
     ``root`` is the identity's id. ``dact[x]`` holds, for each generator
     s = 1..rank, the id of the Demazure step of x by s (x itself on a right
-    descent), ``lower[x]`` the ids of the conjugation steps down the right
-    descents of x, and ``steps[x]`` the same steps as (letter, id) pairs,
-    letters from 0. ``hat[x]`` is the common length of the involution words
-    of x, one more than that of the step down its first right descent.
+    descent), and ``steps[x]`` the conjugation steps down the right descents
+    of x as (letter, id) pairs, letters from 0. ``hat[x]`` is the common
+    length of the involution words of x, one more than that of the step
+    down its first right descent.
 
     Within the cap an id is the element's group id, so ids run in (length,
     lex-min word) order, and one closure of the identity fills every row.
@@ -87,7 +88,7 @@ class _TwistedIds:
             self._keys, self._number, self._perms = [], {}, {}
             # the roots s alpha_t for t = 1..rank, for each generator s
             self._heads = [g[:system.rank] for g in system._gen_perms]
-            self.dact, self.lower, self.steps = (_Rows(self._fill) for _ in range(3))
+            self.dact, self.steps = _Rows(self._fill), _Rows(self._fill)
             self.hat = _Rows(self._fill_hat)
             self.hat[self._id(system.identity[:system.rank], system.identity)] = 0
             self._order_key = self.hat.__getitem__
@@ -95,7 +96,7 @@ class _TwistedIds:
         self._index, self._order_key = t.index, None
         right, left, descents = t.right, t.left, t.descents
         gens = [(s, twist[s] - 1) for s in range(len(right))]
-        self.dact, self.lower, self.steps = dact, lower, steps = {}, {}, {}
+        self.dact, self.steps = dact, steps = {}, {}
 
         def ascents(x):
             # the conjugation step: s*xs, or xs when s*x = xs
@@ -105,14 +106,13 @@ class _TwistedIds:
                 ys.append(xr if lx == xr else right[s][lx])
             d = descents[x]
             steps[x] = tuple((s, y) for s, y in enumerate(ys) if d >> s & 1)
-            lower[x] = tuple(y for _, y in steps[x])
             dact[x] = tuple(x if d >> s & 1 else y for s, y in enumerate(ys))
             return dact[x]
 
         closure(0, ascents)  # every twisted involution is reached by ascents
         self.hat = hat = {}
-        for x in sorted(lower):
-            hat[x] = hat[lower[x][0]] + 1 if lower[x] else 0
+        for x in sorted(steps):
+            hat[x] = hat[steps[x][0][1]] + 1 if steps[x] else 0
 
     def _id(self, key, w):
         """The id of the twisted involution w of key w[:rank], numbered if new."""
@@ -124,7 +124,7 @@ class _TwistedIds:
         return x
 
     def _fill(self, x):
-        """The dact, lower and steps rows of x from its root permutation w.
+        """The dact and steps rows of x from its root permutation w.
         Each conjugation step is formed only when its key is new: (w s)(alpha_t)
         is w(s alpha_t), and s* w s maps that by s* in turn."""
         system, twist, w = self.system, self.twist, self._perms.pop(x)
@@ -138,7 +138,6 @@ class _TwistedIds:
             ys.append(self._id(key, _rtimes(system, w, s + 1, twist)) if y is None else y)
         down = [s for s in range(system.rank) if w[s] >= p]
         self.steps[x] = tuple((s, ys[s]) for s in down)
-        self.lower[x] = tuple(ys[s] for s in down)
         self.dact[x] = tuple(x if s in down else y for s, y in enumerate(ys))
 
     def _fill_hat(self, x):
@@ -146,7 +145,7 @@ class _TwistedIds:
         chain = []
         while x not in self.hat:
             chain.append(x)
-            x = self.lower[x][0]
+            x = self.steps[x][0][1]
         for z in reversed(chain):
             self.hat[z] = self.hat[x] + 1
             x = z
@@ -179,7 +178,7 @@ class _TwistedIds:
 
     def down(self, y):
         """The ids of the weak down-set of the twisted involution with id y."""
-        return closure(y, self.lower.__getitem__)
+        return closure(y, lambda z: (v for _, v in self.steps[z]))
 
     def order(self):
         """Every id, each after its steps down: by id within the cap, by hat above it."""
@@ -363,11 +362,9 @@ def atoms(system, y, x=None, twist=None):
     if t is not None:
         us = _pull_back_shortest(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, xi))
         return tuple(map(t.elements.__getitem__, us))
-    # above the cap: the atom pass down the ids of y's down-set to x, its
-    # atoms root permutations
+    # above the cap: the atom pass down from y to x, its atoms root permutations
     left = [partial(system.left_mult, s + 1) for s in range(system.rank)]
-    down = sorted(ids.down(yi), key=ids.hat.__getitem__, reverse=True)
-    for z, us in _atom_pass(down, ids.steps.__getitem__, left, system.identity):
+    for z, us in _atom_pass(yi, ids.steps, left, system.identity, ids.hat):
         if z == xi:
             return tuple(_by_word(system, us))
     return ()
@@ -408,24 +405,31 @@ def involution_words(system, y, x=None, twist=None):
 # runs one length at a time, so the sweep stops at the first length with a hit.
 
 
-def _atom_pass(down, steps, left, e):
-    """Yield (x, A(x, y)) for every x in the weak down-set of y, each set as
-    soon as it is complete.
+def _atom_pass(y, steps, left, e, hat):
+    """Yield (x, A(x, y)) for every x in the weak down-set of the id y, each
+    set as soon as it is complete.
 
-    ``down`` is the down-set of y with y first and every element after all
-    those above it, ``steps(z)`` gives a (letter, step down) pair for each
-    right descent of z, ``left[s]`` multiplies on the left by the letter s
-    and e is the identity. From A(y, y) = {e}, each atom u of z and each
-    pair (s, z') of z give the atom s u of z'. No test of s u > u is needed.
-    A chain of ascents from z' to y folds z' to y as its Demazure product
-    does; that product is shorter than the chain unless the chain is
-    reduced, and nothing shorter than hat(y) - hat(z') folds z' to y.
+    ``steps[z]`` gives a (letter, step down) pair for each right descent of
+    z, ``left[s]`` multiplies on the left by the letter s, e is the identity
+    and ``hat[z]`` is the hat length of z. From A(y, y) = {e}, each atom u
+    of z and each pair (s, z') of z give the atom s u of z'. No test of
+    s u > u is needed. A chain of ascents from z' to y folds z' to y as its
+    Demazure product does; that product is shorter than the chain unless
+    the chain is reduced, and nothing shorter than hat(y) - hat(z') folds
+    z' to y. The ids leave a heap by decreasing hat, each pushed when first
+    met: a step down lowers hat by exactly one, so every id comes out after
+    all the ids above it, and no down-set is listed or sorted first.
     """
-    below = {}
-    for z in down:
-        us = below.pop(z, None) or {e}  # only y has no set yet
-        for s, zs in steps(z):
-            below.setdefault(zs, set()).update(map(left[s], us))
+    below, heap = {y: {e}}, [(-hat[y], y)]
+    while heap:
+        z = heappop(heap)[1]
+        us = below.pop(z)
+        for s, zs in steps[z]:
+            got = below.get(zs)
+            if got is None:
+                got = below[zs] = set()
+                heappush(heap, (-hat[zs], zs))
+            got.update(map(left[s], us))
         yield z, us
 
 
@@ -522,14 +526,14 @@ def check_conjecture(system, twist=None, ys=None):
     twist = _twist_key(system, twist)
     t = _id_table(system)
     ids = _ids(system, twist)
-    word, steps = t.word, ids.steps.__getitem__
+    word = t.word
     left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
     for y in ids.order() if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
         wrong = []
-        for x, us in _atom_pass(sorted(ids.down(y), reverse=True), steps, left, ids.root):
+        for x, us in _atom_pass(y, ids.steps, left, ids.root, ids.hat):
             pairs += 1
             expected = sorted(us)
             got = next(_hits(t, row, y, x), [])
@@ -538,13 +542,7 @@ def check_conjecture(system, twist=None, ys=None):
         failures += [{"x": list(word[x]), "y": list(word[y]),
                       "expected": [list(word[w]) for w in expected],
                       "got": [list(word[w]) for w in got]} for x, expected, got in sorted(wrong)]
-    return _report(system, pairs, failures)
-
-
-def _report(system, pairs, failures, **extra):
-    """A checker's JSON-ready report, any extra keys after the system's name."""
-    return {"system": system.name or "custom", **extra, "pairs_checked": pairs,
-            "failures": failures}
+    return report(system, pairs, failures)
 
 
 # -- duality ----------------------------------------------------------------
@@ -633,7 +631,7 @@ def check_duality(system, v0, twist=None):
                     # and the words are not reversed (see the note above)
                     failures.extend({"check": c, "x": word(x), "y": word(y)}
                                     for c in ("atoms-inverse", "words-reversed"))
-    return _report(system, checks, failures)
+    return report(system, checks, failures)
 
 
 def _conjugations(ids, x):
@@ -674,7 +672,7 @@ def check_central_closure(system, w, twist=None):
     hk = set(hecke_atoms(system, w, None, twist))
     if {system.inverse(u) for u in hk} != hk:
         failures.append({"check": "hecke-inverse"})
-    return _report(system, 3, failures)
+    return report(system, 3, failures)
 
 
 def check_bruhat_descriptions(system, twist=None):
@@ -686,4 +684,4 @@ def check_bruhat_descriptions(system, twist=None):
         hecke_atoms(system, w0, None, twist) != bruhat_hecke(system, w0, None, twist)) else []
     failures += [{"check": "atoms", "y": list(system.reduced_word(y))} for y in ys
                  if set(atoms(system, y, None, twist)) != set(bruhat_atoms(system, y, None, twist))]
-    return _report(system, 1 + len(ys), failures)
+    return report(system, 1 + len(ys), failures)

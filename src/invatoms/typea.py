@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import chain, permutations
 from operator import itemgetter
 
-from .coxeter import closure
+from .coxeter import closure, report
 
 
 def identity_perm(n):
@@ -544,5 +544,4 @@ def check_sigma_conjecture(n_max=5, k_max=3):
                 for w in perms:
                     if holds(w) != (w in truth):
                         failures.append({"n": n, "x": x, "y": y, "w": w})
-    return {"system": "symmetric groups up to S_%d" % n_max,
-            "pairs_checked": pairs, "failures": failures}
+    return report("symmetric groups up to S_%d" % n_max, pairs, failures)

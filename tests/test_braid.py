@@ -465,8 +465,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 
 _MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
-                "twisted._id_fibers", "braid._tables", "braid._fold_tables",
-                "braid._prefix_classes"}
+                "twisted._id_fibers", "braid._tables", "braid._prefix_classes"}
 
 
 @pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])
@@ -498,6 +497,15 @@ def test_every_entry_point_keeps_its_tables_in_the_one_store(name, twist):
     reference.id_table()
     assert set(vars(system)) == set(vars(reference))
     assert set(system.cache_sizes()) == _MEMO_TABLES
+
+
+def test_the_braid_check_keeps_no_tables_per_fold():
+    # the swap tables are stored by their truncated block lengths alone
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
+    assert br.check_braid_classes(system)["failures"] == []
+    sizes = system.cache_sizes()
+    assert "braid._fold_tables" not in sizes
+    assert sizes["braid._tables"] < len(tw.enumerate_twisted(system))
 
 
 def test_each_stored_value_has_one_key():

@@ -20,8 +20,14 @@ def test_atoms_golden(capsys):
     code, out, _ = run(capsys, "atoms", "--system", "A4",
                        "--x", "(1,3)(2,5)", "--y", "(1,4)(2,5)")
     assert code == 0
+    assert json.loads(out) == {"atoms": [[3]]}
+
+
+def test_hecke_golden(capsys):
+    code, out, _ = run(capsys, "hecke", "--system", "A4",
+                       "--x", "(1,3)(2,5)", "--y", "(1,4)(2,5)")
+    assert code == 0
     assert json.loads(out) == {
-        "atoms": [[3]],
         "hecke_atoms": [[3], [2, 3], [3, 2], [4, 3],
                         [2, 3, 2], [2, 4, 3], [4, 3, 2], [2, 4, 3, 2]],
     }
@@ -78,6 +84,10 @@ def test_verify_chinese_and_fpf(capsys):
     code, out, _ = run(capsys, "verify", "chinese", "--system", "A4")
     assert code == 0
     assert "classes: 26" in out
+    code, out, _ = run(capsys, "verify", "chinese", "--system", "A5")
+    assert code == 0
+    assert out == ("system: S6, twist: id, classes: 76, involutions: 76, "
+                   "pairs_checked: 76, failures: 0\n")
     code, out, _ = run(capsys, "verify", "fpf", "--system", "A5")
     assert code == 0
     assert "classes: 15" in out
@@ -127,17 +137,18 @@ def test_sweep_matches_the_serial_checker(capsys):
     assert "custom" in serial
 
 
-def test_atoms_above_the_cap_drop_the_hecke_atoms(capsys, monkeypatch):
+def test_atoms_answer_alike_on_both_sides_of_the_cap(capsys, monkeypatch):
     # a fresh system per call, since each system decides the cap once
     monkeypatch.setattr(cx, "build_system",
                         lambda spec: cx.CoxeterSystem(cx.coxeter_matrix_from_name(spec)))
     code, out, _ = run(capsys, "atoms", "--system", "B4", "--y", "1,2,1")
     assert code == 0
-    atoms = json.loads(out)["atoms"]
+    within = json.loads(out)
+    assert list(within) == ["atoms"]  # Hecke atoms come from hecke alone
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     code, out, _ = run(capsys, "atoms", "--system", "B4", "--y", "1,2,1")
     assert code == 0
-    assert json.loads(out) == {"atoms": atoms}
+    assert json.loads(out) == within
     code, _, err = run(capsys, "hecke", "--system", "B4", "--y", "1,2,1")
     assert code == 2
     assert "too large" in err

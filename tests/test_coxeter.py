@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,33 @@ def test_is_type_a_chain():
 def test_diagram_automorphism_counts():
     for name, count in [("A3", 2), ("B3", 1), ("H3", 1), ("D4", 6)]:
         assert len(cx.build_system(name).diagram_automorphisms()) == count
+
+
+def _automorphisms_by_brute_force(system):
+    """The oracle: every permutation of the generators, kept when it
+    preserves every bond, in lex order."""
+    n, m = system.rank, system.matrix
+    return tuple(tuple(q + 1 for q in p) for p in itertools.permutations(range(n))
+                 if all(m[p[i]][p[j]] == m[i][j] for i in range(n) for j in range(i + 1, n)))
+
+
+@pytest.mark.parametrize("names", [
+    ["A%d" % n for n in range(1, 9)], ["B%d" % n for n in range(2, 9)],
+    ["D%d" % n for n in range(4, 9)], ["E6", "E7", "E8", "F4", "H3", "H4", "I2(5)", "I2(8)"],
+    ["A1xA1", "A1xA1xA1", "A2xA2", "A1xA3", "A1xA1xA2", "B2xA1xA1", "A1xA1xA1xA1xA1"]],
+    ids=["A", "B", "D", "exceptional", "products"])
+def test_diagram_automorphisms_match_the_brute_force_filter(names):
+    for name in names:
+        system = cx.build_system(name)
+        assert system.diagram_automorphisms() == _automorphisms_by_brute_force(system), name
+
+
+def test_diagram_automorphisms_of_a_long_chain_complete_no_failing_map():
+    # 12! permutations would take minutes; the partial maps are a handful
+    system = cx.build_system("A12")
+    start = time.perf_counter()
+    assert system.diagram_automorphisms() == (tuple(range(1, 13)), tuple(range(12, 0, -1)))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_apply_twist_permutes_generators():

@@ -6,6 +6,11 @@ import types
 from pathlib import Path
 
 import invatoms
+import invatoms.braid as br
+import invatoms.coxeter as cx
+import invatoms.orders as od
+import invatoms.twisted as tw
+import invatoms.typea as ta
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +70,17 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
         "else:\n"
         "    raise AssertionError('no AttributeError')\n"
         "assert not hasattr(invatoms, 'twisted_involutions')\n")
+
+
+def test_every_whole_set_checker_reports_in_the_one_schema():
+    b3 = cx.build_system("B3")
+    w0 = b3.longest_element()  # central in B3
+    reports = [tw.check_conjecture(b3), tw.check_duality(b3, w0), tw.check_central_closure(b3, w0),
+               tw.check_bruhat_descriptions(b3), br.check_braid_classes(b3),
+               br.check_fc_atoms(b3), od.verify_chinese(4), od.verify_fpf(4),
+               ta.check_sigma_conjecture(n_max=3)]
+    for report in reports:
+        keys = list(report)
+        assert keys[0] == "system" and keys[-2:] == ["pairs_checked", "failures"], keys
+        assert report["pairs_checked"] > 0 and report["failures"] == []
+    assert [r["system"] for r in reports] == ["B3"] * 6 + ["S4", "S4", "symmetric groups up to S_3"]

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 import invatoms.coxeter as cx
@@ -288,9 +290,9 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     t = system.id_table()
     real = tw._atom_pass
 
-    def dropping(down, steps, left, e):
-        for z, us in real(down, steps, left, e):
-            if down[0] == t.index[y] and z == t.index[x]:
+    def dropping(top, steps, left, e, hat):
+        for z, us in real(top, steps, left, e, hat):
+            if top == t.index[y] and z == t.index[x]:
                 us = us - {t.index[system.generator(3)]}
             yield z, us
 
@@ -306,8 +308,8 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
 
 
 def test_the_sweep_lists_failures_in_id_order(monkeypatch):
-    # the pass streams x in decreasing id order; with every atom dropped,
-    # each x below y fails, and the report lists them by increasing id
+    # the pass streams x by decreasing hat; with every atom dropped, each x
+    # below y fails, and the report lists them by increasing id
     system, _, y = _s5_pair()
     t = system.id_table()
     ids = tw._ids(system, tw._twist_key(system, None))
@@ -331,14 +333,46 @@ def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
     key = tw._twist_key(system, twist)
     ids = tw._ids(system, key)
     elements, index = t.elements, t.index
-    steps, left = ids.steps.__getitem__, [row.__getitem__ for row in t.left]
+    left = [row.__getitem__ for row in t.left]
     for y in ids.hat:
-        below = dict(tw._atom_pass(sorted(ids.down(y), reverse=True), steps, left, 0))
+        below = dict(tw._atom_pass(y, ids.steps, left, 0, ids.hat))
         assert set(below) == ids.down(y)
         for x, got in below.items():
             fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
             assert sorted(got) == tw._first_run(t, map(index.__getitem__, fiber))
             assert {t.length[w] for w in got} == {ids.hat[y] - ids.hat[x]}
+
+
+def _closure_then_sort_pass(y, ids, left, e):
+    """The oracle of the atom pass: y's down-set listed by closure and
+    sorted by decreasing hat, then each set pushed down the steps."""
+    below = {}
+    for z in sorted(ids.down(y), key=ids.hat.__getitem__, reverse=True):
+        us = below.pop(z, None) or {e}  # only y has no set yet
+        for s, zs in ids.steps[z]:
+            below.setdefault(zs, set()).update(map(left[s], us))
+        yield z, us
+
+
+def _check_the_pass_order(ids, left, e):
+    for y in ids.order():
+        got = list(tw._atom_pass(y, ids.steps, left, e, ids.hat))
+        position = {z: i for i, (z, _) in enumerate(got)}
+        # each x of the down-set once, after every id above it
+        assert len(position) == len(got) and set(position) == ids.down(y)
+        assert all(position[z] < position[v] for z in position for _, v in ids.steps[z])
+        assert dict(got) == dict(_closure_then_sort_pass(y, ids, left, e))
+
+
+@pytest.mark.parametrize("name, twist", [("B4", None), ("F4", (4, 3, 2, 1)), ("D4", (3, 2, 1, 4))])
+def test_the_atom_pass_walks_its_down_set_by_decreasing_hat(monkeypatch, name, twist):
+    fast = cx.build_system(name)
+    t = fast.id_table()
+    _check_the_pass_order(tw._ids(fast, tw._twist_key(fast, twist)),
+                          [row.__getitem__ for row in t.left], 0)
+    slow, _ = _above_the_cap(monkeypatch, name)
+    left = [partial(slow.left_mult, s + 1) for s in range(slow.rank)]
+    _check_the_pass_order(tw._ids(slow, tw._twist_key(slow, twist)), left, slow.identity)
 
 
 def test_the_sweep_leaves_no_hecke_tables_behind():
@@ -463,7 +497,6 @@ def test_rows_above_the_cap_are_the_rows_within_it(monkeypatch, name, twist):
     assert sorted(above.values()) == sorted(ids.order()) == list(range(len(above)))
     for x, y in above.items():
         assert ids.dact[y] == tuple(above[z] for z in within.dact[x])
-        assert ids.lower[y] == tuple(above[z] for z in within.lower[x])
         assert ids.steps[y] == tuple((s, above[z]) for s, z in within.steps[x])
         assert ids.hat[y] == within.hat[x]
         assert ids.element(y) == elements[x]
@@ -480,7 +513,7 @@ def test_an_atoms_query_above_the_cap_numbers_only_the_down_set_and_its_neighbou
     ids = tw._ids(system, tw._twist_key(system, None))
     down = ids.down(ids.member(y))
     # the rows of the down-set are filled, and only its conjugation steps numbered
-    assert set(ids.dact) == set(ids.steps) == set(ids.lower) == set(ids.hat) == down
+    assert set(ids.dact) == set(ids.steps) == set(ids.hat) == down
     numbered = down | {z for x in down for z in ids.dact[x]}
     assert len(down) == 4 and len(numbered) == 12  # of B4's 76 twisted involutions
     assert set(range(len(ids._keys))) == numbered
