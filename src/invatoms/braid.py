@@ -1,12 +1,13 @@
 """Word rewriting for reduced words and involution words.
 
 Reduced words of a group element form a single class under the familiar
-alternating-block swaps. Minimal transforming words of a twisted
-involution form a class under a refined system in which the block length
-shrinks from the bond order to a truncated value that depends on the
-prefix before the block, but only through the twisted involution the
-prefix folds to. The type A symmetric-group specializations need just
-one extra family of moves on the first two letters.
+alternating-block swaps (the word property of Tits and Matsumoto).
+Minimal transforming words of a twisted involution form a class under a
+refined system in which the block length shrinks from the bond order to
+a truncated value that depends on the prefix before the block, but only
+through the twisted involution the prefix folds to. The type A
+symmetric-group specializations need just one extra family of moves on
+the first two letters.
 
 The class of a word under a move rule is a node of a DAG of prefix
 classes, one per system, twist, rule and base (the fold of the empty
@@ -21,15 +22,17 @@ letters forward. Distinct paths from the root spell distinct words, so a
 node counts its words without listing them. A DAG keeps one node per
 class of involution words, shared by every query, and builds the classes
 of other words per call. The truncated rule gives a node the table of its
-fold; a start rule (Hu-Zhang, FPF from s1 s3 s5 ..., empty prefix) adds
-swaps at the start only, inside every prefix of length 2 or more, so its
-root gets the braid and start tables and every other node the braid
-table. involution_braid_neighbors is the truncated classes' oracle.
+fold. A start rule adds swaps at the start only, inside every prefix of
+length 2 or more, so its root gets the braid and start tables and every
+other node the braid table; there the fold decides only which nodes a DAG
+keeps, never which swaps apply. The start rules are plain braid moves (no
+start swaps), Hu-Zhang, FPF from s1 s3 s5 ... and the empty prefix.
 
-The swap tables, keyed by their block lengths, and the DAGs live in the
-system's one store through ``coxeter.memo``; a fold's tables are those of
-its truncated lengths, looked up there on each call and never stored per
-fold.
+The swap tables, each block mapped to its swap and keyed by their block
+lengths, the pairs of generators with their bonds and the DAGs live in
+the system's one store through ``coxeter.memo``; a fold's table is that
+of its truncated lengths, looked up there on each call and never stored
+per fold.
 
 Words are tuples of 1-based generator indices.
 """
@@ -42,58 +45,38 @@ def _alternating(s, t, m):
     return tuple(s if i % 2 == 0 else t for i in range(m))
 
 
-def _blocks(triples):
-    """The block-swap table of (s, t, m) triples: the alternating blocks
-    sts... and tst... of length m swap. Keyed by first letter, each entry a
-    tuple of (block, other block) pairs."""
-    table = {}
-    for s, t, m in triples:
-        left, right = _alternating(s, t, m), _alternating(t, s, m)
-        table[s] = table.get(s, ()) + ((left, right),)
-        table[t] = table.get(t, ()) + ((right, left),)
-    return table
-
-
-def _swaps(word, j, blocks, out):
-    """Append to out every word one table swap at position j away from word."""
-    for block, other in blocks.get(word[j], ()):
-        m = len(block)
-        if word[j:j + m] == block:
-            out.append(word[:j] + other + word[j + m:])
-
-
+@cx.memo
 def _pairs(system):
+    """The pairs s < t of generators with their bonds, as (s, t, m) triples."""
     rank = system.rank
-    return [(s, t) for s in range(1, rank + 1) for t in range(s + 1, rank + 1)]
+    return tuple((s, t, system.bond(s, t))
+                 for s in range(1, rank + 1) for t in range(s + 1, rank + 1))
 
 
 @cx.memo
 def _tables(system, lengths):
-    """The swap tables of the pairs s < t with the given block lengths, built
-    once per system and shared by every fold with those lengths: keyed by
-    first letter as _blocks gives, and each block mapped to its swap."""
-    first = _blocks((s, t, m) for (s, t), m in zip(_pairs(system), lengths))
-    return first, {b: o for pairs in first.values() for b, o in pairs}
+    """The swap table of the pairs s < t, in _pairs order, with the given
+    block lengths, built once per system and shared by every fold with those
+    lengths: the alternating blocks sts... and tst... of length m map to
+    each other."""
+    table = {}
+    for (s, t, _), m in zip(_pairs(system), lengths):
+        left, right = _alternating(s, t, m), _alternating(t, s, m)
+        table[left], table[right] = right, left
+    return table
 
 
 # -- ordinary braid relations --------------------------------------------------
 
 
-def _braid_tables(system):
-    return _tables(system, tuple(system.bond(s, t) for s, t in _pairs(system)))
-
-
-def _braid_moves(word, blocks):
-    out = []
-    for j in range(len(word)):
-        _swaps(word, j, blocks, out)
-    return out
+def _braid_start(system, twist):
+    return {}
 
 
 def braid_class(system, word):
-    """The closure of word under the alternating-block swaps."""
-    blocks = _braid_tables(system)[0]
-    return cx.closure(tw._word(system, word), lambda u: _braid_moves(u, blocks))
+    """The closure of word under the alternating-block swaps: the words of
+    its node in the DAG of the start rule with no start swaps."""
+    return _class(system, word, tw._twist_key(system, None), _braid_start)
 
 
 # -- truncated block lengths ----------------------------------------------------
@@ -101,26 +84,26 @@ def braid_class(system, word):
 
 def m_star(system, s, t, theta):
     """Truncated block length for the pair s, t under a group self-map theta."""
-    m = system.bond(s, t)
-    if m < 2:
+    s, t = tw._letter(system, s), tw._letter(system, t)
+    if s == t:
         raise ValueError("truncated length needs two distinct generators")
     gs, gt = system.generator(s), system.generator(t)
-    return _truncate(m, gs, gt, theta(gs), theta(gt))
+    return _truncate(system.bond(s, t), gs, gt, theta(gs), theta(gt))
 
 
 def _truncate(m, s, t, ims, imt):
-    """The bond m truncated for a map sending s and t to ims and imt."""
-    if {ims, imt} != {s, t}:
-        return m
-    if m % 2:
-        return (m + 1) // 2
-    if ims == s:
+    """The bond m truncated for a map sending s and t to ims and imt: half
+    of m rounded up when the map swaps s and t, one more for an even m when
+    it fixes both, and m when the pair moves away."""
+    if ims == s and imt == t:
         return m // 2 + 1
-    return m // 2
+    if ims == t and imt == s:
+        return (m + 1) // 2
+    return m
 
 
 def _fold_tables(system, u, twist):
-    """The swap tables (see _tables) after a prefix folding to u, the fold's
+    """The swap table (see _tables) after a prefix folding to u, the fold's
     id among the twisted involutions (see tw._ids)."""
     w = tw._ids(system, twist).key(u)
     # theta(s) = (w s w^-1)* is the reflection in the twisted root
@@ -128,24 +111,11 @@ def _fold_tables(system, u, twist):
     # and simple roots come first in the root order
     rho, p = system._twist_perms(twist)[0], system.num_positive
     image = [rho[w[s]] % p + 1 for s in range(system.rank)]
-    return _tables(system, tuple(_truncate(system.bond(s, t), s, t, image[s - 1], image[t - 1])
-                                 for s, t in _pairs(system)))
+    return _tables(system, tuple(_truncate(m, s, t, image[s - 1], image[t - 1])
+                                 for s, t, m in _pairs(system)))
 
 
-# -- involution braid relations --------------------------------------------------
-
-
-def involution_braid_neighbors(system, word, twist=None):
-    """Words one prefix-truncated block swap away from word: the whole-word
-    move function that the prefix classes are tested against."""
-    twist = tw._twist_key(system, twist)
-    word = tw._word(system, word)
-    ids = tw._ids(system, twist)
-    u, out = ids.root, []
-    for j, a in enumerate(word):
-        _swaps(word, j, _fold_tables(system, u, twist)[0], out)
-        u = ids.dact[u][a - 1]
-    return out
+# -- the DAG of prefix classes ----------------------------------------------------
 
 
 class _Node:
@@ -237,9 +207,9 @@ def _prefix_classes(system, twist, rule=None, base=None):
     the truncated swaps; a start rule maps (system, twist) to its table."""
     ids = tw._ids(system, twist)
     if rule is None:
-        start, swaps = {}, lambda u: _fold_tables(system, u, twist)[1]
+        start, swaps = {}, lambda u: _fold_tables(system, u, twist)
     else:
-        braid = _braid_tables(system)[1]
+        braid = _tables(system, tuple(m for _, _, m in _pairs(system)))
         start, swaps = rule(system, twist), lambda u: braid
     root = ids.member(system.identity if base is None else base)
     return _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
@@ -252,6 +222,9 @@ def _class(system, word, twist, rule=None, base=None):
     return set(cx.paths(dag.node(tw._word(system, word)), dag.root, lambda n: n.pieces))
 
 
+# -- involution braid relations --------------------------------------------------
+
+
 def involution_braid_class(system, word, twist=None):
     """The closure of word under the prefix-truncated block swaps: the words
     of its node in the DAG of prefix classes (see the module docstring)."""
@@ -259,7 +232,7 @@ def involution_braid_class(system, word, twist=None):
 
 
 def _empty_prefix_start(system, twist):
-    return _fold_tables(system, tw._ids(system, twist).root, twist)[1]
+    return _fold_tables(system, tw._ids(system, twist).root, twist)
 
 
 def empty_prefix_class(system, word, twist=None):

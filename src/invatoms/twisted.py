@@ -19,6 +19,7 @@ base x are the identity's, pulled back along a chain of ascents up to x, so
 nothing is kept per base.
 """
 
+import operator
 from functools import partial
 from heapq import heappop, heappush
 
@@ -217,11 +218,14 @@ def _dact(system, x, s, twist):
 
 
 def _letter(system, s):
-    """s as an int; ValueError unless it lies in 1..rank."""
-    s = int(s)
-    if not 1 <= s <= system.rank:
+    """s as an int; ValueError unless it is an integer in 1..rank."""
+    try:
+        a = operator.index(s)
+    except TypeError:  # int() would truncate a float to a generator
+        a = 0
+    if not 1 <= a <= system.rank:
         raise ValueError("generator index out of range: %r" % (s,))
-    return s
+    return a
 
 
 def _word(system, letters):

@@ -10,6 +10,54 @@ import invatoms.twisted as tw
 EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
 
+def _swap_table(triples):
+    """The block-to-swap table of (s, t, m) triples: the alternating blocks
+    sts... and tst... of length m swap."""
+    table = {}
+    for s, t, m in triples:
+        left, right = tuple((s, t)[i % 2] for i in range(m)), tuple((t, s)[i % 2] for i in range(m))
+        table[left], table[right] = right, left
+    return table
+
+
+def _pairs(system):
+    rank = system.rank
+    return [(s, t) for s in range(1, rank + 1) for t in range(s + 1, rank + 1)]
+
+
+def _by_first_letter(table):
+    first = {}
+    for block, other in table.items():
+        first.setdefault(block[0], []).append((block, other))
+    return first
+
+
+def _swaps(word, j, first, out):
+    """Append to out every word one swap of the first-letter table first at
+    position j away from word."""
+    for block, other in first.get(word[j], ()):
+        m = len(block)
+        if word[j:j + m] == block:
+            out.append(word[:j] + other + word[j + m:])
+
+
+def _braid_closure(system, word, start=None):
+    # the oracle: a BFS over whole words, braid moves anywhere plus the
+    # start swaps (a block-to-swap table) at position 0
+    braid = _by_first_letter(_swap_table((s, t, system.bond(s, t)) for s, t in _pairs(system)))
+    start = _by_first_letter(start or {})
+
+    def neighbors(u):
+        out = []
+        for j in range(len(u)):
+            _swaps(u, j, braid, out)
+        if u:
+            _swaps(u, 0, start, out)
+        return out
+
+    return cx.closure(tuple(word), neighbors)
+
+
 def test_braid_moves_in_a_single_word():
     system = cx.build_system("A2")
     assert br.braid_class(system, (1, 2, 1)) == {(1, 2, 1), (2, 1, 2)}
@@ -29,6 +77,19 @@ def test_braid_class_of_the_longest_element_of_s4():
     system = cx.build_system("A3")
     cls = br.braid_class(system, (1, 2, 1, 3, 2, 1))
     assert len(cls) == 16
+
+
+def test_braid_classes_of_random_words_match_the_braid_closure():
+    # reduced or not: most random words of length up to 8 are not reduced
+    rng = random.Random(36)
+    for name in ("A3", "B3", "H3", "D4", "F4", "B4", "G2", "I2(7)", "A1xA2"):
+        system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+        others = 0
+        for _ in range(60):
+            word = tuple(rng.randint(1, system.rank) for _ in range(rng.randint(0, 8)))
+            others += system.length(system.product(word)) != len(word)
+            assert br.braid_class(system, word) == _braid_closure(system, word), (name, word)
+        assert others > 15
 
 
 def _theta_prefix(system, prefix, twist=None):
@@ -63,6 +124,12 @@ def test_truncated_block_length_when_the_pair_is_not_preserved():
     assert br.m_star(system, 1, 3, theta) == 1
     with pytest.raises(ValueError, match="two distinct generators"):
         br.m_star(system, 2, 2, theta)
+    # the generators are checked before their bond is read
+    a2 = cx.build_system("A2")
+    theta = _theta_prefix(a2, ())
+    for s, t in [(1, 3), (2, 0)]:
+        with pytest.raises(ValueError, match="generator index out of range"):
+            br.m_star(a2, s, t, theta)
 
 
 @pytest.mark.parametrize("name, twist", [
@@ -75,12 +142,10 @@ def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkey
     slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     key = tw._twist_key(fast, twist)
     member = tw._ids(slow, key).member
-    pairs = [(s, t) for s in range(1, fast.rank + 1) for t in range(s + 1, fast.rank + 1)]
     for y in tw.enumerate_twisted(fast, twist):
         theta = _theta_prefix(fast, min(tw.involution_words(fast, y, twist=twist)), twist)
         assert theta.base == y
-        first = br._blocks((s, t, br.m_star(fast, s, t, theta)) for s, t in pairs)
-        want = (first, {b: o for pairs in first.values() for b, o in pairs})
+        want = _swap_table((s, t, br.m_star(fast, s, t, theta)) for s, t in _pairs(fast))
         assert br._fold_tables(fast, index[y], key) == want
         assert br._fold_tables(slow, member(y), key) == want
 
@@ -192,8 +257,21 @@ def test_extended_duality_above_the_cap_matches_the_id_route(monkeypatch, name, 
 
 
 def _neighbor_closure(system, word, twist):
-    # the oracle: a BFS over whole words, one truncated block swap at a time
-    return cx.closure(tuple(word), lambda w: br.involution_braid_neighbors(system, w, twist))
+    # the oracle: a BFS over whole words, one truncated block swap at a
+    # time, each at the table of the fold of the prefix before it
+    twist = tw._twist_key(system, twist)
+    ids, tables = tw._ids(system, twist), {}
+
+    def neighbors(w):
+        u, out = ids.root, []
+        for j, a in enumerate(w):
+            if u not in tables:
+                tables[u] = _by_first_letter(br._fold_tables(system, u, twist))
+            _swaps(w, j, tables[u], out)
+            u = ids.dact[u][a - 1]
+        return out
+
+    return cx.closure(tuple(word), neighbors)
 
 
 @pytest.mark.parametrize("name, twist", [
@@ -322,9 +400,8 @@ def test_the_counting_checker_agrees_with_the_word_sets(name, twist, monkeypatch
 def test_braid_inputs_reject_letters_outside_the_generators():
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4")
     nodes = list(_shared(system).nodes)
-    for word in [(0, 1), (5,), (1, 2, -1)]:
-        for call in (br.braid_class, br.involution_braid_class, br.involution_braid_neighbors,
-                     br.empty_prefix_class):
+    for word in [(0, 1), (5,), (1, 2, -1), (1.5, 2)]:
+        for call in (br.braid_class, br.involution_braid_class, br.empty_prefix_class):
             with pytest.raises(ValueError, match="out of range"):
                 call(system, word)
         with pytest.raises(ValueError, match="out of range"):
@@ -376,33 +453,18 @@ def test_fpf_initial_move_closure():
                 assert br.fpf_class_words(system, min(words)) == words
 
 
-def _start_closure(system, word, start):
-    # the oracle: a BFS over whole words, braid moves anywhere plus the
-    # start swaps (a first-letter table, as br._blocks gives) at position 0
-    blocks = br._braid_tables(system)[0]
-
-    def neighbors(u):
-        out = br._braid_moves(u, blocks)
-        if u:
-            br._swaps(u, 0, start, out)
-        return out
-
-    return cx.closure(tuple(word), neighbors)
-
-
 def _start_rules(system, twist):
     """(class function, start table, base) for each start rule of system
     and twist; the truncated start table comes from the theta formula."""
     rank = system.rank
     theta = _theta_prefix(system, (), twist)
-    truncated = br._blocks((s, t, br.m_star(system, s, t, theta))
-                           for s in range(1, rank + 1) for t in range(s + 1, rank + 1))
+    truncated = _swap_table((s, t, br.m_star(system, s, t, theta)) for s, t in _pairs(system))
     rules = [(lambda w: br.empty_prefix_class(system, w, twist), truncated, system.identity)]
     if cx.is_type_a_chain(system) and tw._twist_key(system, twist) == tuple(range(1, rank + 1)):
-        hu_zhang = br._blocks((i, i + 1, 2) for i in range(1, rank))
+        hu_zhang = _swap_table((i, i + 1, 2) for i in range(1, rank))
         rules.append((lambda w: br.hu_zhang_class(system, w), hu_zhang, system.identity))
         if rank % 2:
-            fpf = {a: (((a, a - 1), (a, a + 1)), ((a, a + 1), (a, a - 1))) for a in range(2, rank, 2)}
+            fpf = {(a, a + d): (a, a - d) for a in range(2, rank, 2) for d in (1, -1)}
             base = system.product(range(1, rank + 1, 2))
             rules.append((lambda w: br.fpf_class_words(system, w), fpf, base))
     return rules
@@ -423,7 +485,7 @@ def _check_start_rules(system, twist, rng, count):
         for word in words:
             y = tw.dact_word(system, base, word, twist)
             others += len(word) != tw.hat_length(system, y, twist) - tw.hat_length(system, base, twist)
-            assert call(word) == _start_closure(system, word, start), (system.name, twist, word)
+            assert call(word) == _braid_closure(system, word, start), (system.name, twist, word)
     return others
 
 
@@ -465,7 +527,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 
 _MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
-                "twisted._id_fibers", "braid._tables", "braid._prefix_classes"}
+                "twisted._id_fibers", "braid._pairs", "braid._tables", "braid._prefix_classes"}
 
 
 @pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])

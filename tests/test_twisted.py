@@ -51,11 +51,12 @@ def test_single_steps_reject_letters_outside_the_generators():
     # unchecked, letter 0 would read the last generator through index -1
     system = cx.build_system("A3")
     e = system.identity
-    for s in (0, -1, 4):
+    # and a letter that is no integer is not truncated or parsed into one
+    for s in (0, -1, 4, 2.7, "3"):
         for step in (tw.rtimes, tw.dact):
             with pytest.raises(ValueError, match="generator index out of range"):
                 step(system, e, s)
-    assert tw.rtimes(system, e, 3) == tw.dact(system, e, "3") == system.generator(3)
+    assert tw.rtimes(system, e, 3) == tw.dact(system, e, 3) == system.generator(3)
 
 
 def test_fold_routes_agree_on_every_pair():
