@@ -315,33 +315,40 @@ def check_fc_atoms(system, twist=None):
     Needs every generator to satisfy m(s, s*) > 2 or s* = s;
     the report carries a flag for that hypothesis instead of failing, so
     violating twists can be examined.
+
+    The walk keeps to the fully commutative ids, which are closed under
+    steps down (a step down from x is the prefix xs or the factor s*xs of
+    x): it grows them a level at a time up the Demazure steps, testing an
+    id only when all its steps down are kept.
     """
     twist = tw._twist_key(system, twist)
     hypothesis_ok = all(system.bond(s, twist[s - 1]) != 2 for s in range(1, system.rank + 1))
     ids = tw._ids(system, twist)
-    failures, chains, checked = [], {}, 0
-    for i in ids.order():
-        # the ascent chains to i, i.e. its involution words, counted through
-        # each step down, shorter ids first
-        steps = ids.steps[i]
-        chains[i] = sum(chains[z] for _, z in steps) if steps else 1
-        x = ids.element(i)
-        if not is_fully_commutative(system, x):
-            continue
-        checked += 1
-        ats = tw.atoms(system, x, twist=twist)
-        problem = None
-        if len(ats) != 1:
-            problem = "atoms: %d" % len(ats)
-        else:
-            w = ats[0]
-            if not is_fully_commutative(system, w):
+    # chains[i]: the ascent chains to the kept id i, i.e. its involution
+    # words, counted through each step down
+    chains, level, failures = {ids.root: 1}, {ids.root: system.identity}, []
+    while level:
+        above = {}  # each id one step up, with its element if it is kept
+        for i, x in level.items():
+            for s, z in enumerate(ids.dact[i]):
+                if z != i and z not in above:
+                    steps, above[z] = ids.steps[z], None
+                    if all(v in chains for _, v in steps):
+                        w = tw._rtimes(system, x, s + 1, twist)
+                        if is_fully_commutative(system, w):
+                            chains[z], above[z] = sum(chains[v] for _, v in steps), w
+            ats = tw.atoms(system, x, twist=twist)
+            if len(ats) != 1:
+                problem = "atoms: %d" % len(ats)
+            elif not is_fully_commutative(system, ats[0]):
                 problem = "atom not fully commutative"
-            elif len(system.reduced_words(w)) != chains[i]:
+            elif len(system.reduced_words(ats[0])) != chains[i]:
                 problem = "words differ from the atom's reduced words"
-        if problem is not None:
+            else:
+                continue
             failures.append({"x": list(system.reduced_word(x)), "problem": problem})
-    return cx.report(system, checked, _by_word(failures), hypothesis_ok=hypothesis_ok)
+        level = {z: w for z, w in above.items() if w is not None}
+    return cx.report(system, len(chains), _by_word(failures), hypothesis_ok=hypothesis_ok)
 
 
 def check_braid_classes(system, twist=None):

@@ -292,6 +292,8 @@ def _cmd_sweep(args):
                 for done, bad in pool.map(_sweep_worker, payloads):
                     pairs += done
                     failures.extend(bad)
+            # by y, then x, each by (length, word): id order, as one sweep lists them
+            failures.sort(key=lambda f: (len(f["y"]), f["y"], len(f["x"]), f["x"]))
             raw = cx.report(system, pairs, failures)
         reports.append(_report(system, t, raw))
     return _finish(args, reports)

@@ -23,15 +23,15 @@ ENTRY_CAP = 3400000
 
 
 def closure(seed, neighbors):
-    """Everything reachable from seed by repeated neighbors steps, as a set (BFS)."""
-    seen = {seed}
+    """Everything reachable from seed by neighbors steps, as a set-like view in BFS order."""
+    seen = {seed: None}
     queue = deque([seed])
     while queue:
         for v in neighbors(queue.popleft()):
             if v not in seen:
-                seen.add(v)
+                seen[v] = None
                 queue.append(v)
-    return seen
+    return seen.keys()
 
 
 def paths(top, bottom, down):
@@ -163,10 +163,7 @@ class CoxeterSystem:
         self.rank = len(self.matrix)
         self.name = name
         self._build_roots()
-        self._elements = None
-        self._element_index = None
-        self._id_table = None  # None until decided, then the table or False above the cap
-        self._store = {}  # the tables derived per twist, base, ...: see memo
+        self._store = {}  # the group table and the tables derived from it: see memo
 
     def cache_sizes(self):
         """The number of stored entries of each memo table, by "module.function"."""
@@ -353,26 +350,27 @@ class CoxeterSystem:
 
     def elements(self):
         """All group elements in (length, lex-min word) order, cached; ValueError above the cap."""
-        if self._elements is None:
-            if not self._within_cap():
-                raise too_large()
-            self._enumerate()
-        return self._elements
+        if not self._within_cap():
+            raise too_large()
+        return self._enumerate()[0]
 
     def order(self):
         """|W|, the product of the degrees (Humphreys 3.9); enumerates nothing."""
         return math.prod(self.degrees)
 
+    @memo
     def _within_cap(self):
         """Whether the group may be enumerated: at most ENUMERATION_CAP
-        elements, whose tuples hold at most ENTRY_CAP root indices in all."""
+        elements, whose tuples hold at most ENTRY_CAP root indices in all.
+        Decided once per system: a group enumerated stays enumerated."""
         order = self.order()
         return order <= ENUMERATION_CAP and order * 2 * self.num_positive <= ENTRY_CAP
 
+    @memo
     def _enumerate(self):
         """BFS over right multiplication from the identity, generators tried
-        in order, first discovery kept. Stores elements(), their ids and the
-        ids ``_right[s-1][i]`` of the right products.
+        in order, first discovery kept: elements() and the ids
+        ``right[s-1][i]`` of the right products, as a pair.
 
         The BFS runs on keys: key(w) is the tuple of root indices
         (w^-1(alpha_s))_s, which fixes w, so the ids and right tables are
@@ -402,16 +400,12 @@ class CoxeterSystem:
         times = self._times
         for i, s in found:
             order.append(times[s](order[i]))
-        self._elements = tuple(order)
-        self._element_index = dict(zip(order, range(len(order))))
-        self._right = right
+        return tuple(order), right
 
+    @memo
     def id_table(self):
-        """The integer-id tables of the whole group, or None above the cap
-        (see _within_cap). Decided once per system."""
-        if self._id_table is None:
-            self._id_table = self._within_cap() and ElementTable(self)
-        return self._id_table or None
+        """The integer-id tables of the whole group, or None above the cap (see _within_cap)."""
+        return ElementTable(self) if self._within_cap() else None
 
     def longest_element(self, J=None):
         """The longest element of the standard parabolic subgroup on J (default: all of S)."""
@@ -485,14 +479,14 @@ class ElementTable:
 
     All are derived on ids from the right products that the key BFS of
     ``CoxeterSystem._enumerate`` records; s is a descent exactly when the
-    product has a lower id.
+    product has a lower id. ``index`` maps each element to its id.
     """
 
     def __init__(self, system):
         self.elements = system.elements()
-        self.index = system._element_index
-        self.right = right = system._right
+        self.right = right = system._enumerate()[1]
         n = len(self.elements)
+        self.index = dict(zip(self.elements, range(n)))
         gens = range(system.rank)
         self.descents = [sum(1 << s for s in gens if right[s][i] < i) for i in range(n)]
         self.first_descent = first = [(d & -d).bit_length() - 1 for d in self.descents]

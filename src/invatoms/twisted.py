@@ -323,28 +323,25 @@ def _ascents_to(ids, x):
     return letters[::-1]
 
 
-def _pull_back(t, fiber, letters):
+def _pull_back(t, fiber, letters, shortest=False):
     """The ids w with x o w = y, in id order, for the identity base's fiber
-    of y and the letters of a chain of ascents up to x."""
+    of y and the letters of a chain of ascents up to x; with shortest, the
+    shortest of them from the shortest of the fiber alone.
+
+    A fiber over x is empty unless x <= y, and its shortest elements then
+    have length hat(y) - hat(x): a chain of ascents from x to y folds x to
+    y, and each letter raises hat by at most one. So a step up x = x' o s
+    lowers the shortest length by one, and the shortest elements over x are
+    the s v with s v < v for the shortest v over x'."""
+    if shortest:
+        fiber = _first_run(t, fiber)
     for s in letters:
         times_s = t.left[s]
         kept = [v for v in fiber if times_s[v] < v]
-        fiber = kept + [times_s[v] for v in kept]
+        fiber = [times_s[v] for v in kept]
+        if not shortest:
+            fiber += kept
     return sorted(fiber)
-
-
-def _pull_back_shortest(t, fiber, letters):
-    """The first run of ``_pull_back(t, fiber, letters)``, from the first run
-    of fiber alone. A fiber over x is empty unless x <= y, and its shortest
-    elements then have length hat(y) - hat(x): a chain of ascents from x to
-    y folds x to y, and each letter raises hat by at most one. So a step up
-    x = x' o s lowers the shortest length by one, and the shortest elements
-    over x are the s v with s v < v for the shortest v over x'."""
-    us = _first_run(t, fiber)
-    for s in letters:
-        times_s = t.left[s]
-        us = [times_s[v] for v in us if times_s[v] < v]
-    return sorted(us)
 
 
 def hecke_atoms(system, y, x=None, twist=None):
@@ -364,7 +361,8 @@ def atoms(system, y, x=None, twist=None):
     xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
     t = system.id_table()
     if t is not None:
-        us = _pull_back_shortest(t, _id_fibers(system, twist).get(yi, ()), _ascents_to(ids, xi))
+        fiber = _id_fibers(system, twist).get(yi, ())
+        us = _pull_back(t, fiber, _ascents_to(ids, xi), shortest=True)
         return tuple(map(t.elements.__getitem__, us))
     # above the cap: the atom pass down from y to x, its atoms root permutations
     left = [partial(system.left_mult, s + 1) for s in range(system.rank)]

@@ -14,8 +14,8 @@ of atoms of an involution in the symmetric group.
 """
 
 from functools import lru_cache
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import chain, combinations, permutations, starmap
+from operator import gt, itemgetter
 
 from .coxeter import closure, report
 
@@ -32,8 +32,7 @@ def inverse_perm(p):
 
 
 def perm_length(p):
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return sum(starmap(gt, combinations(p, 2)))
 
 
 def is_permutation(p):
@@ -120,24 +119,14 @@ def is_fpf_involution(p):
 
 
 def enumerate_involutions(n, fpf=False):
-    """All involutions of S_n (all fixed-point-free ones when fpf), by BFS."""
+    """All involutions of S_n (all fixed-point-free ones when fpf), in BFS
+    order under the conjugation steps."""
     if n < 0:
         raise ValueError("n must be non-negative")
     start = fpf_base(n) if fpf else identity_perm(n)
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for i in range(1, n):
-            y = rtimes_perm(x, i)
-            if fpf and {x[i - 1], x[i]} == {i, i + 1}:
-                continue  # the toggle step leaves the fixed-point-free set
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return tuple(queue)
+    # with fpf, no toggle step: it leaves the fixed-point-free set
+    return tuple(closure(start, lambda x: [rtimes_perm(x, i) for i in range(1, n)
+                                           if not (fpf and {x[i - 1], x[i]} == {i, i + 1})]))
 
 
 @lru_cache(maxsize=32)

@@ -1,9 +1,12 @@
+import json
 import os
 import random
+import time
 
 import pytest
 
 import invatoms.braid as br
+import invatoms.cli as cli
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
@@ -526,7 +529,8 @@ def test_start_classes_share_a_dag_per_rule_and_base():
     assert len(dags[br._fpf_start, base].nodes) == 15
 
 
-_MEMO_TABLES = {"coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
+_MEMO_TABLES = {"coxeter._within_cap", "coxeter._enumerate", "coxeter.id_table",
+                "coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
                 "twisted._id_fibers", "braid._pairs", "braid._tables", "braid._prefix_classes"}
 
 
@@ -656,3 +660,54 @@ def test_commuting_generator_twist_breaks_the_lone_atom_rule():
     x = system.product((1, 2))
     words = [system.reduced_word(w) for w in tw.atoms(system, x, twist=twist)]
     assert words == [(1,), (2,)]
+
+
+def _fc_oracle(system, twist):
+    """The fc check over every twisted involution, shorter ids first: the
+    oracle of the walk over the fully commutative ones alone."""
+    key = tw._twist_key(system, twist)
+    hypothesis_ok = all(system.bond(s, key[s - 1]) != 2 for s in range(1, system.rank + 1))
+    ids = tw._ids(system, key)
+    failures, chains, checked = [], {}, 0
+    for i in ids.order():
+        steps = ids.steps[i]
+        chains[i] = sum(chains[z] for _, z in steps) if steps else 1
+        x = ids.element(i)
+        if not br.is_fully_commutative(system, x):
+            continue
+        checked += 1
+        ats = tw.atoms(system, x, twist=key)
+        problem = None
+        if len(ats) != 1:
+            problem = "atoms: %d" % len(ats)
+        elif not br.is_fully_commutative(system, ats[0]):
+            problem = "atom not fully commutative"
+        elif len(system.reduced_words(ats[0])) != chains[i]:
+            problem = "words differ from the atom's reduced words"
+        if problem is not None:
+            failures.append({"x": list(system.reduced_word(x)), "problem": problem})
+    return cx.report(system, checked, br._by_word(failures), hypothesis_ok=hypothesis_ok)
+
+
+# every involutive twist of these systems: 23 cases
+_FC_CASES = [(name, t) for name in ("A3", "B3", "A4", "H3", "D4", "F4", "D5", "E6", "I2(7)",
+                                    "B4", "A5", "A1xA2")
+             for t in cli.twist_list(cx.build_system(name), "auto")]
+
+
+@pytest.mark.parametrize("name, twist", _FC_CASES)
+def test_the_fc_walk_matches_the_whole_table_loop(name, twist):
+    system = cx.build_system(name)
+    assert json.dumps(br.check_fc_atoms(system, twist)) == json.dumps(_fc_oracle(system, twist))
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for the E8 fc check")
+def test_extended_fc_check_of_e8_walks_the_fully_commutative_ids_alone():
+    # E8 is above the cap, with 696,729,600 elements; its 178 fully
+    # commutative twisted involutions are numbered with their neighbours alone
+    t0 = time.time()
+    report = br.check_fc_atoms(cx.build_system("E8"))
+    elapsed = time.time() - t0
+    print("E8 fc check: %d checked, %.2fs" % (report["pairs_checked"], elapsed))
+    assert report["pairs_checked"] == 178 and report["failures"] == [] and report["hypothesis_ok"]
+    assert elapsed < 5

@@ -137,6 +137,21 @@ def test_sweep_matches_the_serial_checker(capsys):
     assert "custom" in serial
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a parallel sweep needs two CPUs")
+def test_a_parallel_sweep_lists_failures_in_the_serial_order(capsys, monkeypatch):
+    import multiprocessing
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("only forked workers inherit the patch")
+    monkeypatch.setattr(tw, "_hits", lambda t, row, y, x: iter(()))  # every pair fails
+    code, serial, _ = run(capsys, "sweep", "--system", "A3", "--jobs", "1", "--json")
+    assert code == 1
+    code, parallel, _ = run(capsys, "sweep", "--system", "A3", "--jobs", "2", "--json")
+    assert code == 1
+    assert parallel == serial
+    # both twists of A3, each pair a failure
+    assert [(len(r["failures"]), r["pairs_checked"]) for r in json.loads(serial)] == [(41, 41)] * 2
+
+
 def test_atoms_answer_alike_on_both_sides_of_the_cap(capsys, monkeypatch):
     # a fresh system per call, since each system decides the cap once
     monkeypatch.setattr(cx, "build_system",

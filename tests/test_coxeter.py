@@ -431,7 +431,7 @@ def test_id_table_of_a_bare_matrix_is_decided_from_its_degrees(monkeypatch):
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 100)  # B4 has order 384
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
     monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
-    assert system.id_table() is None and system._elements is None
+    assert system.id_table() is None and "coxeter._enumerate" not in system.cache_sizes()
     assert system.order() == 384
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 50000)
     assert system.id_table() is None  # decided by the first call
@@ -441,12 +441,11 @@ def test_id_table_of_a_bare_matrix_is_decided_from_its_degrees(monkeypatch):
     ("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("A8", 362880)])
 def test_named_types_above_the_cap_are_decided_from_their_degrees(name, order, monkeypatch):
     assert order > cx.ENUMERATION_CAP
-    system = cx.build_system(name)
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
     assert system.order() == order
-    system._id_table = None  # decide again, on this system
     assert system.id_table() is None
-    assert system._elements is None
+    assert "coxeter._enumerate" not in system.cache_sizes()
 
 
 def test_the_id_table_is_bounded_by_its_entry_count(monkeypatch):
@@ -468,7 +467,8 @@ def test_elements_above_the_cap_raise_without_enumerating(monkeypatch):
     monkeypatch.setattr(system, "_enumerate", lambda: pytest.fail("enumerated"))
     with pytest.raises(ValueError, match="group too large to enumerate"):
         system.elements()
-    assert system._elements is None and system._id_table is None
+    # the cap is decided, and neither the group nor its id table is built
+    assert system.cache_sizes() == {"coxeter._within_cap": 1}
     # a group enumerated before the cap drops keeps its elements
     b4 = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))
     elements = b4.elements()
@@ -502,8 +502,8 @@ def test_the_key_bfs_matches_the_tuple_bfs(spec):
     system = cx.CoxeterSystem(matrix)
     elements, index, right = _tuple_bfs(system)
     assert system.elements() == elements
-    assert system._element_index == index
-    assert system._right == right
+    assert system.id_table().index == index
+    assert system.id_table().right == right
 
 
 def test_a_named_type_within_the_cap_gets_the_same_table():

@@ -8,6 +8,10 @@ import invatoms.twisted as tw
 from test_braid import _MEMO_TABLES
 from test_coxeter import _subword_leq
 
+# the group's entries in the store once a query within the cap has answered:
+# the cap decision, the enumeration and the id table
+_GROUP_TABLES = {"coxeter._within_cap": 1, "coxeter._enumerate": 1, "coxeter.id_table": 1}
+
 
 def _filter_route(system, twist=None):
     # twisted involutions by the defining equation instead of the BFS
@@ -418,7 +422,7 @@ def test_fibers_pulled_back_along_x_match_a_direct_fold_of_x(name, twist):
             assert tw.atoms(system, y, x, twist) == tuple(
                 w for w in fiber if system.length(w) == shortest)
     assert system.cache_sizes() == {"twisted._twist_key": 1, "twisted._ids": 1,
-                                    "twisted._id_fibers": 1}
+                                    "twisted._id_fibers": 1, **_GROUP_TABLES}
 
 
 def _within_cap_atoms():
@@ -437,9 +441,9 @@ def _check_the_cap_routes(system, within):
         tw.bruhat_hecke(system, y)
     with pytest.raises(ValueError, match="too large"):
         tw.hecke_table(system, system.identity)
-    assert system._elements is None
+    assert "coxeter._enumerate" not in system.cache_sizes()
     assert tw.atoms(system, y) == within
-    assert system._elements is None and system.id_table() is None
+    assert "coxeter._enumerate" not in system.cache_sizes() and system.id_table() is None
     assert cx.build_system("B4").id_table() is not None
 
 
@@ -582,7 +586,7 @@ def test_the_duality_check_keeps_one_fold_per_twist():
     # one fold for each of the two twists, the identity and its w0-conjugate
     # (the flip of the fork); the keys of the identity as None and as a tuple
     assert system.cache_sizes() == {"twisted._twist_key": 3, "coxeter._twist_perms": 1,
-                                    "twisted._ids": 2, "twisted._id_fibers": 2}
+                                    "twisted._ids": 2, "twisted._id_fibers": 2, **_GROUP_TABLES}
 
 
 @pytest.mark.parametrize("name, twist", [("B3", None), ("A3", (3, 2, 1))])
