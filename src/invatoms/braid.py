@@ -21,12 +21,15 @@ table of the node reached there holds the block, and walk the swapped
 letters forward. Distinct paths from the root spell distinct words, so a
 node counts its words without listing them. A DAG keeps one node per
 class of involution words, shared by every query, and builds the classes
-of other words per call. The truncated rule gives a node the table of its
-fold. A start rule adds swaps at the start only, inside every prefix of
-length 2 or more, so its root gets the braid and start tables and every
-other node the braid table; there the fold decides only which nodes a DAG
-keeps, never which swaps apply. The start rules are plain braid moves (no
-start swaps), Hu-Zhang, FPF from s1 s3 s5 ... and the empty prefix.
+of other words per call. A shared node keeps the list of its words once
+it is built, if it holds at most WORDS_KEPT of them, so a later class is
+listed from the lists of its pieces. The truncated rule gives a node the
+table of its fold. A start rule adds swaps at the start only, inside
+every prefix of length 2 or more, so its root gets the braid and start
+tables and every other node the braid table; there the fold decides only
+which nodes a DAG keeps, never which swaps apply. The start rules are
+plain braid moves (no start swaps), Hu-Zhang, FPF from s1 s3 s5 ... and
+the empty prefix.
 
 The swap tables, each block mapped to its swap and keyed by their block
 lengths, the pairs of generators with their bonds and the DAGs live in
@@ -39,6 +42,11 @@ Words are tuples of 1-based generator indices.
 
 from . import coxeter as cx
 from . import twisted as tw
+
+# Bound on the words one shared node of a DAG of prefix classes keeps
+# listed, so a DAG keeps at most WORDS_KEPT times its shared nodes (for the
+# truncated rule, the twisted involutions) words alive.
+WORDS_KEPT = 256
 
 
 def _alternating(s, t, m):
@@ -122,13 +130,15 @@ class _Node:
     """A class of words under the swaps inside them: the words of P then a
     for each piece (P, a). ``swaps`` is the block-to-swap table after the
     prefix it spells, ``size`` its number of words (1 with no pieces: the
-    root), and ``kids`` maps a letter to the shared node one letter up
-    (None for a node built per call)."""
+    root), ``kids`` maps a letter to the shared node one letter up (None
+    for a node built per call), and ``words`` is the list of its words
+    kept on a shared node (see _words), else None."""
 
-    __slots__ = ("fold", "swaps", "pieces", "kids", "size")
+    __slots__ = ("fold", "swaps", "pieces", "kids", "size", "words")
 
     def __init__(self, fold, kids, swaps):
         self.fold, self.kids, self.pieces, self.swaps, self.size = fold, kids, [], swaps, 1
+        self.words = None
 
 
 class _PrefixClasses:
@@ -141,6 +151,7 @@ class _PrefixClasses:
     def __init__(self, system, dact, base, root_swaps, swaps):
         self.system, self.dact, self.swaps = system, dact, swaps
         self.root = _Node(base, {}, root_swaps)
+        self.root.words = [()]
         self.nodes = [self.root]
 
     def node(self, word):
@@ -215,11 +226,37 @@ def _prefix_classes(system, twist, rule=None, base=None):
     return _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
 
 
+def _words(top):
+    """The words of the node top, as a list: the paths from top down its
+    pieces to the root, each piece P.a giving the words of P then a.
+
+    The walk descends one level at a time, each piece one letter shorter,
+    and stops at the nodes that keep their list (the root keeps [()]). The
+    lists are then built from the lowest level up, so only two levels of
+    lists that are not kept are alive at once. A shared node of at most
+    WORDS_KEPT words keeps the list it gets; a per-call node keeps none.
+    """
+    if top.words is not None:
+        return top.words
+    levels, level = [], [top]
+    while level:
+        levels.append(level)
+        level = {p: None for n in level for p, _ in n.pieces if p.words is None}
+    words = {}
+    for level in reversed(levels):
+        words = {n: [w + (a,) for p, a in n.pieces for w in (p.words or words[p])]
+                 for n in level}
+        for n in level:
+            if n.kids is not None and n.size <= WORDS_KEPT:
+                n.words = words[n]
+    return words[top]
+
+
 def _class(system, word, twist, rule=None, base=None):
-    """The words of the node of word in the DAG of the rule, as a set: the
-    paths from the node down its pieces to the root."""
+    """The words of the node of word in the DAG of the rule, as a set (see
+    _words)."""
     dag = _prefix_classes(system, twist, rule, base)
-    return set(cx.paths(dag.node(tw._word(system, word)), dag.root, lambda n: n.pieces))
+    return set(_words(dag.node(tw._word(system, word))))
 
 
 # -- involution braid relations --------------------------------------------------
@@ -342,7 +379,7 @@ def check_fc_atoms(system, twist=None):
                 problem = "atoms: %d" % len(ats)
             elif not is_fully_commutative(system, ats[0]):
                 problem = "atom not fully commutative"
-            elif len(system.reduced_words(ats[0])) != chains[i]:
+            elif system.count_reduced_words(ats[0]) != chains[i]:
                 problem = "words differ from the atom's reduced words"
             else:
                 continue

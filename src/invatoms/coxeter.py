@@ -34,6 +34,17 @@ def closure(seed, neighbors):
     return seen.keys()
 
 
+def _levels(top, down):
+    """The levels of nodes below top, top first, each node with its steps
+    down(u); the lowest level's nodes have no step down."""
+    levels, level = [], [top]
+    while level:
+        level = [(u, down(u)) for u in level]
+        levels.append(level)
+        level = {v: None for _, steps in level for v, _ in steps}
+    return levels
+
+
 def paths(top, bottom, down):
     """The words of the paths from top down to bottom, as a list; a word
     reads its letters from bottom up.
@@ -45,15 +56,21 @@ def paths(top, bottom, down):
     at a time from the lowest, with no recursion, so only two levels of
     word lists are alive at once.
     """
-    levels, level = [], [top]
-    while level:
-        level = [(u, down(u)) for u in level]
-        levels.append(level)
-        level = {v: None for _, steps in level for v, _ in steps}
+    levels = _levels(top, down)
     words = {u: [()] if u == bottom else [] for u, _ in levels.pop()}
     for level in reversed(levels):
         words = {u: [w + (a,) for v, a in steps for w in words[v]] for u, steps in level}
     return words[top]
+
+
+def count_paths(top, bottom, down):
+    """The number of paths from top down to bottom, under the contract of
+    paths, counted one level at a time from the lowest without listing them."""
+    levels = _levels(top, down)
+    counts = {u: int(u == bottom) for u, _ in levels.pop()}
+    for level in reversed(levels):
+        counts = {u: sum(counts[v] for v, _ in steps) for u, steps in level}
+    return counts[top]
 
 
 def report(system, checked, failures, **extra):
@@ -308,15 +325,19 @@ class CoxeterSystem:
             winv = self.right_mult(winv, s)
         return tuple(out)
 
+    def _right_steps(self):
+        """down(u) for paths: the step from u to us by each right descent s."""
+        p, times = self.num_positive, list(enumerate(self._times, 1))
+        return lambda u: [(times_s(u), s) for s, times_s in times if u[s - 1] >= p]
+
     def reduced_words(self, w):
         """All reduced words for w, as a sorted tuple of tuples: the paths
         from w down its right descents to the identity."""
-        p, times = self.num_positive, list(enumerate(self._times, 1))
+        return tuple(sorted(paths(w, self.identity, self._right_steps())))
 
-        def down(u):
-            return [(times_s(u), s) for s, times_s in times if u[s - 1] >= p]
-
-        return tuple(sorted(paths(w, self.identity, down)))
+    def count_reduced_words(self, w):
+        """The number of reduced words for w, counted without listing them."""
+        return count_paths(w, self.identity, self._right_steps())
 
     def demazure_product(self, u, v):
         """The 0-Hecke product of two elements (monotone one-sided fold)."""

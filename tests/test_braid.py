@@ -350,20 +350,83 @@ def test_the_shared_classes_hold_one_node_per_twisted_involution():
     assert sorted(n.fold for n in nodes) == sorted(tw._ids(system, (1, 2, 3, 4)).hat)
 
 
+def _rule_of(system, twist, rule):
+    """(class function, DAG) of a move rule: None is the truncated rule,
+    else "hu-zhang" or "fpf"."""
+    key = tw._twist_key(system, twist)
+    if rule is None:
+        return (lambda w: br.involution_braid_class(system, w, twist)), _shared(system, twist)
+    if rule == "hu-zhang":
+        dag = br._prefix_classes(system, key, br._hu_zhang_start)
+        return (lambda w: br.hu_zhang_class(system, w)), dag
+    dag = br._prefix_classes(system, key, br._fpf_start, system.product(range(1, system.rank + 1, 2)))
+    return (lambda w: br.fpf_class_words(system, w)), dag
+
+
+def _rising_words(system, dag, rng, count):
+    """count random walks up the letters that raise the fold from the root:
+    words of shared nodes."""
+    words = []
+    for _ in range(count):
+        word, u = [], dag.root.fold
+        for _ in range(rng.randint(0, 12)):
+            up = [a for a in range(1, system.rank + 1) if dag.dact[u][a - 1] != u]
+            if not up:
+                break
+            word.append(rng.choice(up))
+            u = dag.dact[u][word[-1] - 1]
+        words.append(tuple(word))
+    return words
+
+
 def test_a_class_does_not_depend_on_the_queries_before_it():
-    rng = random.Random(2)
-    name, twist = "F4", (4, 3, 2, 1)
-    used = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
-    invs = tw.enumerate_twisted(used, twist)
-    queries = [min(tw.involution_words(used, y, twist=twist)) for y in invs]
-    queries += [tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 7))) for _ in range(200 - len(queries))]
-    rng.shuffle(queries)
-    for word in queries:
-        br.involution_braid_class(used, word, twist)
-    for word in queries[::20] + [(3, 2, 3, 1, 2), (4, 4, 1)]:
-        fresh = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
-        assert (br.involution_braid_class(used, word, twist)
-                == br.involution_braid_class(fresh, word, twist))
+    # a class listed from the lists its sub-classes keep is the listing of
+    # its node's paths and a fresh system's class, in two query orders; the
+    # queries are the lex-min word of each twisted involution above the
+    # base, random rising words, and random words for nodes built per call
+    for name, twist, rule, extra in [
+            ("F4", (4, 3, 2, 1), None, [(3, 2, 3, 1, 2), (4, 4, 1)]), ("B4", None, None, []),
+            ("H3", None, None, []), ("D4", (3, 2, 1, 4), None, []),
+            ("A5", None, "hu-zhang", []), ("A5", None, "fpf", [])]:
+        matrix, rng = cx.coxeter_matrix_from_name(name), random.Random(2)
+        probe = cx.CoxeterSystem(matrix, name=name)
+        dag = _rule_of(probe, twist, rule)[1]
+        base = tw._ids(probe, tw._twist_key(probe, twist)).element(dag.root.fold)
+        queries = [min(tw.involution_words(probe, y, base, twist))
+                   for y in tw.enumerate_twisted(probe, twist) if tw.weak_leq_T(probe, base, y, twist)]
+        queries += _rising_words(probe, dag, rng, 150) + extra
+        queries += [tuple(rng.randint(1, probe.rank) for _ in range(rng.randint(1, 7)))
+                    for _ in range(60)]
+        for order in (1, 2):
+            random.Random(order).shuffle(queries)
+            call, dag = _rule_of(cx.CoxeterSystem(matrix, name=name), twist, rule)
+            per_call = 0
+            for word in queries:
+                node = dag.node(word)
+                per_call += node.kids is None
+                assert call(word) == set(cx.paths(node, dag.root, lambda n: n.pieces)), word
+            for word in queries[::20] + extra:
+                fresh = cx.CoxeterSystem(matrix, name=name)
+                assert call(word) == _rule_of(fresh, twist, rule)[0](word)
+            assert per_call > 30
+            assert any(n.words is not None for n in dag.nodes[1:])
+
+
+def test_a_shared_node_keeps_at_most_words_kept_words(monkeypatch):
+    # every node below B4's w0 braid class (24,024 words) and F4's w0
+    # involution class (7,616) is listed; a shared node keeps no list or at
+    # most WORDS_KEPT words, and a node built per call keeps none
+    tops, node = [], br._PrefixClasses.node
+    monkeypatch.setattr(br._PrefixClasses, "node",
+                        lambda dag, word: tops.append(node(dag, word)) or tops[-1])
+    b4, f4 = (cx.CoxeterSystem(cx.coxeter_matrix_from_name(n), name=n) for n in ("B4", "F4"))
+    assert len(br.braid_class(b4, b4.reduced_word(b4.longest_element()))) == 24024
+    word = min(tw.involution_words(f4, f4.longest_element()))
+    assert len(br.involution_braid_class(f4, word)) == 7616
+    below = [n for top in tops for n in cx.closure(top, lambda n: [p for p, _ in n.pieces])]
+    kept = [n for n in below if n.words is not None]
+    assert all(n.kids is not None and len(n.words) == n.size <= br.WORDS_KEPT for n in kept)
+    assert len(kept) > 100 and any(n.kids is None for n in below)
 
 
 @pytest.mark.parametrize("name, twist", [("B4", None), ("H3", None), ("F4", (4, 3, 2, 1))])
@@ -631,11 +694,11 @@ def test_fully_commutative_involutions_have_a_lone_atom():
 
 
 def test_the_fc_check_counts_the_words_apart_from_the_atom(monkeypatch):
-    # the words are counted as ascent chains, so a reduced-word listing that
-    # misses a word shows; the atom's own listing would agree with itself
+    # the words are counted as ascent chains, so a reduced-word count that
+    # misses a word shows; the atom's own count would agree with itself
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B3"), name="B3")
-    real = system.reduced_words
-    monkeypatch.setattr(system, "reduced_words", lambda w: real(w)[:-1] or real(w))
+    real = system.count_reduced_words
+    monkeypatch.setattr(system, "count_reduced_words", lambda w: real(w) - 1 or real(w))
     problem = "words differ from the atom's reduced words"
     assert br.check_fc_atoms(system)["failures"] == [
         {"x": x, "problem": problem} for x in ([1, 3], [2, 1, 3, 2], [3, 2, 1, 3, 2, 3])]

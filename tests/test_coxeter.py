@@ -114,6 +114,16 @@ def test_reduced_words_of_a_long_element_need_no_recursion():
     # 500 levels of the path lister, deeper than the default recursion limit
     system = cx.build_system("I2(500)")
     assert system.reduced_words(system.longest_element()) == ((1, 2) * 250, (2, 1) * 250)
+    assert system.count_reduced_words(system.longest_element()) == 2
+
+
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_path_counts_are_the_lengths_of_the_path_lists(name):
+    system = cx.build_system(name)
+    down = system._right_steps()
+    for w in system.elements():
+        count = cx.count_paths(w, system.identity, down)
+        assert count == len(cx.paths(w, system.identity, down)) == system.count_reduced_words(w)
 
 
 def _subword_leq(system, u, v):
