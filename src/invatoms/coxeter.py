@@ -390,8 +390,9 @@ class CoxeterSystem:
     @memo
     def _enumerate(self):
         """BFS over right multiplication from the identity, generators tried
-        in order, first discovery kept: elements() and the ids
-        ``right[s-1][i]`` of the right products, as a pair.
+        in order, first discovery kept: elements(), the ids
+        ``right[s-1][i]`` of the right products and the dict from each key
+        to its id, as a triple.
 
         The BFS runs on keys: key(w) is the tuple of root indices
         (w^-1(alpha_s))_s, which fixes w, so the ids and right tables are
@@ -421,7 +422,7 @@ class CoxeterSystem:
         times = self._times
         for i, s in found:
             order.append(times[s](order[i]))
-        return tuple(order), right
+        return tuple(order), right, seen
 
     @memo
     def id_table(self):
@@ -470,10 +471,7 @@ class CoxeterSystem:
         for r, s in self._reached:
             rho.append(self._gen_perms[key[s] - 1][rho[r]])
         rho += [j + self.num_positive for j in rho]
-        rho_inv = [0] * len(rho)
-        for i, j in enumerate(rho):
-            rho_inv[j] = i
-        return tuple(rho), tuple(rho_inv)
+        return tuple(rho), self.inverse(rho)
 
     def apply_twist(self, w, twist):
         """The image of w under the diagram automorphism given by twist."""
@@ -493,38 +491,49 @@ class ElementTable:
     the element w with id i and a generator s:
 
     - ``length[i]`` is l(w); bit s-1 of ``descents[i]`` is set when s is a
-      right descent of w, and ``first_descent[i]`` is s-1 for the smallest;
+      right descent of w, and ``first_descent[i]`` is s-1 for the smallest
+      (-1 for the identity); ``first_left[i]`` is the same for left descents;
     - ``start[k]`` is the first id of length k, and ``start[-1]`` is |W|;
-    - ``right[s-1][i]`` and ``left[s-1][i]`` are the ids of ws and sw;
-    - ``word[i]`` is the lex-min reduced word of w.
+    - ``right[s-1][i]``, ``left[s-1][i]`` and ``inverse[i]`` are the ids of
+      ws, sw and w^-1, and ``id_of(w)`` is i.
 
-    All are derived on ids from the right products that the key BFS of
-    ``CoxeterSystem._enumerate`` records; s is a descent exactly when the
-    product has a lower id. ``index`` maps each element to its id.
+    All are derived in whole-row passes from the right products and the key
+    dict of the BFS in ``CoxeterSystem._enumerate``: w[:rank] is the key of
+    w^-1, s w = (w^-1 s)^-1, s is a descent when ws has a lower id, and the
+    ids of length k + 1 run up to the largest right product of length k.
     """
 
     def __init__(self, system):
-        self.elements = system.elements()
-        self.right = right = system._enumerate()[1]
-        n = len(self.elements)
-        self.index = dict(zip(self.elements, range(n)))
-        gens = range(system.rank)
-        self.descents = [sum(1 << s for s in gens if right[s][i] < i) for i in range(n)]
-        self.first_descent = first = [(d & -d).bit_length() - 1 for d in self.descents]
-        self.length = length = [0] * n
-        # s e = e s, and s w = (s (w t)) t for the first right descent t of w
-        self.left = left = [[r[0]] * n for r in right]
-        self.word = word = [()] * n
-        for i in range(1, n):
-            rt = right[first[i]]
-            j = rt[i]
-            length[i] = length[j] + 1
-            for row in left:
-                row[i] = rt[row[j]]
-            s = next(s for s in gens if left[s][i] < i)
-            word[i] = (s + 1,) + word[left[s][i]]
-        # lengths run 0, 1, ..., l(w0) in id order with none skipped
-        self.start = [0] + [i for i in range(1, n) if length[i] > length[i - 1]] + [n]
+        elements, right, keys = system._enumerate()
+        self.elements, self.right, self._keys, self._width = elements, right, keys, len(elements[0])
+        # w[:rank] for an element w, a bare int at rank 1 as the keys are
+        self._key_of_inverse = itemgetter(slice(0, system.rank) if system.rank > 1 else 0)
+        self.inverse = inverse = list(map(keys.__getitem__, map(self._key_of_inverse, elements)))
+        self.left = [list(map(inverse.__getitem__, map(r.__getitem__, inverse))) for r in right]
+        ids, descents = range(len(elements)), [0] * len(elements)
+        for s, r in enumerate(right):
+            bit = 1 << s
+            descents = [d | bit if j < i else d for i, j, d in zip(ids, r, descents)]
+        self.descents = descents
+        self.first_descent = first = [(d & -d).bit_length() - 1 for d in descents]
+        self.first_left = list(map(first.__getitem__, inverse))
+        self.start = start = [0, 1]
+        while start[-1] < len(ids):
+            start.append(max(max(r[start[-2]:start[-1]]) for r in right) + 1)
+        self.length = length = []
+        for k in range(len(start) - 1):
+            length += [k] * (start[k + 1] - start[k])
+
+    def id_of(self, w):
+        """The id of the element w, or None for a tuple that is no element:
+        w[:rank] is the key of w^-1, and a tuple that only starts like an
+        element fails the comparison."""
+        j = self._keys.get(self._key_of_inverse(w)) if len(w) == self._width else None
+        if j is not None:
+            i = self.inverse[j]
+            if self.elements[i] == w:
+                return i
+        return None
 
     def bruhat_leq(self, u, w):
         """Bruhat order on ids, by the lifting property: at most l(w) steps."""
@@ -692,13 +701,8 @@ def build_system(spec):
 
 
 def is_type_a_chain(system):
-    n = system.rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            want = 3 if j == i + 1 else 2
-            if system.matrix[i][j] != want:
-                return False
-    return True
+    m, n = system.matrix, system.rank
+    return all(m[i][j] == (3 if j == i + 1 else 2) for i in range(n) for j in range(i + 1, n))
 
 
 def permutation_to_element(system, oneline):
@@ -709,7 +713,6 @@ def permutation_to_element(system, oneline):
     seq = [int(v) for v in oneline]
     if sorted(seq) != list(range(1, n + 1)):
         raise ValueError("invalid one-line notation: %r" % (oneline,))
-    w = system.identity
     # peel right descents of the target permutation, then reverse the word
     word = []
     while True:
@@ -719,10 +722,7 @@ def permutation_to_element(system, oneline):
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
                 break
         else:
-            break
-    for s in reversed(word):
-        w = system.right_mult(w, s)
-    return w
+            return system.product(word[::-1])
 
 
 def element_to_permutation(system, w):

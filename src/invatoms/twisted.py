@@ -12,8 +12,9 @@ variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 
 The tables derived per system and twist (the validated twist, the twisted
-involutions as ids and the Hecke fibers of the identity base) live in the
-system's one store through ``coxeter.memo``, and
+involutions as ids and the Hecke fibers of the identity base) and the
+lex-min words of the Bruhat scan live in the system's one store through
+``coxeter.memo``, and
 ``CoxeterSystem.cache_sizes()`` counts them. The Hecke fibers of any other
 base x are the identity's, pulled back along a chain of ascents up to x, so
 nothing is kept per base.
@@ -94,7 +95,7 @@ class _TwistedIds:
             self.hat[self._id(system.identity[:system.rank], system.identity)] = 0
             self._order_key = self.hat.__getitem__
             return
-        self._index, self._order_key = t.index, None
+        self._id_of, self._order_key = t.id_of, None
         right, left, descents = t.right, t.left, t.descents
         gens = [(s, twist[s] - 1) for s in range(len(right))]
         self.dact, self.steps = dact, steps = {}, {}
@@ -153,12 +154,12 @@ class _TwistedIds:
 
     def member(self, w):
         """The id of the element w; ValueError unless it is a twisted involution."""
-        system = self.system
-        if self._elements is not None:  # no tuple of another length is in the index
-            x = self._index.get(w)
+        if self._elements is not None:
+            x = self._id_of(w)
             if x in self.hat:
                 return x
-        elif len(w) == 2 * system.num_positive:  # then a known key fixes w
+        elif len(w) == 2 * self.system.num_positive:  # then a known key fixes w
+            system = self.system
             key = w[:system.rank]
             if key in self._number or system.apply_twist(w, self.twist) == system.inverse(w):
                 return self._id(key, w)
@@ -439,9 +440,9 @@ def _star_row(t, y, twist):
     """The row of w* y for the id y, as a function of k giving the ids of
     w* y for the ids w of length k, in id order. A scan that first reaches
     length k builds it and every shorter length not yet built, each from the
-    length below it: if the lex-min word of w starts with s and w' = s w,
+    length below it: if s is the first left descent of w and w' = s w,
     then w* y = s* (w'* y), one left multiplication per entry."""
-    left, word, start = t.left, t.word, t.start
+    left, first, start = t.left, t.first_left, t.start
     # heads[s] = (the ids of s w, the ids of s* v), each indexed by the id
     heads = [(left[s], left[twist[s] - 1]) for s in range(len(left))]
     levels = [[y]]
@@ -451,7 +452,7 @@ def _star_row(t, y, twist):
             n = len(levels)
             below, off, got = levels[-1], start[n - 1], []
             for w in range(start[n], start[n + 1]):
-                down, up = heads[word[w][0] - 1]
+                down, up = heads[first[w]]
                 got.append(up[below[down[w] - off]])
             levels.append(got)
         return levels[k]
@@ -459,12 +460,12 @@ def _star_row(t, y, twist):
     return level
 
 
-def _hits(t, row, y, x):
-    """The ids w with w* y <= x w in Bruhat order, for the ids y and x and the
-    row of y: one list per length that has a hit, in id order, scanned
-    length by length from the length floor."""
+def _hits(t, row, y, x, word):
+    """The ids w with w* y <= x w in Bruhat order, for the ids y and x, the
+    row of y and the word table: one list per length that has a hit, in id
+    order, scanned length by length from the length floor."""
     # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
-    by_x = [t.left[s - 1].__getitem__ for s in reversed(t.word[x])]
+    by_x = [t.left[s - 1].__getitem__ for s in reversed(word[x])]
     length, leq, start = t.length, t.bruhat_leq, t.start
     for k in range(max(0, (length[y] - length[x] + 1) // 2), len(start) - 1):
         ws = range(start[k], start[k + 1])
@@ -476,6 +477,19 @@ def _hits(t, row, y, x):
                  if lhs == r or length[lhs] < length[r] and leq(lhs, r)]
         if level:
             yield level
+
+
+@cx.memo
+def _words(system):
+    """The lex-min reduced word of each id, which the Bruhat scan and the
+    failure lists of check_conjecture read: the first left descent s of w,
+    then the word of s w."""
+    t = _id_table(system)
+    first, left, word = t.first_left, t.left, [()]
+    for w in range(1, len(first)):
+        s = first[w]
+        word.append((s + 1,) + word[left[s][w]])
+    return word
 
 
 def _first_run(t, ids):
@@ -495,7 +509,7 @@ def _bruhat_scan(system, y, x, twist):
     ids = _ids(system, twist)
     x, y = ids.member(system.identity if x is None else x), ids.member(y)
     t = _id_table(system)
-    return t, _hits(t, _star_row(t, y, twist), y, x)
+    return t, _hits(t, _star_row(t, y, twist), y, x, _words(system))
 
 
 def bruhat_hecke(system, y, x=None, twist=None):
@@ -528,7 +542,7 @@ def check_conjecture(system, twist=None, ys=None):
     twist = _twist_key(system, twist)
     t = _id_table(system)
     ids = _ids(system, twist)
-    word = t.word
+    word = _words(system)
     left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
@@ -538,7 +552,7 @@ def check_conjecture(system, twist=None, ys=None):
         for x, us in _atom_pass(y, ids.steps, left, ids.root, ids.hat):
             pairs += 1
             expected = sorted(us)
-            got = next(_hits(t, row, y, x), [])
+            got = next(_hits(t, row, y, x, word), [])
             if expected != got:
                 wrong.append((x, expected, got))
         failures += [{"x": list(word[x]), "y": list(word[y]),

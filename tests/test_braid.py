@@ -140,7 +140,7 @@ def test_truncated_block_length_when_the_pair_is_not_preserved():
     ("I2(7)", None), ("I2(8)", (2, 1))])
 def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkeypatch):
     fast = cx.build_system(name)
-    index = fast.id_table().index
+    index = fast.id_table().id_of
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 1)  # above it, folds are keyed by their own ids
     slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     key = tw._twist_key(fast, twist)
@@ -149,7 +149,7 @@ def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkey
         theta = _theta_prefix(fast, min(tw.involution_words(fast, y, twist=twist)), twist)
         assert theta.base == y
         want = _swap_table((s, t, br.m_star(fast, s, t, theta)) for s, t in _pairs(fast))
-        assert br._fold_tables(fast, index[y], key) == want
+        assert br._fold_tables(fast, index(y), key) == want
         assert br._fold_tables(slow, member(y), key) == want
 
 
@@ -583,8 +583,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
     dags = {args[1:]: dag for (name, args), dag in system._store.items()
             if name == "braid._prefix_classes" and args[0] == key}
     assert set(dags) == {(br._fpf_start, base), (br._hu_zhang_start, None)}
-    index = system.id_table().index
-    assert dags[br._fpf_start, base].root.fold == index[base]
+    assert dags[br._fpf_start, base].root.fold == system.id_table().id_of(base)
     # one shared node per class of involution words: Hu-Zhang's theorem and
     # its FPF analogue make that one per involution (76 in S6) and one per
     # FPF involution above the base (15 of them)
@@ -594,7 +593,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 _MEMO_TABLES = {"coxeter._within_cap", "coxeter._enumerate", "coxeter.id_table",
                 "coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
-                "twisted._id_fibers", "braid._pairs", "braid._tables", "braid._prefix_classes"}
+                "twisted._id_fibers", "twisted._words", "braid._pairs", "braid._tables", "braid._prefix_classes"}
 
 
 @pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])
@@ -626,6 +625,27 @@ def test_every_entry_point_keeps_its_tables_in_the_one_store(name, twist):
     reference.id_table()
     assert set(vars(system)) == set(vars(reference))
     assert set(system.cache_sizes()) == _MEMO_TABLES
+
+
+def test_pair_queries_build_no_word_table_and_no_element_index():
+    # atoms, Hecke atoms, involution words and braid classes read ids alone:
+    # an element's id is found by its key, not in a dict keyed by element
+    # tuples, and only the conjecture and Bruhat paths build lex-min words
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
+    twist = (4, 3, 2, 1)
+    for y in tw.enumerate_twisted(system, twist):
+        tw.atoms(system, y, twist=twist)
+        tw.hecke_atoms(system, y, twist=twist)
+        br.involution_braid_class(system, min(tw.involution_words(system, y, twist=twist)), twist)
+    assert set(system.cache_sizes()) == _MEMO_TABLES - {"twisted._words"}
+    t, width = system.id_table(), 2 * system.num_positive
+    tables = vars(t).values()
+    assert not [k for v in tables if isinstance(v, dict) for k in v if len(k) == width]
+    assert not [v for v in tables if isinstance(v, list) and isinstance(v[-1], tuple)]
+    report = tw.check_conjecture(system, twist)
+    assert report == tw.check_conjecture(cx.build_system("F4"), twist)
+    assert report["pairs_checked"] == 1445 and report["failures"] == []
+    assert "twisted._words" in system.cache_sizes()
 
 
 def test_the_braid_check_keeps_no_tables_per_fold():

@@ -8,6 +8,7 @@ import pytest
 
 import invatoms.braid as br
 import invatoms.coxeter as cx
+import invatoms.twisted as tw
 
 # degrees of the basic invariants (Humphreys, Reflection Groups and Coxeter
 # Groups, section 3.7): |W| is their product, |Phi+| the sum of d - 1
@@ -512,24 +513,33 @@ def test_the_key_bfs_matches_the_tuple_bfs(spec):
     system = cx.CoxeterSystem(matrix)
     elements, index, right = _tuple_bfs(system)
     assert system.elements() == elements
-    assert system.id_table().index == index
-    assert system.id_table().right == right
+    t = system.id_table()
+    assert {w: t.id_of(w) for w in elements} == index
+    assert t.right == right
 
 
 def test_a_named_type_within_the_cap_gets_the_same_table():
-    named = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4").id_table()
-    custom = cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4")).id_table()
+    systems = [cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"), name="B4"),
+               cx.CoxeterSystem(cx.coxeter_matrix_from_name("B4"))]
+    named, custom = [system.id_table() for system in systems]
     assert len(named.elements) == 384
     assert named.elements == custom.elements
-    assert (named.right, named.left, named.length, named.word) == (
-        custom.right, custom.left, custom.length, custom.word)
+    rows = ("right", "left", "inverse", "length", "start", "descents", "first_descent",
+            "first_left")
+    assert [getattr(named, row) for row in rows] == [getattr(custom, row) for row in rows]
+    assert tw._words(systems[0]) == tw._words(systems[1])
 
 
 def test_element_table_agrees_with_the_root_permutations():
     # the last matrix is D4 with the branch node numbered 1
-    for spec in ["A3", "B3", "A2xB2", "I2(8)", "D5",
+    for spec in ["A1", "A3", "B3", "A2xB2", "I2(8)", "D5", "B4", "H3", "F4",
                  [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]]]:
         _check_element_table(cx.build_system(spec))
+
+
+def _first(letters):
+    """The smallest of letters, from 0, or -1 if there are none."""
+    return min(letters, default=0) - 1
 
 
 def _check_element_table(system):
@@ -537,9 +547,19 @@ def _check_element_table(system):
     elements = system.elements()
     by_word = sorted(elements, key=lambda w: (system.length(w), system.reduced_word(w)))
     assert list(elements) == by_word
+    lengths = [system.length(w) for w in elements]
+    n = len(elements)
+    assert t.start == [0] + [i for i in range(1, n) if lengths[i] > lengths[i - 1]] + [n]
+    words = tw._words(system)
     for i, w in enumerate(elements):
-        assert t.length[i] == system.length(w)
-        assert t.word[i] == system.reduced_word(w)
+        winv = system.inverse(w)
+        assert t.length[i] == lengths[i]
+        assert words[i] == system.reduced_word(w)
+        assert elements[t.inverse[i]] == winv
+        assert t.id_of(w) == i
+        assert t.first_descent[i] == _first(system.descents_right(w))
+        # the left descents of w are the right descents of its inverse
+        assert t.first_left[i] == _first(system.descents_right(winv))
         for s in range(1, system.rank + 1):
             assert elements[t.right[s - 1][i]] == system.right_mult(w, s)
             assert elements[t.left[s - 1][i]] == system.left_mult(s, w)
@@ -548,6 +568,51 @@ def _check_element_table(system):
         for i, w in enumerate(elements):
             for j, v in enumerate(elements):
                 assert t.bruhat_leq(i, j) == _subword_leq(system, w, v)
+
+
+@pytest.mark.parametrize("name, twist", [("A1", None), ("F4", (4, 3, 2, 1)), ("B4", None)])
+def test_the_id_lookup_turns_away_a_tuple_that_only_starts_like_an_element(name, twist):
+    # w[:rank] fixes an element w, so a tuple of w's length that starts like
+    # w and differs later is no element; the key dict still finds w for it
+    system = cx.build_system(name)
+    t, keys = system.id_table(), system._enumerate()[2]
+    ids = tw._ids(system, tw._twist_key(system, twist))
+    rank = system.rank
+    for x in ids.order():
+        w = t.elements[x]
+        # the key of w^-1, a bare int at rank 1, which the forged tuples share
+        assert t.inverse[keys[w[0] if rank == 1 else w[:rank]]] == x
+        for forged in (w[:rank] + w[rank:][::-1], w[:rank] + (0,) * (len(w) - rank)):
+            if forged == w:
+                continue
+            assert len(forged) == len(w) and forged[:rank] == w[:rank]
+            assert t.id_of(forged) is None
+            with pytest.raises(ValueError, match="not a twisted involution"):
+                ids.member(forged)
+        assert ids.member(w) == x
+    assert t.id_of(t.elements[0][:-1]) is None and t.id_of(()) is None
+
+
+def test_the_id_lookup_gives_another_systems_elements_no_id():
+    # pairs of systems whose elements are tuples of the same length: two
+    # numberings of D4, and A2xB2 with A3xA1, where a few of the other's
+    # elements start like an element, so the key dict finds an id for them
+    bare_d4 = [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]]
+    hits = 0
+    for one, two in [("D4", bare_d4), ("A2xB2", "A3xA1")]:
+        one, two = cx.build_system(one), cx.build_system(two)
+        for system, foreign in [(one, two.elements()), (two, one.elements())]:
+            t, keys = system.id_table(), system._enumerate()[2]
+            index = dict(zip(t.elements, range(len(t.elements))))
+            strangers = [w for w in foreign if w not in index]
+            assert len(strangers) > len(foreign) // 5
+            hits += sum(w[:system.rank] in keys for w in strangers)
+            assert [t.id_of(w) for w in foreign] == [index.get(w) for w in foreign]
+            ids = tw._ids(system, tw._twist_key(system, None))
+            for w in strangers:
+                with pytest.raises(ValueError, match="not a twisted involution"):
+                    ids.member(w)
+    assert hits >= 2
 
 
 def test_id_bruhat_order_matches_the_root_permutations_on_sampled_pairs():

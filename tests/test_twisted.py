@@ -232,11 +232,11 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     system = cx.build_system(name)
     t = system.id_table()
     key = twist or tuple(range(1, system.rank + 1))
-    elements, index = t.elements, t.index
+    elements, index = t.elements, t.id_of
     star = [system.apply_twist(w, key) for w in elements]
     ids = tw._ids(system, key)
-    lhs = {y: [index[system.multiply(v, elements[y])] for v in star] for y in ids.hat}
-    rhs = {x: [index[system.multiply(elements[x], w)] for w in elements] for x in ids.hat}
+    lhs = {y: [index(system.multiply(v, elements[y])) for v in star] for y in ids.hat}
+    rhs = {x: [index(system.multiply(elements[x], w)) for w in elements] for x in ids.hat}
     pairs = [(y, x) for y in ids.hat for x in ids.down(y)]
     unfloored = {(y, x): [w for w, (u, v) in enumerate(zip(lhs[y], rhs[x]))
                           if t.bruhat_leq(u, v)] for y, x in pairs}
@@ -249,8 +249,8 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     seen = {}
     real = tw._hits
 
-    def recording(table, row, y, x):
-        levels = list(real(table, row, y, x))
+    def recording(table, row, y, x, word):
+        levels = list(real(table, row, y, x, word))
         seen[y, x] = [w for level in levels for w in level]
         assert [v for k in range(len(t.start) - 1) for v in row(k)] == lhs[y]
         return iter(levels)
@@ -278,14 +278,14 @@ def test_star_rows_are_the_twisted_products(name, twist):
     # w* y from apply_twist and multiply; lengths asked for out of order
     system = cx.build_system(name)
     t = system.id_table()
-    elements, index = t.elements, t.index
+    elements, index = t.elements, t.id_of
     star = [system.apply_twist(w, twist) for w in elements]
     top = len(t.start) - 2
     for y in tw._ids(system, twist).order():
         row = tw._star_row(t, y, twist)
         for k in [top // 2] + list(range(top + 1)):
             ws = range(t.start[k], t.start[k + 1])
-            assert row(k) == [index[system.multiply(star[w], elements[y])] for w in ws]
+            assert row(k) == [index(system.multiply(star[w], elements[y])) for w in ws]
 
 
 def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
@@ -297,8 +297,8 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
 
     def dropping(top, steps, left, e, hat):
         for z, us in real(top, steps, left, e, hat):
-            if top == t.index[y] and z == t.index[x]:
-                us = us - {t.index[system.generator(3)]}
+            if top == t.id_of(y) and z == t.id_of(x):
+                us = us - {t.id_of(system.generator(3))}
             yield z, us
 
     monkeypatch.setattr(tw, "_atom_pass", dropping)
@@ -324,7 +324,7 @@ def test_the_sweep_lists_failures_in_id_order(monkeypatch):
     report = tw.check_conjecture(system, ys=[y])
     assert report["pairs_checked"] == 17
     assert [f["x"] for f in report["failures"]] == [
-        list(t.word[x]) for x in sorted(ids.down(t.index[y]))]
+        list(system.reduced_word(t.elements[x])) for x in sorted(ids.down(t.id_of(y)))]
 
 
 @pytest.mark.parametrize("name, twist", [
@@ -337,14 +337,14 @@ def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
     t = system.id_table()
     key = tw._twist_key(system, twist)
     ids = tw._ids(system, key)
-    elements, index = t.elements, t.index
+    elements = t.elements
     left = [row.__getitem__ for row in t.left]
     for y in ids.hat:
         below = dict(tw._atom_pass(y, ids.steps, left, 0, ids.hat))
         assert set(below) == ids.down(y)
         for x, got in below.items():
             fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
-            assert sorted(got) == tw._first_run(t, map(index.__getitem__, fiber))
+            assert sorted(got) == tw._first_run(t, map(t.id_of, fiber))
             assert {t.length[w] for w in got} == {ids.hat[y] - ids.hat[x]}
 
 
