@@ -12,12 +12,11 @@ variant (the Demazure step) ignores letters that are already descents,
 which matches conjugating by the 0-Hecke product instead.
 
 The tables derived per system and twist (the validated twist, the twisted
-involutions as ids and the Hecke fibers of the identity base) and the
-lex-min words of the Bruhat scan live in the system's one store through
-``coxeter.memo``, and
-``CoxeterSystem.cache_sizes()`` counts them. The Hecke fibers of any other
-base x are the identity's, pulled back along a chain of ascents up to x, so
-nothing is kept per base.
+involutions as ids and the Hecke fibers of the identity base) and the left
+chains of the Bruhat scan live in the system's one store through
+``coxeter.memo``, and ``CoxeterSystem.cache_sizes()`` counts them. The
+Hecke fibers of any other base x are the identity's, pulled back along a
+chain of ascents up to x, so nothing is kept per base.
 """
 
 import operator
@@ -74,16 +73,17 @@ class _TwistedIds:
 
     Within the cap an id is the element's group id, so ids run in (length,
     lex-min word) order, and one closure of the identity fills every row.
-    Above the cap ids number the twisted involutions as they are met, keyed
-    by their images w[:rank] of the simple roots, which fix w. A row is
-    filled when first read, from its id's root permutation, kept only until
-    then: a query numbers only the ids whose rows it reads and their steps.
+    Above the cap ids number the twisted involutions as they are met. On
+    both sides ``_number`` keys the ids by the images w[:rank] of the simple
+    roots, which fix w. Above the cap a row is filled when first read, from
+    its id's root permutation, kept only until then: a query numbers only
+    the ids whose rows it reads and their steps.
     """
 
     root = 0
 
     def __init__(self, system, twist):
-        self.system, self.twist = system, twist
+        self.system, self.twist, self._rank = system, twist, system.rank
         t = system.id_table()
         self._elements = t and t.elements
         if t is None:
@@ -95,7 +95,7 @@ class _TwistedIds:
             self.hat[self._id(system.identity[:system.rank], system.identity)] = 0
             self._order_key = self.hat.__getitem__
             return
-        self._id_of, self._order_key = t.id_of, None
+        self._order_key = None
         right, left, descents = t.right, t.left, t.descents
         gens = [(s, twist[s] - 1) for s in range(len(right))]
         self.dact, self.steps = dact, steps = {}, {}
@@ -115,6 +115,8 @@ class _TwistedIds:
         self.hat = hat = {}
         for x in sorted(steps):
             hat[x] = hat[steps[x][0][1]] + 1 if steps[x] else 0
+        elements = t.elements
+        self._number = {elements[x][:self._rank]: x for x in hat}
 
     def _id(self, key, w):
         """The id of the twisted involution w of key w[:rank], numbered if new."""
@@ -153,15 +155,17 @@ class _TwistedIds:
             x = z
 
     def member(self, w):
-        """The id of the element w; ValueError unless it is a twisted involution."""
+        """The id of the element w; ValueError unless it is a twisted involution.
+        Within the cap a key finds the only candidate, and a comparison with
+        its element turns away a tuple that only starts like it."""
+        key = w[:self._rank]
+        x = self._number.get(key)
         if self._elements is not None:
-            x = self._id_of(w)
-            if x in self.hat:
+            if x is not None and self._elements[x] == w:
                 return x
         elif len(w) == 2 * self.system.num_positive:  # then a known key fixes w
             system = self.system
-            key = w[:system.rank]
-            if key in self._number or system.apply_twist(w, self.twist) == system.inverse(w):
+            if x is not None or system.apply_twist(w, self.twist) == system.inverse(w):
                 return self._id(key, w)
         raise ValueError("element is not a twisted involution for this twist")
 
@@ -404,8 +408,13 @@ def involution_words(system, y, x=None, twist=None):
 # every x below y; w = s w' with l(w') = l(w) - 1 gives w* y = s* (w'* y), so
 # each length of the row is one left multiplication of the length below it;
 # and w* y <= x w forces l(y) - l(w) <= l(w* y) <= l(x w) <= l(x) + l(w),
-# so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit. The scan
-# runs one length at a time, so the sweep stops at the first length with a hit.
+# so no w shorter than the floor ceil((l(y) - l(x)) / 2) can hit. The right
+# side x w comes from the left chain of x, the left multiplications by the
+# letters of its lex-min word from the last, each mapped over a whole length
+# in turn; a chain is stored once its id is read as x, and no word is listed.
+# One helper scans one length of one pair, and its callers step it up from
+# the floor: the sweep and bruhat_atoms stop at the first length with a hit,
+# and bruhat_hecke takes every length.
 
 
 def _atom_pass(y, steps, left, e, hat):
@@ -460,36 +469,55 @@ def _star_row(t, y, twist):
     return level
 
 
-def _hits(t, row, y, x, word):
-    """The ids w with w* y <= x w in Bruhat order, for the ids y and x, the
-    row of y and the word table: one list per length that has a hit, in id
-    order, scanned length by length from the length floor."""
-    # x w = s1 (s2 (... (sk w))) for x = s1 s2 ... sk
-    by_x = [t.left[s - 1].__getitem__ for s in reversed(word[x])]
-    length, leq, start = t.length, t.bruhat_leq, t.start
-    for k in range(max(0, (length[y] - length[x] + 1) // 2), len(start) - 1):
-        ws = range(start[k], start[k + 1])
-        rhs = ws
-        for left in by_x:
-            rhs = map(left, rhs)
-        # most candidates fail on length alone, so that test runs inline
-        level = [w for w, lhs, r in zip(ws, row(k), rhs)
-                 if lhs == r or length[lhs] < length[r] and leq(lhs, r)]
-        if level:
-            yield level
-
-
 @cx.memo
-def _words(system):
-    """The lex-min reduced word of each id, which the Bruhat scan and the
-    failure lists of check_conjecture read: the first left descent s of w,
-    then the word of s w."""
+def _chains(system):
+    """The left chain of each id x, filled when x is first read: the row
+    getters of the left tables of the letters of the lex-min word of x,
+    last letter first, so mapping them in turn over ids w gives the ids of
+    x w. That word is the first left descent s of x, then the word of s x,
+    so a fill walks down first left descents to a stored id or the identity
+    and stores x alone."""
     t = _id_table(system)
-    first, left, word = t.first_left, t.left, [()]
-    for w in range(1, len(first)):
-        s = first[w]
-        word.append((s + 1,) + word[left[s][w]])
-    return word
+    first, left = t.first_left, t.left
+    times = [row.__getitem__ for row in left]
+
+    def fill(x):
+        got, z = [], x
+        while z and z not in chains:
+            s = first[z]
+            got.append(times[s])
+            z = left[s][z]
+        chains[x] = (chains[z] if z else ()) + tuple(reversed(got))
+
+    chains = _Rows(fill)
+    return chains
+
+
+def _floor(t, y, x):
+    """The shortest length a hit of the ids y and x can have."""
+    return max(0, (t.length[y] - t.length[x] + 1) // 2)
+
+
+def _scan(t, row, chain, k):
+    """The ids w of length k with w* y <= x w in Bruhat order, in id order,
+    for the row of y and the chain of x."""
+    ws = range(t.start[k], t.start[k + 1])
+    rhs = ws
+    for times in chain:
+        rhs = map(times, rhs)
+    length, leq = t.length, t.bruhat_leq
+    # most candidates fail on length alone, so that test runs inline
+    return [w for w, lhs, r in zip(ws, row(k), rhs)
+            if lhs == r or length[lhs] < length[r] and leq(lhs, r)]
+
+
+def _first_hits(t, row, chain, k):
+    """The scan of the first length from k up that has a hit, or []."""
+    got = _scan(t, row, chain, k)
+    while not got and k < len(t.start) - 2:
+        k += 1
+        got = _scan(t, row, chain, k)
+    return got
 
 
 def _first_run(t, ids):
@@ -503,19 +531,21 @@ def _first_run(t, ids):
     return out
 
 
-def _bruhat_scan(system, y, x, twist):
-    """The id table and the hit levels of one pair of elements."""
+def _bruhat_pair(system, y, x, twist):
+    """The id table, the row of y, the chain of x and the length floor of
+    one pair of elements."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
     x, y = ids.member(system.identity if x is None else x), ids.member(y)
     t = _id_table(system)
-    return t, _hits(t, _star_row(t, y, twist), y, x, _words(system))
+    return t, _star_row(t, y, twist), _chains(system)[x], _floor(t, y, x)
 
 
 def bruhat_hecke(system, y, x=None, twist=None):
     """All w with w* y <= x w in Bruhat order (the conjectural Hecke atom superset)."""
-    t, levels = _bruhat_scan(system, y, x, twist)
-    return tuple(t.elements[w] for level in levels for w in level)
+    t, row, chain, floor = _bruhat_pair(system, y, x, twist)
+    return tuple(t.elements[w] for k in range(floor, len(t.start) - 1)
+                 for w in _scan(t, row, chain, k))
 
 
 def bruhat_atoms(system, y, x=None, twist=None):
@@ -523,8 +553,8 @@ def bruhat_atoms(system, y, x=None, twist=None):
 
     Stops scanning after the first length that has a hit.
     """
-    t, levels = _bruhat_scan(system, y, x, twist)
-    return tuple(map(t.elements.__getitem__, next(levels, ())))
+    t, row, chain, floor = _bruhat_pair(system, y, x, twist)
+    return tuple(map(t.elements.__getitem__, _first_hits(t, row, chain, floor)))
 
 
 def check_conjecture(system, twist=None, ys=None):
@@ -542,22 +572,25 @@ def check_conjecture(system, twist=None, ys=None):
     twist = _twist_key(system, twist)
     t = _id_table(system)
     ids = _ids(system, twist)
-    word = _words(system)
+    chains = _chains(system)
     left = [row.__getitem__ for row in t.left]
     pairs = 0
     failures = []
+
+    def word(w):
+        return list(system.reduced_word(t.elements[w]))
+
     for y in ids.order() if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
         wrong = []
         for x, us in _atom_pass(y, ids.steps, left, ids.root, ids.hat):
             pairs += 1
             expected = sorted(us)
-            got = next(_hits(t, row, y, x, word), [])
+            got = _first_hits(t, row, chains[x], _floor(t, y, x))
             if expected != got:
                 wrong.append((x, expected, got))
-        failures += [{"x": list(word[x]), "y": list(word[y]),
-                      "expected": [list(word[w]) for w in expected],
-                      "got": [list(word[w]) for w in got]} for x, expected, got in sorted(wrong)]
+        failures += [{"x": word(x), "y": word(y), "expected": list(map(word, expected)),
+                      "got": list(map(word, got))} for x, expected, got in sorted(wrong)]
     return report(system, pairs, failures)
 
 

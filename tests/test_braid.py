@@ -593,7 +593,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
 
 _MEMO_TABLES = {"coxeter._within_cap", "coxeter._enumerate", "coxeter.id_table",
                 "coxeter._twist_perms", "twisted._twist_key", "twisted._ids",
-                "twisted._id_fibers", "twisted._words", "braid._pairs", "braid._tables", "braid._prefix_classes"}
+                "twisted._id_fibers", "twisted._chains", "braid._pairs", "braid._tables", "braid._prefix_classes"}
 
 
 @pytest.mark.parametrize("name, twist", [("A3", None), ("A3", (3, 2, 1)), ("B3", None)])
@@ -630,14 +630,14 @@ def test_every_entry_point_keeps_its_tables_in_the_one_store(name, twist):
 def test_pair_queries_build_no_word_table_and_no_element_index():
     # atoms, Hecke atoms, involution words and braid classes read ids alone:
     # an element's id is found by its key, not in a dict keyed by element
-    # tuples, and only the conjecture and Bruhat paths build lex-min words
+    # tuples, and only the conjecture and Bruhat paths build left chains
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("F4"), name="F4")
     twist = (4, 3, 2, 1)
     for y in tw.enumerate_twisted(system, twist):
         tw.atoms(system, y, twist=twist)
         tw.hecke_atoms(system, y, twist=twist)
         br.involution_braid_class(system, min(tw.involution_words(system, y, twist=twist)), twist)
-    assert set(system.cache_sizes()) == _MEMO_TABLES - {"twisted._words"}
+    assert set(system.cache_sizes()) == _MEMO_TABLES - {"twisted._chains"}
     t, width = system.id_table(), 2 * system.num_positive
     tables = vars(t).values()
     assert not [k for v in tables if isinstance(v, dict) for k in v if len(k) == width]
@@ -645,7 +645,7 @@ def test_pair_queries_build_no_word_table_and_no_element_index():
     report = tw.check_conjecture(system, twist)
     assert report == tw.check_conjecture(cx.build_system("F4"), twist)
     assert report["pairs_checked"] == 1445 and report["failures"] == []
-    assert "twisted._words" in system.cache_sizes()
+    assert "twisted._chains" in system.cache_sizes()
 
 
 def test_the_braid_check_keeps_no_tables_per_fold():

@@ -142,7 +142,7 @@ def test_a_parallel_sweep_lists_failures_in_the_serial_order(capsys, monkeypatch
     import multiprocessing
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("only forked workers inherit the patch")
-    monkeypatch.setattr(tw, "_hits", lambda t, row, y, x, word: iter(()))  # every pair fails
+    monkeypatch.setattr(tw, "_scan", lambda t, row, chain, k: [])  # every pair fails
     code, serial, _ = run(capsys, "sweep", "--system", "A3", "--jobs", "1", "--json")
     assert code == 1
     code, parallel, _ = run(capsys, "sweep", "--system", "A3", "--jobs", "2", "--json")

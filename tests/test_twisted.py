@@ -244,18 +244,21 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     def first_run(hits):
         return [w for w in hits if t.length[w] == t.length[hits[0]]]
 
-    # the per-y rows and the scans inside check_conjecture, every level of
-    # each scan recorded and flattened
+    # the per-y rows and the scans inside check_conjecture: a pair's first
+    # scan is at its floor, and every length from there up is recorded and
+    # flattened. The row of y holds y at length 0, and the chain of x maps
+    # the identity to x
     seen = {}
-    real = tw._hits
+    real, top = tw._scan, len(t.start) - 1
 
-    def recording(table, row, y, x, word):
-        levels = list(real(table, row, y, x, word))
-        seen[y, x] = [w for level in levels for w in level]
-        assert [v for k in range(len(t.start) - 1) for v in row(k)] == lhs[y]
-        return iter(levels)
+    def recording(table, row, chain, k):
+        y, x = row(0)[0], _times(chain, [0])[0]
+        if (y, x) not in seen:
+            seen[y, x] = [w for j in range(k, top) for w in real(table, row, chain, j)]
+            assert [v for j in range(top) for v in row(j)] == lhs[y]
+        return real(table, row, chain, k)
 
-    monkeypatch.setattr(tw, "_hits", recording)
+    monkeypatch.setattr(tw, "_scan", recording)
     assert tw.check_conjecture(system, twist)["failures"] == []
     assert seen == unfloored
     for y, x in pairs:
@@ -269,6 +272,40 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     on_floor = [(y, x) for y, x in pairs if x != y and 2 * t.length[unfloored[y, x][0]]
                 in (t.length[y] - t.length[x], t.length[y] - t.length[x] + 1)]
     assert on_floor
+
+
+def _times(chain, ws):
+    """The ids x w for the ids ws, by the chain of x."""
+    for times in chain:
+        ws = map(times, ws)
+    return list(ws)
+
+
+@pytest.mark.parametrize("name, twist", [("A1", None), ("A1xA2", None), ("B3", None), ("H3", None),
+                                         ("A4", (4, 3, 2, 1)), ("D4", (3, 2, 1, 4)),
+                                         ("F4", (4, 3, 2, 1))])
+def test_a_chain_maps_each_id_to_its_product_with_the_id_read_as_x(name, twist, monkeypatch):
+    # a fresh system, so its chain table holds what one sweep read alone;
+    # under a twist most x are no involutions, so a chain of the word
+    # forward, which gives x^-1 w, fails here
+    system = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
+    read, real = set(), tw._atom_pass
+
+    def recording(*args):
+        for x, us in real(*args):
+            read.add(x)
+            yield x, us
+
+    monkeypatch.setattr(tw, "_atom_pass", recording)
+    assert tw.check_conjecture(system, twist)["failures"] == []
+    chains = tw._chains(system)
+    assert set(chains) == read == set(tw._ids(system, tw._twist_key(system, twist)).order())
+    t = system.id_table()
+    for x in read:
+        assert _times(chains[x], [0]) == [x]
+        assert _times(chains[x], range(len(t.elements))) == [
+            t.id_of(system.multiply(t.elements[x], w)) for w in t.elements]
+    assert set(chains) == read  # reading a stored chain fills no other
 
 
 @pytest.mark.parametrize("name, twist", [("F4", (4, 3, 2, 1)), ("A5", (5, 4, 3, 2, 1)),
