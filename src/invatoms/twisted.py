@@ -115,8 +115,7 @@ class _TwistedIds:
         self.hat = hat = {}
         for x in sorted(steps):
             hat[x] = hat[steps[x][0][1]] + 1 if steps[x] else 0
-        elements = t.elements
-        self._number = {elements[x][:self._rank]: x for x in hat}
+        self._number = {t.elements[x][:self._rank]: x for x in hat}
 
     def _id(self, key, w):
         """The id of the twisted involution w of key w[:rank], numbered if new."""
