@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "twisted": (
         "atoms", "bruhat_atoms", "bruhat_hecke", "check_bruhat_descriptions",
-        "check_central_closure", "check_conjecture", "check_duality", "dact",
-        "dact_word", "dual_twist", "enumerate_twisted", "hat_length", "hecke_atoms",
+        "check_central_closure", "check_conjecture", "check_duality", "count_involution_words",
+        "dact", "dact_word", "dual_twist", "enumerate_twisted", "hat_length", "hecke_atoms",
         "involution_words", "rtimes", "weak_leq_T",
     ),
     "typea": (

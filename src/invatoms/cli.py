@@ -20,6 +20,8 @@ import sys
 
 from . import coxeter as cx
 
+WORDS_CAP = 100000  # the most transforming words the words verb lists
+
 
 class UsageError(ValueError):
     pass
@@ -149,6 +151,13 @@ def _words(system, elements):
     return [list(system.reduced_word(w)) for w in elements]
 
 
+def _capped_words(tw, system, *query):
+    count = tw.count_involution_words(system, *query)
+    if count > WORDS_CAP:
+        raise ValueError("%d transforming words, more than WORDS_CAP (%d)" % (count, WORDS_CAP))
+    return [list(w) for w in tw.involution_words(system, *query)]
+
+
 def _report_line(report):
     parts = []
     for key, value in report.items():
@@ -173,8 +182,7 @@ def _default_start(system, args):
 _PAIR_VERBS = {
     "atoms": ("atoms from x to y", "atoms",
               lambda tw, system, *q: _words(system, tw.atoms(system, *q))),
-    "words": ("transforming words from x to y", "words",
-              lambda tw, system, *q: [list(w) for w in tw.involution_words(system, *q)]),
+    "words": ("transforming words from x to y", "words", _capped_words),
     "hecke": ("Hecke atoms from x to y", "hecke_atoms",
               lambda tw, system, *q: _words(system, tw.hecke_atoms(system, *q))),
 }

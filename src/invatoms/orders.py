@@ -19,7 +19,7 @@ integer order is lex order), where a window move adds one integer.
 import itertools
 import math
 from collections import Counter
-from operator import countOf
+from operator import countOf, itemgetter
 
 from . import coxeter as cx
 from . import typea as ta
@@ -266,38 +266,33 @@ def prec_Afpf_leq(u, v):
 # -- extremal atoms -----------------------------------------------------------
 
 
-def _involution(x):
+def _involution(x, fpf=False):
     x = _seq(x)
-    if not (ta.is_permutation(x) and ta.is_involution_perm(x)):
-        raise ValueError("extremal atoms need an involution")
+    # is_involution_perm is a whole check: see its comment
+    if not (ta.is_fpf_involution if fpf else ta.is_involution_perm)(x):
+        raise ValueError("x is not fixed-point-free" if fpf
+                         else "extremal atoms need an involution")
     return x
 
 
 def hat0(x):
     """The minimal inverted atom of an involution x."""
-    return ta._hat(_involution(x), 0)
+    return ta._hat(ta.cyc(_involution(x)))
 
 
 def hat1(x):
     """The maximal inverted atom of an involution x."""
-    return ta._hat(_involution(x), 1)
-
-
-def _fpf_involution(x):
-    x = _seq(x)
-    if not (ta.is_permutation(x) and ta.is_fpf_involution(x)):
-        raise ValueError("x is not fixed-point-free")
-    return x
+    return ta._hat(sorted(ta.cyc(_involution(x)), key=itemgetter(1)))
 
 
 def hat0_fpf(x):
     """The minimal inverted atom of a fixed-point-free involution x."""
-    return ta._hat_fpf(_fpf_involution(x), 0)
+    return ta._hat_fpf(ta.cyc(_involution(x, fpf=True)))
 
 
 def hat1_fpf(x):
     """The maximal inverted atom of a fixed-point-free involution x."""
-    return ta._hat_fpf(_fpf_involution(x), 1)
+    return ta._hat_fpf(sorted(ta.cyc(_involution(x, fpf=True)), key=itemgetter(1)))
 
 
 def is_321_avoiding(w):
@@ -313,27 +308,10 @@ def is_321_avoiding(w):
 # -- inversion sets and posets -------------------------------------------------
 
 
-def _a_inversions(u, x):
-    n = len(x)
-    lower = [a for a in range(1, n + 1) if a <= x[a - 1]]
-    upper = [b for b in range(1, n + 1) if x[b - 1] < b]
-    uinv = ta.inverse_perm(u)
-    out = set()
-    for i, p in enumerate(lower):
-        for q in lower[:i]:
-            if uinv[p - 1] < uinv[q - 1]:
-                out.add((p, q))
-    for i, p in enumerate(upper):
-        for q in upper[i + 1:]:
-            if uinv[p - 1] < uinv[q - 1]:
-                out.add((p, q))
-    return out
-
-
 def fpf_embedding(u, x):
     """Image of an inverted FPF atom in S_n, pair by pair."""
     u = _seq(u)
-    phi = {pair: i for i, pair in enumerate(ta.cyc(_fpf_involution(x)), 1)}
+    phi = {pair: i for i, pair in enumerate(ta.cyc(_involution(x, fpf=True)), 1)}
     out = []
     for i in range(0, len(u), 2):
         pair = (u[i], u[i + 1])
@@ -443,19 +421,26 @@ def _ranked_moves_fpf(x):
     return moves
 
 
+def _bottom_rank(cycles):
+    """The a-inversion count of hat0 over the involution with these cycles in
+    increasing order of a: hat0 writes the a in order and each b in its a's
+    order, so the pairs of 2-cycles (a, b), (a', b') with a < a' and b < b'."""
+    return sum(a < b < b2 and a2 < b2
+               for (a, b), (a2, b2) in itertools.combinations(cycles, 2))
+
+
 def atom_poset(x):
     """The graded poset of inverted atoms of an involution x."""
-    x = _seq(x)
-    bottom = hat0(x)
-    return _build_poset(bottom, len(_a_inversions(bottom, x)), _ranked_moves(x))
+    x = _involution(x)
+    cycles = ta.cyc(x)
+    return _build_poset(ta._hat(cycles), _bottom_rank(cycles), _ranked_moves(x))
 
 
 def atom_poset_fpf(x):
-    """The graded lattice of inverted FPF atoms of a fixed-point-free x."""
-    x = _seq(x)
-    bottom = hat0_fpf(x)
-    return _build_poset(bottom, ta.perm_length(fpf_embedding(bottom, x)),
-                        _ranked_moves_fpf(x))
+    """The graded lattice of inverted FPF atoms of a fixed-point-free x; its
+    bottom hat0_fpf(x) has the identity as its FPF embedding, of rank 0."""
+    x = _involution(x, fpf=True)
+    return _build_poset(ta._hat_fpf(ta.cyc(x)), 0, _ranked_moves_fpf(x))
 
 
 def poset_is_lattice(poset):

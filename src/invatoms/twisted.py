@@ -376,10 +376,10 @@ def atoms(system, y, x=None, twist=None):
     return ()
 
 
-def involution_words(system, y, x=None, twist=None):
-    """All minimal transforming words from x to y, sorted: the chains of
-    ascents from x up to y, listed as the paths from y down its steps to x.
-    Each step lowers hat by one, so no id at or below hat(x) has a step."""
+def _word_paths(system, y, x, twist):
+    """The chains of ascents from x up to y as paths from y down its steps
+    to x, in the (top, bottom, down) form of coxeter.paths. Each step lowers
+    hat by one, so no id at or below hat(x) has a step."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
     xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
@@ -388,7 +388,17 @@ def involution_words(system, y, x=None, twist=None):
     def down(z):
         return [(v, s + 1) for s, v in steps[z]] if hat[z] > floor else ()
 
-    return tuple(sorted(cx.paths(yi, xi, down)))
+    return yi, xi, down
+
+
+def involution_words(system, y, x=None, twist=None):
+    """All minimal transforming words from x to y, sorted."""
+    return tuple(sorted(cx.paths(*_word_paths(system, y, x, twist))))
+
+
+def count_involution_words(system, y, x=None, twist=None):
+    """The number of involution_words(system, y, x, twist), not listed."""
+    return cx.count_paths(*_word_paths(system, y, x, twist))
 
 
 # Atoms from the chains that are the involution words: an involution word of

@@ -209,29 +209,28 @@ def hecke_atoms_perm(y, base=None):
     if base is None:
         base = identity_perm(n)
     _check_involutions("Hecke atoms", n, y, base)
-    inverted = _pull_back(orders.chinese_class(_hat(y, 0)), base)
+    inverted = _pull_back(orders.chinese_class(_hat(cyc(y))), base)
     return tuple(sorted(map(inverse_perm, inverted), key=lambda w: (perm_length(w), w)))
 
 
 # -- atoms as the closure of the bottom atom -----------------------------------
 
 
-def _hat(y, by):
-    """The extremal inverted atom of an involution y relative to the identity:
-    the cycles (a, b), a <= b, in increasing order of a (by = 0, the bottom
-    hat0) or of b (by = 1, the top hat1), each written b a, a fixed point
-    once."""
+def _hat(cycles):
+    """The inverted atom relative to the identity that writes the cycles
+    (a, b), a <= b, in the given order as b a, a fixed point once: cyc(y)
+    gives the bottom hat0(y), cyc(y) sorted by b the top hat1(y)."""
     out = []
-    for a, b in sorted(cyc(y), key=itemgetter(by)):
+    for a, b in cycles:
         out += (b, a) if a < b else (a,)
     return tuple(out)
 
 
-def _hat_fpf(y, by):
-    """The extremal inverted atom of a fixed-point-free involution y relative
-    to fpf_base: the cycles (a, b), a < b, in increasing order of a (by = 0)
-    or of b (by = 1), each written a b."""
-    return tuple(chain.from_iterable(sorted(cyc(y), key=itemgetter(by))))
+def _hat_fpf(cycles):
+    """The inverted atom of a fixed-point-free involution relative to
+    fpf_base that writes its cycles (a, b), a < b, in the given order, each
+    as a b: the bottom from cyc(y), the top from it sorted by b."""
+    return tuple(chain.from_iterable(cycles))
 
 
 def _up_steps(seq):
@@ -269,18 +268,16 @@ def atoms_perm(y, base=None):
     pulls the identity base's atoms back along a chain of ascents.
     """
     n = len(y)
-    ident = identity_perm(n)
-    if base is None:
-        base = ident
-    _check_involutions("atoms", n, y, base)
-    if base == ident:
-        inverted = closure(_hat(y, 0), _up_steps)
+    _check_involutions("atoms", n, y, *(() if base is None else (base,)))
+    cycles = cyc(y)
+    if base is None or base == identity_perm(n):
+        inverted = closure(_hat(cycles), _up_steps)
     elif n % 2 == 0 and base == fpf_base(n):
-        if not is_fpf_involution(y):
+        if len(cycles) * 2 != n:  # a fixed point
             return ()
-        inverted = closure(_hat_fpf(y, 0), _up_steps_fpf)
+        inverted = closure(_hat_fpf(cycles), _up_steps_fpf)
     else:
-        inverted = _pull_back(closure(_hat(y, 0), _up_steps), base, shortest=True)
+        inverted = _pull_back(closure(_hat(cycles), _up_steps), base, shortest=True)
     return tuple(sorted(map(inverse_perm, inverted)))
 
 

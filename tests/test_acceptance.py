@@ -23,7 +23,8 @@ import invatoms.orders as od
 import invatoms.twisted as tw
 import invatoms.typea as ta
 
-from test_orders import FIG1_NODES, FIG1_COVERS, FIG2_NODES, FIG2_COVERS, _weak_leq_right
+from test_orders import (FIG1_NODES, FIG1_COVERS, FIG2_NODES, FIG2_COVERS, _a_inversions,
+                         _weak_leq_right)
 
 EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
@@ -394,7 +395,7 @@ def test_criterion_13_posets_are_graded_and_fpf_posets_are_lattices():
             poset = od.atom_poset(x)
             ok &= poset.bottom == od.hat0(x) and poset.top == od.hat1(x)
             for u in poset.elements:
-                ok &= poset.ranks[u] == len(od._a_inversions(u, x))
+                ok &= poset.ranks[u] == len(_a_inversions(u, x))
             for u, v in poset.covers:
                 ok &= poset.ranks[v] == poset.ranks[u] + 1
     for n2 in (2, 4, 6, 8):

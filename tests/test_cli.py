@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,18 @@ def test_an_infinite_matrix_is_a_usage_error(capsys):
     code, _, err = run(capsys, "words", "--system", "rank 2\n1 0\n0 1", "--y", "1")
     assert code == 2
     assert "infinite group" in err
+
+
+def test_words_past_the_cap_are_counted_not_listed(capsys):
+    # E6's w0 has 396,644,320 involution words: the count answers at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "words", "--system", "E6", "--y", "w0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 396644320 transforming words, more than WORDS_CAP (%d)\n" % cli.WORDS_CAP
+    for system, y, count in [("E6", "1,3,1", 2), ("E8", "1,3,1", 2), ("F4", "w0", 7616)]:
+        code, out, _ = run(capsys, "words", "--system", system, "--y", y)
+        assert code == 0 and len(json.loads(out)["words"]) == count <= cli.WORDS_CAP
 
 
 def test_a_group_past_the_root_cap_is_a_usage_error(capsys):

@@ -280,6 +280,26 @@ def test_singleton_atom_sets_are_the_321_avoiding_involutions():
             assert (len(ta.atoms_perm(x)) == 1) == od.is_321_avoiding(x)
 
 
+def _a_inversions(u, x):
+    """The rank oracle of atom_poset: the pairs of values of u, both lower
+    (v <= x(v)) with the larger first, or both upper (x(v) < v) with the
+    smaller first."""
+    n = len(x)
+    lower = [a for a in range(1, n + 1) if a <= x[a - 1]]
+    upper = [b for b in range(1, n + 1) if x[b - 1] < b]
+    uinv = ta.inverse_perm(u)
+    out = set()
+    for i, p in enumerate(lower):
+        for q in lower[:i]:
+            if uinv[p - 1] < uinv[q - 1]:
+                out.add((p, q))
+    for i, p in enumerate(upper):
+        for q in upper[i + 1:]:
+            if uinv[p - 1] < uinv[q - 1]:
+                out.add((p, q))
+    return out
+
+
 def test_inversion_statistic_grades_the_poset():
     for n in (4, 5):
         for x in ta.enumerate_involutions(n):
@@ -287,7 +307,7 @@ def test_inversion_statistic_grades_the_poset():
             assert set(poset.covers) == {(u, v) for u in poset.elements
                                          for v in ta._up_steps(u)}
             for u in poset.elements:
-                assert poset.ranks[u] == len(od._a_inversions(u, x))
+                assert poset.ranks[u] == len(_a_inversions(u, x))
             for u, v in poset.covers:
                 assert poset.ranks[v] == poset.ranks[u] + 1
             assert poset.bottom == od.hat0(x)
@@ -303,12 +323,21 @@ def test_ranks_match_the_counted_statistics():
         for x in ta.enumerate_involutions(n):
             poset = od.atom_poset(x)
             for u in poset.elements:
-                assert poset.ranks[u] == len(od._a_inversions(u, x))
+                assert poset.ranks[u] == len(_a_inversions(u, x))
     for n2 in range(2, 11, 2):
         for x in ta.enumerate_involutions(n2, fpf=True):
             poset = od.atom_poset_fpf(x)
             for u in poset.elements:
                 assert poset.ranks[u] == ta.perm_length(od.fpf_embedding(u, x))
+
+
+def test_closed_form_bottom_ranks_match_the_counted_statistics():
+    for n in range(9):
+        for x in ta.enumerate_involutions(n):
+            assert od._bottom_rank(ta.cyc(x)) == len(_a_inversions(od.hat0(x), x))
+    for n2 in range(0, 11, 2):
+        for x in ta.enumerate_involutions(n2, fpf=True):
+            assert ta.perm_length(od.fpf_embedding(od.hat0_fpf(x), x)) == 0
 
 
 def test_bottom_rank_need_not_vanish():
@@ -459,6 +488,42 @@ def test_poset_rejects_non_involutions():
         od.atom_poset_fpf((1, 2, 4, 3))
 
 
+_BAD_INPUTS = [(1, 1), (2, 2, 1), (0, 1), (3, 1), (-1, 2), (2, 3, 1)]
+_NOT_AN_INVOLUTION = {"atoms": "atoms need involutions",
+                      "extremal": "extremal atoms need an involution",
+                      "fpf": "x is not fixed-point-free"}
+_ODD_SIZE = "fixed-point-free involutions need even size"
+_ONE_ATOM = {"elements": [[1, 2, 4, 3]], "covers": [], "bottom": [1, 2, 4, 3],
+             "top": [1, 2, 4, 3], "ranks": [0]}
+# each query -> its outcome on the bad inputs, then on (1, 2, 4, 3) and (2, 1, 3):
+# a string is a ValueError's whole message, anything else the answer
+_INPUT_OUTCOMES = {
+    ta.atoms_perm: [_NOT_AN_INVOLUTION["atoms"]] * 6 + [((1, 2, 4, 3),), ((2, 1, 3),)],
+    ta.atoms_fpf_perm: [_NOT_AN_INVOLUTION["atoms"], _ODD_SIZE] + [_NOT_AN_INVOLUTION["atoms"]] * 3
+    + [_ODD_SIZE, (), _ODD_SIZE],
+    od.atom_poset: [_NOT_AN_INVOLUTION["extremal"]] * 6 + [
+        _ONE_ATOM, {**_ONE_ATOM, **dict.fromkeys(("bottom", "top"), [2, 1, 3]),
+                    "elements": [[2, 1, 3]]}],
+    od.hat0: [_NOT_AN_INVOLUTION["extremal"]] * 6 + [(1, 2, 4, 3), (2, 1, 3)],
+    od.hat1: [_NOT_AN_INVOLUTION["extremal"]] * 6 + [(1, 2, 4, 3), (2, 1, 3)],
+    od.atom_poset_fpf: [_NOT_AN_INVOLUTION["fpf"]] * 8,
+    od.hat0_fpf: [_NOT_AN_INVOLUTION["fpf"]] * 8,
+    od.hat1_fpf: [_NOT_AN_INVOLUTION["fpf"]] * 8,
+}
+
+
+@pytest.mark.parametrize("query", list(_INPUT_OUTCOMES), ids=lambda f: f.__name__)
+def test_type_a_queries_pin_their_answer_or_error_on_each_input(query):
+    for x, want in zip(_BAD_INPUTS + [(1, 2, 4, 3), (2, 1, 3)], _INPUT_OUTCOMES[query]):
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as err:
+                query(x)
+            assert str(err.value) == want, x
+        else:
+            got = query(x)
+            assert (od.poset_to_json(got) if isinstance(got, od.AtomPoset) else got) == want, x
+
+
 def test_poset_exports():
     poset = od.atom_poset((4, 3, 2, 1))
     blob = od.poset_to_json(poset)
@@ -514,7 +579,7 @@ def test_layered_posets_match_the_sorted_closure():
         else:
             poset = od.atom_poset(x)
             bottom = od.hat0(x)
-            want = _closure_poset(bottom, len(od._a_inversions(bottom, x)), od._ranked_moves(x))
+            want = _closure_poset(bottom, len(_a_inversions(bottom, x)), od._ranked_moves(x))
         assert (poset.elements, poset.covers, [poset.top], poset.ranks) == want
         assert poset.bottom == bottom
 

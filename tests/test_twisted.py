@@ -124,6 +124,7 @@ def test_transforming_words_are_the_atoms_reduced_words(monkeypatch):
                 pooled = set().union(*per_atom)
                 assert len(pooled) == sum(map(len, per_atom))  # pairwise disjoint
                 assert words == tuple(sorted(pooled))
+                assert tw.count_involution_words(system, y, x, twist) == len(words)
 
 
 @pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None)])
@@ -146,6 +147,7 @@ def test_involution_words_are_the_ascent_chains(name, twist):
             hat = tw.hat_length(system, y, twist) - tw.hat_length(system, x, twist)
             assert all(len(word) == hat for word in want)
             assert tw.involution_words(system, y, x, twist) == tuple(want)
+            assert tw.count_involution_words(system, y, x, twist) == len(want)
 
 
 # the running S5 example: x = [3,5,1,4,2] = (1,3)(2,5), y = [4,5,3,1,2] = (1,4)(2,5)
@@ -692,7 +694,7 @@ def test_pair_queries_reject_a_y_that_is_not_a_twisted_involution():
     three_cycle = cx.permutation_to_element(system, (2, 3, 1, 4))
     # s1 is an involution but not a twisted one for the twist s1 <-> s3
     for y, twist in [(three_cycle, None), (three_cycle, (3, 2, 1)), (s1, (3, 2, 1))]:
-        for query in (tw.atoms, tw.hecke_atoms, tw.involution_words):
+        for query in (tw.atoms, tw.hecke_atoms, tw.involution_words, tw.count_involution_words):
             with pytest.raises(ValueError, match="not a twisted involution"):
                 query(system, y, twist=twist)
     # a twisted involution that the fold of x never reaches has no Hecke atoms
