@@ -35,13 +35,17 @@ def closure(seed, neighbors):
 
 
 def _levels(top, down):
-    """The levels of nodes below top, top first, each node with its steps
-    down(u); the lowest level's nodes have no step down."""
-    levels, level = [], [top]
+    """The levels of nodes below top, top first, each a dict from a node u
+    to its steps down(u); the lowest level's nodes have no step down."""
+    levels, level = [], {top: None}
     while level:
-        level = [(u, down(u)) for u in level]
+        below = {}
+        for u in level:
+            level[u] = steps = down(u)
+            for _, v in steps:
+                below[v] = None
         levels.append(level)
-        level = {v: None for _, steps in level for v, _ in steps}
+        level = below
     return levels
 
 
@@ -49,17 +53,26 @@ def paths(top, bottom, down):
     """The words of the paths from top down to bottom, as a list; a word
     reads its letters from bottom up.
 
-    down(u) gives a (v, letter) pair for each step from u down to v. Each
-    step lowers a rank by exactly one, so the nodes k steps below top form
-    one level, and no node of bottom's rank has a step down, so the lowest
-    level holds bottom if a path reaches it. The words are built one level
-    at a time from the lowest, with no recursion, so only two levels of
-    word lists are alive at once.
+    down(u) gives an (s, v) pair for each step from u down to v, in the
+    format of the stored step rows: the letter s counts from 0 and is
+    spelled s + 1. Each step lowers a rank by exactly one, so the nodes k
+    steps below top form one level, and no node of bottom's rank has a step
+    down, so the lowest level holds bottom if a path reaches it. The words
+    are built one level at a time from the lowest, with no recursion, so
+    only two levels of word lists are alive at once.
     """
     levels = _levels(top, down)
-    words = {u: [()] if u == bottom else [] for u, _ in levels.pop()}
+    words = {u: [] for u in levels.pop()}
+    if bottom in words:
+        words[bottom].append(())
     for level in reversed(levels):
-        words = {u: [w + (a,) for v, a in steps for w in words[v]] for u, steps in level}
+        below, words = words, {}
+        for u, steps in level.items():
+            words[u] = out = []
+            for s, v in steps:
+                a = (s + 1,)
+                for w in below[v]:
+                    out.append(w + a)
     return words[top]
 
 
@@ -67,9 +80,16 @@ def count_paths(top, bottom, down):
     """The number of paths from top down to bottom, under the contract of
     paths, counted one level at a time from the lowest without listing them."""
     levels = _levels(top, down)
-    counts = {u: int(u == bottom) for u, _ in levels.pop()}
+    counts = dict.fromkeys(levels.pop(), 0)
+    if bottom in counts:
+        counts[bottom] = 1
     for level in reversed(levels):
-        counts = {u: sum(counts[v] for v, _ in steps) for u, steps in level}
+        below, counts = counts, {}
+        for u, steps in level.items():
+            c = 0
+            for _, v in steps:
+                c += below[v]
+            counts[u] = c
     return counts[top]
 
 
@@ -326,9 +346,9 @@ class CoxeterSystem:
         return tuple(out)
 
     def _right_steps(self):
-        """down(u) for paths: the step from u to us by each right descent s."""
-        p, times = self.num_positive, list(enumerate(self._times, 1))
-        return lambda u: [(times_s(u), s) for s, times_s in times if u[s - 1] >= p]
+        """down(u) for paths: the step (s, us) by each right descent s + 1 of u."""
+        p, times = self.num_positive, list(enumerate(self._times))
+        return lambda u: [(s, times_s(u)) for s, times_s in times if u[s] >= p]
 
     def reduced_words(self, w):
         """All reduced words for w, as a sorted tuple of tuples: the paths
@@ -495,7 +515,7 @@ class ElementTable:
       (-1 for the identity); ``first_left[i]`` is the same for left descents;
     - ``start[k]`` is the first id of length k, and ``start[-1]`` is |W|;
     - ``right[s-1][i]``, ``left[s-1][i]`` and ``inverse[i]`` are the ids of
-      ws, sw and w^-1, and ``id_of(w)`` is i.
+      ws, sw and w^-1.
 
     All are derived in whole-row passes from the right products and the key
     dict of the BFS in ``CoxeterSystem._enumerate``: w[:rank] is the key of
@@ -505,10 +525,10 @@ class ElementTable:
 
     def __init__(self, system):
         elements, right, keys = system._enumerate()
-        self.elements, self.right, self._keys, self._width = elements, right, keys, len(elements[0])
+        self.elements, self.right = elements, right
         # w[:rank] for an element w, a bare int at rank 1 as the keys are
-        self._key_of_inverse = itemgetter(slice(0, system.rank) if system.rank > 1 else 0)
-        self.inverse = inverse = list(map(keys.__getitem__, map(self._key_of_inverse, elements)))
+        key_of_inverse = itemgetter(slice(0, system.rank) if system.rank > 1 else 0)
+        self.inverse = inverse = list(map(keys.__getitem__, map(key_of_inverse, elements)))
         self.left = [list(map(inverse.__getitem__, map(r.__getitem__, inverse))) for r in right]
         ids, descents = range(len(elements)), [0] * len(elements)
         for s, r in enumerate(right):
@@ -523,17 +543,6 @@ class ElementTable:
         self.length = length = []
         for k in range(len(start) - 1):
             length += [k] * (start[k + 1] - start[k])
-
-    def id_of(self, w):
-        """The id of the element w, or None for a tuple that is no element:
-        w[:rank] is the key of w^-1, and a tuple that only starts like an
-        element fails the comparison."""
-        j = self._keys.get(self._key_of_inverse(w)) if len(w) == self._width else None
-        if j is not None:
-            i = self.inverse[j]
-            if self.elements[i] == w:
-                return i
-        return None
 
     def bruhat_leq(self, u, w):
         """Bruhat order on ids, by the lifting property: at most l(w) steps."""

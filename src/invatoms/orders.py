@@ -19,6 +19,7 @@ integer order is lex order), where a window move adds one integer.
 import itertools
 import math
 from collections import Counter
+from functools import lru_cache
 from operator import countOf, itemgetter
 
 from . import coxeter as cx
@@ -73,12 +74,22 @@ def _ranked(seq):
             lambda p: tuple(map(values.__getitem__, _unpack(p, n, b))))
 
 
+@lru_cache(maxsize=8)
+def _moves(b, width, mates):
+    """The dict from a packed window of width letters, b bits a letter, to
+    what turns it into each of its mates, filled as windows are met. One
+    dict per (b, width, mates) serves every call; the 8 most recently used
+    are kept, each at most one entry per window, 2^(b * width)."""
+    return {}
+
+
 def _closer(n, b, width, step, mates):
     """The function from a packed n-letter sequence p to its class, in BFS
     order, under mates on the windows of width letters at 0, step, ...:
-    what turns a window into each mate, shifted to its place, moves p."""
+    what turns a window into each mate, shifted to its place, moves p.
+    The window moves are shared through _moves."""
     rows = [(b * (n - width - i), (1 << b * width) - 1) for i in range(0, n - width + 1, step)]
-    moves = {}
+    moves = _moves(b, width, mates)
 
     def close(start):
         seen = {start}
@@ -306,19 +317,6 @@ def is_321_avoiding(w):
 
 
 # -- inversion sets and posets -------------------------------------------------
-
-
-def fpf_embedding(u, x):
-    """Image of an inverted FPF atom in S_n, pair by pair."""
-    u = _seq(u)
-    phi = {pair: i for i, pair in enumerate(ta.cyc(_involution(x, fpf=True)), 1)}
-    out = []
-    for i in range(0, len(u), 2):
-        pair = (u[i], u[i + 1])
-        if pair not in phi:
-            raise ValueError("u not an atom inverse")
-        out.append(phi[pair])
-    return tuple(out)
 
 
 class AtomPoset:

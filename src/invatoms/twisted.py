@@ -340,11 +340,13 @@ def _pull_back(t, fiber, letters, shortest=False):
     if shortest:
         fiber = _first_run(t, fiber)
     for s in letters:
-        times_s = t.left[s]
-        kept = [v for v in fiber if times_s[v] < v]
-        fiber = [times_s[v] for v in kept]
-        if not shortest:
-            fiber += kept
+        times_s, moved, kept = t.left[s], [], []
+        for v in fiber:
+            sv = times_s[v]
+            if sv < v:
+                moved.append(sv)
+                kept.append(v)
+        fiber = moved if shortest else moved + kept
     return sorted(fiber)
 
 
@@ -378,15 +380,16 @@ def atoms(system, y, x=None, twist=None):
 
 def _word_paths(system, y, x, twist):
     """The chains of ascents from x up to y as paths from y down its steps
-    to x, in the (top, bottom, down) form of coxeter.paths. Each step lowers
-    hat by one, so no id at or below hat(x) has a step."""
+    to x, in the (top, bottom, down) form of coxeter.paths: down(z) is the
+    stored steps row of z as it is. Each step lowers hat by one, so no id at
+    or below hat(x) has a step."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
     xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
     hat, steps, floor = ids.hat, ids.steps, ids.hat[xi]
 
     def down(z):
-        return [(v, s + 1) for s, v in steps[z]] if hat[z] > floor else ()
+        return steps[z] if hat[z] > floor else ()
 
     return yi, xi, down
 

@@ -206,10 +206,10 @@ def hecke_atoms_perm(y, base=None):
     from . import orders  # orders imports this module
 
     n = len(y)
-    if base is None:
-        base = identity_perm(n)
-    _check_involutions("Hecke atoms", n, y, base)
-    inverted = _pull_back(orders.chinese_class(_hat(cyc(y))), base)
+    _check_involutions("Hecke atoms", n, y, *(() if base is None else (base,)))
+    inverted = orders.chinese_class(_hat(cyc(y)))
+    if base is not None:
+        inverted = _pull_back(inverted, base)
     return tuple(sorted(map(inverse_perm, inverted), key=lambda w: (perm_length(w), w)))
 
 
@@ -273,16 +273,28 @@ def atoms_perm(y, base=None):
     if base is None or base == identity_perm(n):
         inverted = closure(_hat(cycles), _up_steps)
     elif n % 2 == 0 and base == fpf_base(n):
-        if len(cycles) * 2 != n:  # a fixed point
-            return ()
-        inverted = closure(_hat_fpf(cycles), _up_steps_fpf)
+        return _atoms_fpf(cycles, n)
     else:
         inverted = _pull_back(closure(_hat(cycles), _up_steps), base, shortest=True)
     return tuple(sorted(map(inverse_perm, inverted)))
 
 
 def atoms_fpf_perm(y):
-    return atoms_perm(y, fpf_base(len(y)))
+    """atoms_perm(y, fpf_base(len(y))), with only y to check: a y of odd
+    size has no FPF base."""
+    n = len(y)
+    if n % 2:
+        raise ValueError("fixed-point-free involutions need even size")
+    _check_involutions("atoms", n, y)
+    return _atoms_fpf(cyc(y), n)
+
+
+def _atoms_fpf(cycles, n):
+    """The atoms relative to fpf_base(n) of the involution y in S_n with
+    cycles cyc(y): none when y has a fixed point."""
+    if len(cycles) * 2 != n:  # a fixed point
+        return ()
+    return tuple(sorted(map(inverse_perm, closure(_hat_fpf(cycles), _up_steps_fpf))))
 
 
 # -- pattern classifiers ------------------------------------------------------

@@ -24,7 +24,7 @@ import invatoms.twisted as tw
 import invatoms.typea as ta
 
 from test_orders import (FIG1_NODES, FIG1_COVERS, FIG2_NODES, FIG2_COVERS, _a_inversions,
-                         _weak_leq_right)
+                         _fpf_embedding, _weak_leq_right)
 
 EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
@@ -403,7 +403,7 @@ def test_criterion_13_posets_are_graded_and_fpf_posets_are_lattices():
         for x in ta.enumerate_involutions(n2, fpf=True):
             poset = od.atom_poset_fpf(x)
             ok &= od.poset_is_lattice(poset)
-            images = {u: od.fpf_embedding(u, x) for u in poset.elements}
+            images = {u: _fpf_embedding(u, x) for u in poset.elements}
             for u in poset.elements:
                 ok &= poset.ranks[u] == ta.perm_length(images[u])
             if half is None:

@@ -9,6 +9,7 @@ import invatoms.braid as br
 import invatoms.cli as cli
 import invatoms.coxeter as cx
 import invatoms.twisted as tw
+from test_coxeter import _id_lookup
 
 EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
@@ -140,7 +141,7 @@ def test_truncated_block_length_when_the_pair_is_not_preserved():
     ("I2(7)", None), ("I2(8)", (2, 1))])
 def test_block_tables_read_off_roots_match_the_theta_formula(name, twist, monkeypatch):
     fast = cx.build_system(name)
-    index = fast.id_table().id_of
+    index = _id_lookup(fast)
     monkeypatch.setattr(cx, "ENUMERATION_CAP", 1)  # above it, folds are keyed by their own ids
     slow = cx.CoxeterSystem(cx.coxeter_matrix_from_name(name), name=name)
     key = tw._twist_key(fast, twist)
@@ -363,6 +364,11 @@ def _rule_of(system, twist, rule):
     return (lambda w: br.fpf_class_words(system, w)), dag
 
 
+def _piece_steps(node):
+    """A node's pieces P.a as the (a - 1, P) steps of coxeter.paths."""
+    return [(a - 1, p) for p, a in node.pieces]
+
+
 def _rising_words(system, dag, rng, count):
     """count random walks up the letters that raise the fold from the root:
     words of shared nodes."""
@@ -404,7 +410,7 @@ def test_a_class_does_not_depend_on_the_queries_before_it():
             for word in queries:
                 node = dag.node(word)
                 per_call += node.kids is None
-                assert call(word) == set(cx.paths(node, dag.root, lambda n: n.pieces)), word
+                assert call(word) == set(cx.paths(node, dag.root, _piece_steps)), word
             for word in queries[::20] + extra:
                 fresh = cx.CoxeterSystem(matrix, name=name)
                 assert call(word) == _rule_of(fresh, twist, rule)[0](word)
@@ -583,7 +589,7 @@ def test_start_classes_share_a_dag_per_rule_and_base():
     dags = {args[1:]: dag for (name, args), dag in system._store.items()
             if name == "braid._prefix_classes" and args[0] == key}
     assert set(dags) == {(br._fpf_start, base), (br._hu_zhang_start, None)}
-    assert dags[br._fpf_start, base].root.fold == system.id_table().id_of(base)
+    assert dags[br._fpf_start, base].root.fold == _id_lookup(system)(base)
     # one shared node per class of involution words: Hu-Zhang's theorem and
     # its FPF analogue make that one per involution (76 in S6) and one per
     # FPF involution above the base (15 of them)

@@ -118,6 +118,18 @@ def test_reduced_words_of_a_long_element_need_no_recursion():
     assert system.count_reduced_words(system.longest_element()) == 2
 
 
+# the reduced words of w0 in S_n are as many as the standard Young tableaux
+# of staircase shape (Stanley 1984): C(n, 2)! / prod (2k - 1)^(n - k)
+@pytest.mark.parametrize("name, count", [
+    ("A2", 2), ("A3", 16), ("A4", 768), ("A5", 292864), ("A6", 1100742656)])
+def test_reduced_words_of_the_longest_element_of_s_n(name, count):
+    system = cx.build_system(name)
+    w0 = system.longest_element()
+    assert system.count_reduced_words(w0) == count
+    if count <= 10 ** 4:
+        assert len(system.reduced_words(w0)) == count
+
+
 @pytest.mark.parametrize("name", ["B3", "H3"])
 def test_path_counts_are_the_lengths_of_the_path_lists(name):
     system = cx.build_system(name)
@@ -487,6 +499,24 @@ def test_elements_above_the_cap_raise_without_enumerating(monkeypatch):
     assert b4.elements() is elements and len(elements) == 384
 
 
+def _id_lookup(system):
+    """The id lookup oracle of a system within the cap: the function from a
+    tuple to the id of the element it is, or None for a tuple that is no
+    element. w[:rank] is the key of w^-1 in the key dict of the BFS (a bare
+    int at rank 1), and a tuple that only starts like an element fails the
+    comparison with it."""
+    t, keys = system.id_table(), system._enumerate()[2]
+    width, rank = len(t.elements[0]), system.rank
+
+    def id_of(w):
+        j = keys.get(w[:rank] if rank > 1 else w[0]) if len(w) == width else None
+        if j is not None and t.elements[t.inverse[j]] == w:
+            return t.inverse[j]
+        return None
+
+    return id_of
+
+
 def _tuple_bfs(system):
     """The right BFS on root-permutation tuples, generators in order, first
     discovery kept: elements, their index and the right tables. The oracle
@@ -513,9 +543,9 @@ def test_the_key_bfs_matches_the_tuple_bfs(spec):
     system = cx.CoxeterSystem(matrix)
     elements, index, right = _tuple_bfs(system)
     assert system.elements() == elements
-    t = system.id_table()
-    assert {w: t.id_of(w) for w in elements} == index
-    assert t.right == right
+    id_of = _id_lookup(system)
+    assert {w: id_of(w) for w in elements} == index
+    assert system.id_table().right == right
 
 
 def test_a_named_type_within_the_cap_gets_the_same_table():
@@ -549,14 +579,14 @@ def _check_element_table(system):
     lengths = [system.length(w) for w in elements]
     n = len(elements)
     assert t.start == [0] + [i for i in range(1, n) if lengths[i] > lengths[i - 1]] + [n]
-    chains = tw._chains(system)
+    chains, id_of = tw._chains(system), _id_lookup(system)
     for i, w in enumerate(elements):
         winv = system.inverse(w)
         assert t.length[i] == lengths[i]
         # the left chain of i: the letters of the lex-min word, last first
         assert chains[i] == tuple(t.left[s - 1].__getitem__ for s in reversed(system.reduced_word(w)))
         assert elements[t.inverse[i]] == winv
-        assert t.id_of(w) == i
+        assert id_of(w) == i
         assert t.first_descent[i] == _first(system.descents_right(w))
         # the left descents of w are the right descents of its inverse
         assert t.first_left[i] == _first(system.descents_right(winv))
@@ -575,7 +605,7 @@ def test_the_id_lookup_turns_away_a_tuple_that_only_starts_like_an_element(name,
     # w[:rank] fixes an element w, so a tuple of w's length that starts like
     # w and differs later is no element; the key dict still finds w for it
     system = cx.build_system(name)
-    t, keys = system.id_table(), system._enumerate()[2]
+    t, keys, id_of = system.id_table(), system._enumerate()[2], _id_lookup(system)
     ids = tw._ids(system, tw._twist_key(system, twist))
     rank = system.rank
     for x in ids.order():
@@ -586,11 +616,14 @@ def test_the_id_lookup_turns_away_a_tuple_that_only_starts_like_an_element(name,
             if forged == w:
                 continue
             assert len(forged) == len(w) and forged[:rank] == w[:rank]
-            assert t.id_of(forged) is None
+            assert id_of(forged) is None
             with pytest.raises(ValueError, match="not a twisted involution"):
                 ids.member(forged)
         assert ids.member(w) == x
-    assert t.id_of(t.elements[0][:-1]) is None and t.id_of(()) is None
+    assert id_of(t.elements[0][:-1]) is None and id_of(()) is None
+    for forged in (t.elements[0][:-1], ()):
+        with pytest.raises(ValueError, match="not a twisted involution"):
+            ids.member(forged)
 
 
 def test_the_id_lookup_gives_another_systems_elements_no_id():
@@ -607,7 +640,7 @@ def test_the_id_lookup_gives_another_systems_elements_no_id():
             strangers = [w for w in foreign if w not in index]
             assert len(strangers) > len(foreign) // 5
             hits += sum(w[:system.rank] in keys for w in strangers)
-            assert [t.id_of(w) for w in foreign] == [index.get(w) for w in foreign]
+            assert list(map(_id_lookup(system), foreign)) == [index.get(w) for w in foreign]
             ids = tw._ids(system, tw._twist_key(system, None))
             for w in strangers:
                 with pytest.raises(ValueError, match="not a twisted involution"):

@@ -195,6 +195,21 @@ def test_packed_moves_and_classes_match_the_tuple_references():
             assert od.fpf_class(seq) == cx.closure(seq, _reference_fpf), seq
 
 
+def test_window_moves_are_shared_by_the_closures_of_one_width_and_relation():
+    # (3, 5, 1, 4, 2) packs 3 bits a letter; a second class of the same
+    # bits, width and mates reads the dict the first one filled
+    od._moves.cache_clear()
+    od.chinese_class((3, 5, 1, 4, 2))
+    moves = od._moves(3, 3, od._triple_mates)
+    filled = dict(moves)
+    assert od.chinese_class((5, 3, 1, 4, 2)) == cx.closure((5, 3, 1, 4, 2), _reference_chinese)
+    assert od._moves(3, 3, od._triple_mates) is moves
+    assert filled and filled.items() <= moves.items()
+    od.fpf_class((1, 5, 4, 6, 2, 3))
+    assert od._moves(3, 4, od._quad_mates) is not moves
+    assert od._moves.cache_info().maxsize == 8
+
+
 def test_fpf_class_of_size_fifty_six():
     assert len(od.fpf_class((1, 5, 4, 6, 2, 3))) == 56
 
@@ -300,6 +315,20 @@ def _a_inversions(u, x):
     return out
 
 
+def _fpf_embedding(u, x):
+    """The rank oracle of atom_poset_fpf: the image of an inverted FPF atom
+    u of x in S_{n/2}, pair by pair, each 2-cycle of x numbered by its
+    place in cyc(x)."""
+    phi = {pair: i for i, pair in enumerate(ta.cyc(x), 1)}
+    out = []
+    for i in range(0, len(u), 2):
+        pair = (u[i], u[i + 1])
+        if pair not in phi:
+            raise ValueError("u not an atom inverse")
+        out.append(phi[pair])
+    return tuple(out)
+
+
 def test_inversion_statistic_grades_the_poset():
     for n in (4, 5):
         for x in ta.enumerate_involutions(n):
@@ -328,7 +357,7 @@ def test_ranks_match_the_counted_statistics():
         for x in ta.enumerate_involutions(n2, fpf=True):
             poset = od.atom_poset_fpf(x)
             for u in poset.elements:
-                assert poset.ranks[u] == ta.perm_length(od.fpf_embedding(u, x))
+                assert poset.ranks[u] == ta.perm_length(_fpf_embedding(u, x))
 
 
 def test_closed_form_bottom_ranks_match_the_counted_statistics():
@@ -337,7 +366,7 @@ def test_closed_form_bottom_ranks_match_the_counted_statistics():
             assert od._bottom_rank(ta.cyc(x)) == len(_a_inversions(od.hat0(x), x))
     for n2 in range(0, 11, 2):
         for x in ta.enumerate_involutions(n2, fpf=True):
-            assert ta.perm_length(od.fpf_embedding(od.hat0_fpf(x), x)) == 0
+            assert ta.perm_length(_fpf_embedding(od.hat0_fpf(x), x)) == 0
 
 
 def test_bottom_rank_need_not_vanish():
@@ -348,7 +377,7 @@ def test_bottom_rank_need_not_vanish():
 
 def test_inversion_set_rejects_non_atoms():
     with pytest.raises(ValueError, match="u not an atom inverse"):
-        od.fpf_embedding((1, 2, 3, 4), (3, 4, 1, 2))
+        _fpf_embedding((1, 2, 3, 4), (3, 4, 1, 2))
 
 
 def _weak_leq_right(system, u, w):
@@ -380,7 +409,7 @@ def test_fpf_posets_are_graded_lattices_embedding_in_weak_order():
                                      for v in ta._up_steps_fpf(u)}
         images = {}
         for u in poset.elements:
-            phi = od.fpf_embedding(u, x)
+            phi = _fpf_embedding(u, x)
             assert poset.ranks[u] == ta.perm_length(phi)
             images[u] = phi
         # cover edges map to weak order covers
@@ -403,10 +432,10 @@ def test_every_lower_weak_interval_appears_as_an_fpf_atom_order():
     system = cx.build_system("A2")
     wel = cx.permutation_to_element(system, w)
     interval = {v for v in system.elements() if _weak_leq_right(system, v, wel)}
-    images = {cx.permutation_to_element(system, od.fpf_embedding(u, x))
+    images = {cx.permutation_to_element(system, _fpf_embedding(u, x))
               for u in poset.elements}
     assert images == interval
-    assert od.fpf_embedding(poset.top, x) == w
+    assert _fpf_embedding(poset.top, x) == w
 
 
 FIG1_NODES = [
@@ -574,7 +603,7 @@ def test_layered_posets_match_the_sorted_closure():
         if fpf:
             poset = od.atom_poset_fpf(x)
             bottom = od.hat0_fpf(x)
-            want = _closure_poset(bottom, ta.perm_length(od.fpf_embedding(bottom, x)),
+            want = _closure_poset(bottom, ta.perm_length(_fpf_embedding(bottom, x)),
                                   od._ranked_moves_fpf(x))
         else:
             poset = od.atom_poset(x)

@@ -6,7 +6,7 @@ import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
 from test_braid import _MEMO_TABLES
-from test_coxeter import _subword_leq
+from test_coxeter import _id_lookup, _subword_leq
 
 # the group's entries in the store once a query within the cap has answered:
 # the cap decision, the enumeration and the id table
@@ -127,6 +127,20 @@ def test_transforming_words_are_the_atoms_reduced_words(monkeypatch):
                 assert tw.count_involution_words(system, y, x, twist) == len(words)
 
 
+# E6 is above the enumeration cap, so its steps rows are filled as they are
+# read; A2-A7 are the counts of Hamaker, Marberg and Pawlowski
+# (arXiv:1508.01823) for the involution words of w0 in S_n
+@pytest.mark.parametrize("name, count", [
+    ("B3", 16), ("B4", 768), ("D4", 240), ("H3", 42), ("F4", 7616), ("E6", 396644320),
+    ("A2", 2), ("A3", 8), ("A4", 80), ("A5", 2688), ("A6", 236544), ("A7", 98402304)])
+def test_involution_words_of_the_longest_element(name, count):
+    system = cx.build_system(name)
+    w0 = system.longest_element()
+    assert tw.count_involution_words(system, w0) == count
+    if count <= 10 ** 4:
+        assert len(tw.involution_words(system, w0)) == count
+
+
 @pytest.mark.parametrize("name, twist", [("A3", (3, 2, 1)), ("B3", None)])
 def test_involution_words_are_the_ascent_chains(name, twist):
     # every letter sequence that climbs from x by ascents of the public
@@ -234,7 +248,7 @@ def test_scans_from_the_length_floor_miss_no_hit(name, twist, monkeypatch):
     system = cx.build_system(name)
     t = system.id_table()
     key = twist or tuple(range(1, system.rank + 1))
-    elements, index = t.elements, t.id_of
+    elements, index = t.elements, _id_lookup(system)
     star = [system.apply_twist(w, key) for w in elements]
     ids = tw._ids(system, key)
     lhs = {y: [index(system.multiply(v, elements[y])) for v in star] for y in ids.hat}
@@ -302,11 +316,11 @@ def test_a_chain_maps_each_id_to_its_product_with_the_id_read_as_x(name, twist, 
     assert tw.check_conjecture(system, twist)["failures"] == []
     chains = tw._chains(system)
     assert set(chains) == read == set(tw._ids(system, tw._twist_key(system, twist)).order())
-    t = system.id_table()
+    t, id_of = system.id_table(), _id_lookup(system)
     for x in read:
         assert _times(chains[x], [0]) == [x]
         assert _times(chains[x], range(len(t.elements))) == [
-            t.id_of(system.multiply(t.elements[x], w)) for w in t.elements]
+            id_of(system.multiply(t.elements[x], w)) for w in t.elements]
     assert set(chains) == read  # reading a stored chain fills no other
 
 
@@ -317,7 +331,7 @@ def test_star_rows_are_the_twisted_products(name, twist):
     # w* y from apply_twist and multiply; lengths asked for out of order
     system = cx.build_system(name)
     t = system.id_table()
-    elements, index = t.elements, t.id_of
+    elements, index = t.elements, _id_lookup(system)
     star = [system.apply_twist(w, twist) for w in elements]
     top = len(t.start) - 2
     for y in tw._ids(system, twist).order():
@@ -331,13 +345,13 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     # drop the single atom of the running example from the sweep's atom pass,
     # so the pair expects no atoms while the scan still finds s3
     system, x, y = _s5_pair()
-    t = system.id_table()
+    id_of = _id_lookup(system)
     real = tw._atom_pass
 
     def dropping(top, steps, left, e, hat):
         for z, us in real(top, steps, left, e, hat):
-            if top == t.id_of(y) and z == t.id_of(x):
-                us = us - {t.id_of(system.generator(3))}
+            if top == id_of(y) and z == id_of(x):
+                us = us - {id_of(system.generator(3))}
             yield z, us
 
     monkeypatch.setattr(tw, "_atom_pass", dropping)
@@ -363,7 +377,7 @@ def test_the_sweep_lists_failures_in_id_order(monkeypatch):
     report = tw.check_conjecture(system, ys=[y])
     assert report["pairs_checked"] == 17
     assert [f["x"] for f in report["failures"]] == [
-        list(system.reduced_word(t.elements[x])) for x in sorted(ids.down(t.id_of(y)))]
+        list(system.reduced_word(t.elements[x])) for x in sorted(ids.down(ids.member(y)))]
 
 
 @pytest.mark.parametrize("name, twist", [
@@ -376,14 +390,14 @@ def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
     t = system.id_table()
     key = tw._twist_key(system, twist)
     ids = tw._ids(system, key)
-    elements = t.elements
+    elements, id_of = t.elements, _id_lookup(system)
     left = [row.__getitem__ for row in t.left]
     for y in ids.hat:
         below = dict(tw._atom_pass(y, ids.steps, left, 0, ids.hat))
         assert set(below) == ids.down(y)
         for x, got in below.items():
             fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
-            assert sorted(got) == tw._first_run(t, map(t.id_of, fiber))
+            assert sorted(got) == tw._first_run(t, map(id_of, fiber))
             assert {t.length[w] for w in got} == {ids.hat[y] - ids.hat[x]}
 
 
