@@ -21,10 +21,10 @@ table of the node reached there holds the block, and walk the swapped
 letters forward. Distinct paths from the root spell distinct words, so a
 node counts its words without listing them. A DAG keeps one node per
 class of involution words, shared by every query, and builds the classes
-of other words per call. A shared node keeps the list of its words once
-it is built, if it holds at most WORDS_KEPT of them, so a later class is
-listed from the lists of its pieces. The truncated rule gives a node the
-table of its fold. A start rule adds swaps at the start only, inside
+of other words per call. A class is listed by coxeter.paths, down the
+pieces to the root; a shared node keeps its list once it is built, if it
+holds at most WORDS_KEPT words, so a later class is listed from the lists
+of its pieces. The truncated rule gives a node the table of its fold. A start rule adds swaps at the start only, inside
 every prefix of length 2 or more, so its root gets the braid and start
 tables and every other node the braid table; there the fold decides only
 which nodes a DAG keeps, never which swaps apply. The start rules are
@@ -131,14 +131,13 @@ class _Node:
     for each piece (P, a). ``swaps`` is the block-to-swap table after the
     prefix it spells, ``size`` its number of words (1 with no pieces: the
     root), ``kids`` maps a letter to the shared node one letter up (None
-    for a node built per call), and ``words`` is the list of its words
-    kept on a shared node (see _words), else None."""
+    for a node built per call). A shared node's kept word list lives in
+    its DAG's ``kept`` map (see _class)."""
 
-    __slots__ = ("fold", "swaps", "pieces", "kids", "size", "words")
+    __slots__ = ("fold", "swaps", "pieces", "kids", "size")
 
     def __init__(self, fold, kids, swaps):
         self.fold, self.kids, self.pieces, self.swaps, self.size = fold, kids, [], swaps, 1
-        self.words = None
 
 
 class _PrefixClasses:
@@ -146,13 +145,13 @@ class _PrefixClasses:
     docstring): the root folds to the id ``base`` and has the table
     ``root_swaps``, a node of fold u the table ``swaps(u)``, and ``dact``
     gives the Demazure step of a fold by a letter. ``nodes`` lists the
-    shared nodes, each after the nodes its pieces hang from."""
+    shared nodes, each after the nodes its pieces hang from, and ``kept``
+    maps the root and each shared node that keeps its words to their list."""
 
     def __init__(self, system, dact, base, root_swaps, swaps):
         self.system, self.dact, self.swaps = system, dact, swaps
         self.root = _Node(base, {}, root_swaps)
-        self.root.words = [()]
-        self.nodes = [self.root]
+        self.nodes, self.kept = [self.root], {self.root: [()]}
 
     def node(self, word):
         """The node of the class of word, a tuple of valid letters. Nodes
@@ -226,37 +225,22 @@ def _prefix_classes(system, twist, rule=None, base=None):
     return _PrefixClasses(system, ids.dact, root, {**swaps(root), **start}, swaps)
 
 
-def _words(top):
-    """The words of the node top, as a list: the paths from top down its
-    pieces to the root, each piece P.a giving the words of P then a.
-
-    The walk descends one level at a time, each piece one letter shorter,
-    and stops at the nodes that keep their list (the root keeps [()]). The
-    lists are then built from the lowest level up, so only two levels of
-    lists that are not kept are alive at once. A shared node of at most
-    WORDS_KEPT words keeps the list it gets; a per-call node keeps none.
-    """
-    if top.words is not None:
-        return top.words
-    levels, level = [], [top]
-    while level:
-        levels.append(level)
-        level = {p: None for n in level for p, _ in n.pieces if p.words is None}
-    words = {}
-    for level in reversed(levels):
-        words = {n: [w + (a,) for p, a in n.pieces for w in (p.words or words[p])]
-                 for n in level}
-        for n in level:
-            if n.kids is not None and n.size <= WORDS_KEPT:
-                n.words = words[n]
-    return words[top]
-
-
 def _class(system, word, twist, rule=None, base=None):
-    """The words of the node of word in the DAG of the rule, as a set (see
-    _words)."""
+    """The words of the node of word in the DAG of the rule, as a set: its
+    paths down the pieces P.a, each the step (a - 1, P) of coxeter.paths, to
+    the nodes in the DAG's kept map. A shared node of at most WORDS_KEPT
+    words that the walk passes keeps the list it gets; a per-call one none."""
     dag = _prefix_classes(system, twist, rule, base)
-    return set(_words(dag.node(tw._word(system, word))))
+    kept, keep = dag.kept, set()
+
+    def down(n):
+        if n in kept:
+            return ()
+        if n.kids is not None and n.size <= WORDS_KEPT:
+            keep.add(n)
+        return [(a - 1, p) for p, a in n.pieces]
+
+    return set(cx.paths(dag.node(tw._word(system, word)), kept, down, keep))
 
 
 # -- involution braid relations --------------------------------------------------

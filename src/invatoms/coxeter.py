@@ -36,7 +36,7 @@ def closure(seed, neighbors):
 
 def _levels(top, down):
     """The levels of nodes below top, top first, each a dict from a node u
-    to its steps down(u); the lowest level's nodes have no step down."""
+    to its steps down(u); a node with no step down ends its paths."""
     levels, level = [], {top: None}
     while level:
         below = {}
@@ -49,44 +49,42 @@ def _levels(top, down):
     return levels
 
 
-def paths(top, bottom, down):
-    """The words of the paths from top down to bottom, as a list; a word
-    reads its letters from bottom up.
+def paths(top, known, down, keep=()):
+    """The words of the paths from top down to the nodes of known, as a
+    list; a word reads its letters from the bottom up.
 
     down(u) gives an (s, v) pair for each step from u down to v, in the
     format of the stored step rows: the letter s counts from 0 and is
     spelled s + 1. Each step lowers a rank by exactly one, so the nodes k
-    steps below top form one level, and no node of bottom's rank has a step
-    down, so the lowest level holds bottom if a path reaches it. The words
-    are built one level at a time from the lowest, with no recursion, so
-    only two levels of word lists are alive at once.
+    steps below top form one level. The walk stops at the nodes with no
+    step down, where known gives their words ([()] at the bottom, none at a
+    node it leaves out). The words are built one level at a time from the
+    lowest, with no recursion, so only two levels of word lists are alive
+    at once, and the list built for a node in keep is stored in known.
     """
-    levels = _levels(top, down)
-    words = {u: [] for u in levels.pop()}
-    if bottom in words:
-        words[bottom].append(())
-    for level in reversed(levels):
+    words = {}
+    for level in reversed(_levels(top, down)):
         below, words = words, {}
         for u, steps in level.items():
-            words[u] = out = []
+            words[u] = out = [] if steps else known.get(u, [])
             for s, v in steps:
                 a = (s + 1,)
                 for w in below[v]:
                     out.append(w + a)
+            if u in keep:
+                known[u] = out
     return words[top]
 
 
-def count_paths(top, bottom, down):
-    """The number of paths from top down to bottom, under the contract of
-    paths, counted one level at a time from the lowest without listing them."""
-    levels = _levels(top, down)
-    counts = dict.fromkeys(levels.pop(), 0)
-    if bottom in counts:
-        counts[bottom] = 1
-    for level in reversed(levels):
+def count_paths(top, known, down):
+    """The number of paths from top down to the nodes of known, under the
+    contract of paths with known mapping each node to its number of words
+    (1 at the bottom), counted one level at a time without listing them."""
+    counts = {}
+    for level in reversed(_levels(top, down)):
         below, counts = counts, {}
         for u, steps in level.items():
-            c = 0
+            c = 0 if steps else known.get(u, 0)
             for _, v in steps:
                 c += below[v]
             counts[u] = c
@@ -353,11 +351,11 @@ class CoxeterSystem:
     def reduced_words(self, w):
         """All reduced words for w, as a sorted tuple of tuples: the paths
         from w down its right descents to the identity."""
-        return tuple(sorted(paths(w, self.identity, self._right_steps())))
+        return tuple(sorted(paths(w, {self.identity: [()]}, self._right_steps())))
 
     def count_reduced_words(self, w):
         """The number of reduced words for w, counted without listing them."""
-        return count_paths(w, self.identity, self._right_steps())
+        return count_paths(w, {self.identity: 1}, self._right_steps())
 
     def demazure_product(self, u, v):
         """The 0-Hecke product of two elements (monotone one-sided fold)."""

@@ -64,14 +64,19 @@ def _unpack(p, n, b):
     return tuple([p >> s & mask for s in range(b * (n - 1), -1, -b)])
 
 
-def _ranked(seq):
-    """The ranks 0, 1, ... of seq's values, ties kept, their bits a letter
-    and the map back from packed sequences of the length of seq."""
+def _closed(seq, closer):
+    """The class of seq under closer(n, b), a function from a packed n-letter
+    sequence, b bits a letter, to its class: seq's values are packed by
+    their ranks (ties kept), and the members unpacked in one pass over the
+    class per letter position."""
     values = sorted(set(seq))
     rank = {v: r for r, v in enumerate(values)}
     n, b = len(seq), max(len(values) - 1, 1).bit_length()
-    return (tuple(map(rank.__getitem__, seq)), b,
-            lambda p: tuple(map(values.__getitem__, _unpack(p, n, b))))
+    ps = closer(n, b)(_pack(map(rank.__getitem__, seq), b))
+    if not n:
+        return [()]
+    mask = (1 << b) - 1
+    return zip(*[[values[p >> s & mask] for p in ps] for s in range(b * (n - 1), -1, -b)])
 
 
 @lru_cache(maxsize=8)
@@ -118,8 +123,7 @@ _FPF = (4, 2, _quad_mates)
 
 def chinese_class(seq):
     """The full equivalence class of seq under the three-letter relation."""
-    ranks, b, values = _ranked(_seq(seq))
-    return set(map(values, _closer(len(ranks), b, *_CHINESE)(_pack(ranks, b))))
+    return set(_closed(_seq(seq), lambda n, b: _closer(n, b, *_CHINESE)))
 
 
 def _blocks(descents):
@@ -238,9 +242,8 @@ def fpf_class(seq):
     start = _seq(seq)
     if len(start) % 2:
         raise ValueError("sequence has odd length")
-    ranks, b, values = _ranked(start)
     out = set()
-    for v in map(values, _fpf_sorted_closer(len(start), b)(_pack(ranks, b))):
+    for v in _closed(start, _fpf_sorted_closer):
         pairs = [_dedupe([(x, y), (y, x)]) for x, y in zip(v[::2], v[1::2])]
         out.update(tuple(itertools.chain.from_iterable(c)) for c in itertools.product(*pairs))
     return out

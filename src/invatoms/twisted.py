@@ -61,6 +61,17 @@ class _Rows(dict):
         return self[x]
 
 
+def _in_group(system, w):
+    """Whether the tuple w of root indices is a group element: an element
+    reaches the identity down its right descents in at most |Phi+| steps."""
+    for _ in range(system.num_positive):
+        des = system.descents_right(w)
+        if not des:
+            break
+        w = system.right_mult(w, des[0])
+    return w == system.identity
+
+
 class _TwistedIds:
     """The twisted involutions of one twist, numbered by ints.
 
@@ -156,7 +167,8 @@ class _TwistedIds:
     def member(self, w):
         """The id of the element w; ValueError unless it is a twisted involution.
         Within the cap a key finds the only candidate, and a comparison with
-        its element turns away a tuple that only starts like it."""
+        its element turns away a tuple that only starts like it. Above it a
+        new key is numbered only for a group element (see _in_group)."""
         key = w[:self._rank]
         x = self._number.get(key)
         if self._elements is not None:
@@ -164,7 +176,8 @@ class _TwistedIds:
                 return x
         elif len(w) == 2 * self.system.num_positive:  # then a known key fixes w
             system = self.system
-            if x is not None or system.apply_twist(w, self.twist) == system.inverse(w):
+            if x is not None or (_in_group(system, w)
+                                 and system.apply_twist(w, self.twist) == system.inverse(w)):
                 return self._id(key, w)
         raise ValueError("element is not a twisted involution for this twist")
 
@@ -378,11 +391,11 @@ def atoms(system, y, x=None, twist=None):
     return ()
 
 
-def _word_paths(system, y, x, twist):
+def _word_paths(system, y, x, twist, at_x):
     """The chains of ascents from x up to y as paths from y down its steps
-    to x, in the (top, bottom, down) form of coxeter.paths: down(z) is the
-    stored steps row of z as it is. Each step lowers hat by one, so no id at
-    or below hat(x) has a step."""
+    to x, in the (top, known, down) form of coxeter.paths and count_paths,
+    known mapping x to at_x: down(z) is the stored steps row of z as it is.
+    Each step lowers hat by one, so no id at or below hat(x) has a step."""
     twist = _twist_key(system, twist)
     ids = _ids(system, twist)
     xi, yi = ids.member(system.identity if x is None else x), ids.member(y)
@@ -391,17 +404,17 @@ def _word_paths(system, y, x, twist):
     def down(z):
         return steps[z] if hat[z] > floor else ()
 
-    return yi, xi, down
+    return yi, {xi: at_x}, down
 
 
 def involution_words(system, y, x=None, twist=None):
     """All minimal transforming words from x to y, sorted."""
-    return tuple(sorted(cx.paths(*_word_paths(system, y, x, twist))))
+    return tuple(sorted(cx.paths(*_word_paths(system, y, x, twist, [()]))))
 
 
 def count_involution_words(system, y, x=None, twist=None):
     """The number of involution_words(system, y, x, twist), not listed."""
-    return cx.count_paths(*_word_paths(system, y, x, twist))
+    return cx.count_paths(*_word_paths(system, y, x, twist, 1))
 
 
 # Atoms from the chains that are the involution words: an involution word of

@@ -410,12 +410,12 @@ def test_a_class_does_not_depend_on_the_queries_before_it():
             for word in queries:
                 node = dag.node(word)
                 per_call += node.kids is None
-                assert call(word) == set(cx.paths(node, dag.root, _piece_steps)), word
+                assert call(word) == set(cx.paths(node, {dag.root: [()]}, _piece_steps)), word
             for word in queries[::20] + extra:
                 fresh = cx.CoxeterSystem(matrix, name=name)
                 assert call(word) == _rule_of(fresh, twist, rule)[0](word)
             assert per_call > 30
-            assert any(n.words is not None for n in dag.nodes[1:])
+            assert any(n in dag.kept for n in dag.nodes[1:])
 
 
 def test_a_shared_node_keeps_at_most_words_kept_words(monkeypatch):
@@ -424,15 +424,16 @@ def test_a_shared_node_keeps_at_most_words_kept_words(monkeypatch):
     # most WORDS_KEPT words, and a node built per call keeps none
     tops, node = [], br._PrefixClasses.node
     monkeypatch.setattr(br._PrefixClasses, "node",
-                        lambda dag, word: tops.append(node(dag, word)) or tops[-1])
+                        lambda dag, word: tops.append((dag, node(dag, word))) or tops[-1][1])
     b4, f4 = (cx.CoxeterSystem(cx.coxeter_matrix_from_name(n), name=n) for n in ("B4", "F4"))
     assert len(br.braid_class(b4, b4.reduced_word(b4.longest_element()))) == 24024
     word = min(tw.involution_words(f4, f4.longest_element()))
     assert len(br.involution_braid_class(f4, word)) == 7616
-    below = [n for top in tops for n in cx.closure(top, lambda n: [p for p, _ in n.pieces])]
-    kept = [n for n in below if n.words is not None]
-    assert all(n.kids is not None and len(n.words) == n.size <= br.WORDS_KEPT for n in kept)
-    assert len(kept) > 100 and any(n.kids is None for n in below)
+    below = [(dag, n) for dag, top in tops
+             for n in cx.closure(top, lambda n: [p for p, _ in n.pieces])]
+    kept = [(dag.kept[n], n) for dag, n in below if n in dag.kept]
+    assert all(n.kids is not None and len(words) == n.size <= br.WORDS_KEPT for words, n in kept)
+    assert len(kept) > 100 and any(n.kids is None for _, n in below)
 
 
 @pytest.mark.parametrize("name, twist", [("B4", None), ("H3", None), ("F4", (4, 3, 2, 1))])

@@ -135,8 +135,9 @@ def test_path_counts_are_the_lengths_of_the_path_lists(name):
     system = cx.build_system(name)
     down = system._right_steps()
     for w in system.elements():
-        count = cx.count_paths(w, system.identity, down)
-        assert count == len(cx.paths(w, system.identity, down)) == system.count_reduced_words(w)
+        count = cx.count_paths(w, {system.identity: 1}, down)
+        words = cx.paths(w, {system.identity: [()]}, down)
+        assert count == len(words) == system.count_reduced_words(w)
 
 
 def _subword_leq(system, u, v):

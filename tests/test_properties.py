@@ -1,0 +1,78 @@
+"""Seeded property tests over small random finite Coxeter systems.
+
+Each case draws a product of named and dihedral pieces of order at most
+2000, relabels its generators at random, picks a random involutive twist
+and checks the word and atom identities of the paper on random pairs.
+"""
+
+import random
+
+import pytest
+
+import invatoms.braid as br
+import invatoms.coxeter as cx
+import invatoms.twisted as tw
+
+ORDER_CAP = 2000  # the largest group order drawn
+
+# the named pieces with their group orders
+_NAMED = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B3": 48, "B4": 384, "D4": 192,
+          "F4": 1152, "H3": 120}
+
+
+def _piece(rng, room, last):
+    """A random named or dihedral piece of order at most room, as (name,
+    order), or None when none fits. The last piece drawn, if it fits, is
+    drawn again half the time, so that a twist may swap the two copies."""
+    fits = [(name, order) for name, order in _NAMED.items() if order <= room]
+    fits += [("I2(%d)" % m, 2 * m) for m in range(3, 13) if 2 * m <= room]
+    if last in fits:
+        fits += [last] * len(fits)
+    return rng.choice(fits) if fits else None
+
+
+def _random_system(rng):
+    """A random relabelled product of one to three pieces, its order at
+    most ORDER_CAP, and a random involutive twist of it."""
+    pieces, order, got = [], 1, None
+    while len(pieces) < 3 and (not pieces or rng.random() < 0.6):
+        got = _piece(rng, ORDER_CAP // order, got)
+        if got is None:
+            break
+        pieces.append(got[0])
+        order *= got[1]
+    blocks = [cx.coxeter_matrix_from_name(name) for name in pieces]
+    rank = sum(len(b) for b in blocks)
+    matrix, at = [[2] * rank for _ in range(rank)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            matrix[at + i][at:at + len(b)] = row
+        at += len(b)
+    label = list(range(rank))
+    rng.shuffle(label)
+    relabelled = [[matrix[label[i]][label[j]] for j in range(rank)] for i in range(rank)]
+    system = cx.CoxeterSystem(relabelled, name="x".join(pieces))
+    assert system.order() == order
+    twists = [t for t in system.diagram_automorphisms() if cx.is_involutive_twist(system, t)]
+    return system, rng.choice(twists)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_words_atoms_and_classes_agree_on_a_random_system(seed):
+    rng = random.Random(seed)
+    system, twist = _random_system(rng)
+    ys = tw.enumerate_twisted(system, twist)
+    for y in rng.sample(ys, min(len(ys), 5)):
+        below = [x for x in ys if tw.weak_leq_T(system, x, y, twist)]
+        for x in [system.identity] + rng.sample(below, min(len(below), 2)):
+            words = tw.involution_words(system, y, x, twist)
+            assert tw.count_involution_words(system, y, x, twist) == len(words)
+            atoms = tw.atoms(system, y, x, twist)
+            per_atom = [system.reduced_words(a) for a in atoms]
+            # the involution words are the disjoint union of the atoms' reduced words
+            assert sum(map(len, per_atom)) == len(words)
+            assert set().union(*per_atom) == set(words)
+            for a, reduced in zip(atoms, per_atom):
+                assert system.count_reduced_words(a) == len(reduced)
+            if x == system.identity:
+                assert br.involution_braid_class(system, min(words), twist) == set(words)
