@@ -231,7 +231,9 @@ def _class(system, word, twist, rule=None, base=None):
     the nodes in the DAG's kept map. A shared node of at most WORDS_KEPT
     words that the walk passes keeps the list it gets; a per-call one none."""
     dag = _prefix_classes(system, twist, rule, base)
-    kept, keep = dag.kept, set()
+    top, kept, keep = dag.node(tw._word(system, word)), dag.kept, set()
+    if top in kept:  # listed before: no walk
+        return set(kept[top])
 
     def down(n):
         if n in kept:
@@ -240,7 +242,7 @@ def _class(system, word, twist, rule=None, base=None):
             keep.add(n)
         return [(a - 1, p) for p, a in n.pieces]
 
-    return set(cx.paths(dag.node(tw._word(system, word)), kept, down, keep))
+    return set(cx.paths(top, kept, down, keep))
 
 
 # -- involution braid relations --------------------------------------------------

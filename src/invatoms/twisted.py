@@ -167,17 +167,16 @@ class _TwistedIds:
     def member(self, w):
         """The id of the element w; ValueError unless it is a twisted involution.
         Within the cap a key finds the only candidate, and a comparison with
-        its element turns away a tuple that only starts like it. Above it a
-        new key is numbered only for a group element (see _in_group)."""
+        its element turns away a tuple that only starts like it. Above it w
+        must be a group element (see _in_group), which its key then fixes."""
         key = w[:self._rank]
         x = self._number.get(key)
+        system = self.system
         if self._elements is not None:
             if x is not None and self._elements[x] == w:
                 return x
-        elif len(w) == 2 * self.system.num_positive:  # then a known key fixes w
-            system = self.system
-            if x is not None or (_in_group(system, w)
-                                 and system.apply_twist(w, self.twist) == system.inverse(w)):
+        elif len(w) == 2 * system.num_positive and _in_group(system, w):
+            if x is not None or system.apply_twist(w, self.twist) == system.inverse(w):
                 return self._id(key, w)
         raise ValueError("element is not a twisted involution for this twist")
 

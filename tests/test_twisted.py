@@ -717,13 +717,14 @@ def test_pair_queries_reject_a_y_that_is_not_a_twisted_involution():
 
 def test_a_tuple_outside_the_group_above_the_cap_is_turned_away_unnumbered():
     # E6 is above the cap. The reversed root indices form an involutive
-    # permutation that is no group element, and out-of-range indices are
-    # none either: each raises before the shared table numbers anything
+    # permutation that is no group element, out-of-range indices are none
+    # either, and neither is the identity's key with another tail: each
+    # raises before the shared table numbers anything
     system = cx.build_system("E6")
     assert system.id_table() is None
     ids = tw._ids(system, tw._twist_key(system, None))
     size = len(ids._number)
-    for w in (tuple(range(72))[::-1], (10**6,) * 72):
+    for w in (tuple(range(72))[::-1], (10**6,) * 72, system.identity[:6] + (10**6,) * 66):
         with pytest.raises(ValueError, match="not a twisted involution"):
             tw.hat_length(system, w)
         assert len(ids._number) == size
