@@ -24,12 +24,12 @@ class of involution words, shared by every query, and builds the classes
 of other words per call. A class is listed by coxeter.paths, down the
 pieces to the root; a shared node keeps its list once it is built, if it
 holds at most WORDS_KEPT words, so a later class is listed from the lists
-of its pieces. The truncated rule gives a node the table of its fold. A start rule adds swaps at the start only, inside
-every prefix of length 2 or more, so its root gets the braid and start
-tables and every other node the braid table; there the fold decides only
-which nodes a DAG keeps, never which swaps apply. The start rules are
-plain braid moves (no start swaps), Hu-Zhang, FPF from s1 s3 s5 ... and
-the empty prefix.
+of its pieces. The truncated rule gives a node the table of its fold. A
+start rule adds swaps at the start only, inside every prefix of length 2
+or more, so its root gets the braid and start tables and every other node
+the braid table; there the fold decides only which nodes a DAG keeps,
+never which swaps apply. The start rules are plain braid moves (no start
+swaps), Hu-Zhang, FPF from s1 s3 s5 ... and the empty prefix.
 
 The swap tables, each block mapped to its swap and keyed by their block
 lengths, the pairs of generators with their bonds and the DAGs live in
