@@ -22,14 +22,15 @@ letters forward. Distinct paths from the root spell distinct words, so a
 node counts its words without listing them. A DAG keeps one node per
 class of involution words, shared by every query, and builds the classes
 of other words per call. A class is listed by coxeter.paths, down the
-pieces to the root; a shared node keeps its list once it is built, if it
-holds at most WORDS_KEPT words, so a later class is listed from the lists
-of its pieces. The truncated rule gives a node the table of its fold. A
-start rule adds swaps at the start only, inside every prefix of length 2
-or more, so its root gets the braid and start tables and every other node
-the braid table; there the fold decides only which nodes a DAG keeps,
-never which swaps apply. The start rules are plain braid moves (no start
-swaps), Hu-Zhang, FPF from s1 s3 s5 ... and the empty prefix.
+pieces to the root; a shared node keeps its list once it is built while
+the DAG keeps at most WORDS_KEPT words per shared node in all, so a later
+class is listed from the lists of its pieces. The truncated rule gives a
+node the table of its fold. A start rule adds swaps at the start only,
+inside every prefix of length 2 or more, so its root gets the braid and
+start tables and every other node the braid table; there the fold
+decides only which nodes a DAG keeps, never which swaps apply. The
+start rules are plain braid moves (no start swaps), Hu-Zhang, FPF from
+s1 s3 s5 ... and the empty prefix.
 
 The swap tables, each block mapped to its swap and keyed by their block
 lengths, the pairs of generators with their bonds and the DAGs live in
@@ -43,9 +44,10 @@ Words are tuples of 1-based generator indices.
 from . import coxeter as cx
 from . import twisted as tw
 
-# Bound on the words one shared node of a DAG of prefix classes keeps
-# listed, so a DAG keeps at most WORDS_KEPT times its shared nodes (for the
-# truncated rule, the twisted involutions) words alive.
+# Bound on the words a DAG of prefix classes keeps listed, per shared node
+# (for the truncated rule, at most one per twisted involution): its shared
+# nodes keep at most WORDS_KEPT times their number words alive in all, so
+# one node may keep more than WORDS_KEPT words and another none.
 WORDS_KEPT = 256
 
 
@@ -145,13 +147,14 @@ class _PrefixClasses:
     docstring): the root folds to the id ``base`` and has the table
     ``root_swaps``, a node of fold u the table ``swaps(u)``, and ``dact``
     gives the Demazure step of a fold by a letter. ``nodes`` lists the
-    shared nodes, each after the nodes its pieces hang from, and ``kept``
-    maps the root and each shared node that keeps its words to their list."""
+    shared nodes, each after the nodes its pieces hang from, ``kept``
+    maps the root and each shared node that keeps its words to their list,
+    and ``held`` counts the words kept besides the root's."""
 
     def __init__(self, system, dact, base, root_swaps, swaps):
         self.system, self.dact, self.swaps = system, dact, swaps
         self.root = _Node(base, {}, root_swaps)
-        self.nodes, self.kept = [self.root], {self.root: [()]}
+        self.nodes, self.kept, self.held = [self.root], {self.root: [()]}, 0
 
     def node(self, word):
         """The node of the class of word, a tuple of valid letters. Nodes
@@ -228,8 +231,11 @@ def _prefix_classes(system, twist, rule=None, base=None):
 def _class(system, word, twist, rule=None, base=None):
     """The words of the node of word in the DAG of the rule, as a set: its
     paths down the pieces P.a, each the step (a - 1, P) of coxeter.paths, to
-    the nodes in the DAG's kept map. A shared node of at most WORDS_KEPT
-    words that the walk passes keeps the list it gets; a per-call one none."""
+    the nodes in the DAG's kept map. A shared node that the walk passes
+    keeps the list it gets while the DAG's kept words, the root's aside,
+    stay within WORDS_KEPT per shared node: its words count in ``held``
+    when it joins the walk's keep set, before any list is built, so one
+    walk cannot overshoot the bound. A per-call node keeps none."""
     dag = _prefix_classes(system, twist, rule, base)
     top, kept, keep = dag.node(tw._word(system, word)), dag.kept, set()
     if top in kept:  # listed before: no walk
@@ -238,7 +244,8 @@ def _class(system, word, twist, rule=None, base=None):
     def down(n):
         if n in kept:
             return ()
-        if n.kids is not None and n.size <= WORDS_KEPT:
+        if n.kids is not None and dag.held + n.size <= WORDS_KEPT * len(dag.nodes):
+            dag.held += n.size
             keep.add(n)
         return [(a - 1, p) for p, a in n.pieces]
 

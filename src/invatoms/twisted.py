@@ -666,15 +666,15 @@ def check_duality(system, v0, twist=None):
     Both twists are read off their tables (see ``_ids``) on either side of
     the cap: v0 x is the ``member`` id of the product of elements, a
     conjugation step is a ``dact`` or ``steps`` entry and a hat length a
-    ``hat`` entry.
+    ``hat`` entry. The atoms come from one atom pass per top on each side
+    (see ``_duality_atoms``), not from one ``atoms`` call per pair.
     """
     twist = _twist_key(system, twist)
     diamond = dual_twist(system, v0, twist)
     star, dia = _ids(system, twist), _ids(system, diamond)
-    # each id x of the conjugated twist: its element, v0 x, and the id of v0 x
+    # each id x of the conjugated twist: its element and the id of v0 x
     elements = {x: dia.element(x) for x in dia.order()}
-    v0x = {x: system.multiply(v0, w) for x, w in elements.items()}
-    vx = {x: star.member(w) for x, w in v0x.items()}
+    vx = {x: star.member(system.multiply(v0, w)) for x, w in elements.items()}
 
     def word(x):
         return list(system.reduced_word(elements[x]))
@@ -695,16 +695,51 @@ def check_duality(system, v0, twist=None):
             checks += 1
             if dia.hat[x] != top - star.hat[z]:
                 failures.append({"check": "hat-length", "x": word(x)})
-        for y in dia.order():
-            for x in dia.down(y):
-                checks += 2
-                a_d = set(atoms(system, elements[y], elements[x], diamond))
-                a_s = set(atoms(system, v0x[x], v0x[y], twist))
-                if {system.inverse(w) for w in a_s} != a_d:
-                    # and the words are not reversed (see the note above)
-                    failures.extend({"check": c, "x": word(x), "y": word(y)}
-                                    for c in ("atoms-inverse", "words-reversed"))
+        for y, x, same in _duality_atoms(system, star, dia, vx):
+            checks += 2
+            if not same:
+                # and the words are not reversed (see the note above)
+                failures.extend({"check": c, "x": word(x), "y": word(y)}
+                                for c in ("atoms-inverse", "words-reversed"))
     return report(system, checks, failures)
+
+
+def _duality_atoms(system, star, dia, vx):
+    """Yield (y, x, verdict) for each y of the conjugated twist and each x in
+    its weak down-set, in that order, the verdict telling whether the atoms
+    of (x, y) there are the inverses of the atoms of (v0 y, v0 x) under the
+    twist; vx maps each id x there to the id of v0 x.
+
+    Left multiplication by v0 reverses the weak order, so the atom pass
+    down from v0 x gives the atoms of (v0 y, v0 x) for every y above x,
+    and the pass down from y those of (x, y) for every x below y: two
+    passes per id in all. The first side is held, inverted, until the
+    second reaches its pair. A pass that multiplies on the right gives the
+    inverses u^-1 s of the atoms s u at once. Within the cap the atoms are
+    group ids; above it root permutations, held by their keys w[:rank].
+    """
+    t = system.id_table()
+    if t is not None:
+        e, hold = 0, frozenset
+        left, right = ([row.__getitem__ for row in rows] for rows in (t.left, t.right))
+    else:
+        e, key = system.identity, operator.itemgetter(slice(0, system.rank))
+        left = [partial(system.left_mult, s + 1) for s in range(system.rank)]
+        right = system._times
+
+        def hold(us):
+            return frozenset(map(key, us))
+
+    back = {z: x for x, z in vx.items()}
+    held = {}
+    for x, z in vx.items():
+        for w, us in _atom_pass(z, star.steps, right, e, star.hat):
+            held[back.get(w), x] = hold(us)
+    for y in dia.order():
+        same = {x: hold(us) == held.pop((y, x), frozenset())
+                for x, us in _atom_pass(y, dia.steps, left, e, dia.hat)}
+        for x in dia.down(y):
+            yield y, x, same[x]
 
 
 def _conjugations(ids, x):

@@ -260,6 +260,20 @@ def test_extended_duality_above_the_cap_matches_the_id_route(monkeypatch, name, 
     assert above == within
 
 
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for E6's duality check")
+@pytest.mark.parametrize("twist", [None, (6, 2, 5, 4, 3, 1)])
+def test_extended_duality_of_e6_reads_one_atom_pass_per_top(twist):
+    # above the cap: 892 twisted involutions, 102,397 comparable pairs of two
+    # checks each; 2.4-4.2 s per twist on a 2-core shared Xeon (Python 3.11)
+    system = cx.build_system("E6")
+    assert system.id_table() is None
+    start = time.perf_counter()
+    report = tw.check_duality(system, system.longest_element(), twist)
+    elapsed = time.perf_counter() - start
+    assert report["pairs_checked"] == 1 + 892 * 7 + 2 * 102397 and report["failures"] == []
+    assert elapsed < 8
+
+
 def _neighbor_closure(system, word, twist):
     # the oracle: a BFS over whole words, one truncated block swap at a
     # time, each at the table of the fold of the prefix before it
@@ -418,10 +432,12 @@ def test_a_class_does_not_depend_on_the_queries_before_it():
             assert any(n in dag.kept for n in dag.nodes[1:])
 
 
-def test_a_shared_node_keeps_at_most_words_kept_words(monkeypatch):
+def test_a_dag_keeps_at_most_words_kept_words_per_shared_node(monkeypatch):
     # every node below B4's w0 braid class (24,024 words) and F4's w0
-    # involution class (7,616) is listed; a shared node keeps no list or at
-    # most WORDS_KEPT words, and a node built per call keeps none
+    # involution class (7,616) is listed; per DAG, the kept lists besides
+    # the root's are complete, hold at most WORDS_KEPT words per shared node
+    # in all and are counted in held, one of them holds more than
+    # WORDS_KEPT words, and a node built per call keeps none
     tops, node = [], br._PrefixClasses.node
     monkeypatch.setattr(br._PrefixClasses, "node",
                         lambda dag, word: tops.append((dag, node(dag, word))) or tops[-1][1])
@@ -429,11 +445,17 @@ def test_a_shared_node_keeps_at_most_words_kept_words(monkeypatch):
     assert len(br.braid_class(b4, b4.reduced_word(b4.longest_element()))) == 24024
     word = min(tw.involution_words(f4, f4.longest_element()))
     assert len(br.involution_braid_class(f4, word)) == 7616
-    below = [(dag, n) for dag, top in tops
-             for n in cx.closure(top, lambda n: [p for p, _ in n.pieces])]
-    kept = [(dag.kept[n], n) for dag, n in below if n in dag.kept]
-    assert all(n.kids is not None and len(words) == n.size <= br.WORDS_KEPT for words, n in kept)
-    assert len(kept) > 100 and any(n.kids is None for _, n in below)
+    dags = {dag: [] for dag, _ in tops}
+    for dag, top in tops:
+        dags[dag] += cx.closure(top, lambda n: [p for p, _ in n.pieces])
+    for dag, below in dags.items():
+        kept = [(words, n) for n, words in dag.kept.items() if n is not dag.root]
+        assert all(n.kids is not None and len(words) == n.size for words, n in kept)
+        assert sum(len(words) for words, _ in kept) == dag.held <= br.WORDS_KEPT * len(dag.nodes)
+        assert not any(n in dag.kept for n in below if n.kids is None)
+    assert any(n.kids is None for below in dags.values() for n in below)
+    assert max(len(words) for dag in dags for words in dag.kept.values()) > br.WORDS_KEPT
+    assert sum(len(dag.kept) for dag in dags) > 100
 
 
 @pytest.mark.parametrize("name, twist", [("B4", None), ("H3", None), ("F4", (4, 3, 2, 1))])

@@ -5,6 +5,7 @@ Each case draws a product of named and dihedral pieces of order at most
 and checks the word and atom identities of the paper on random pairs.
 """
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import invatoms.coxeter as cx
 import invatoms.twisted as tw
 
 ORDER_CAP = 2000  # the largest group order drawn
+EXTENDED = bool(os.environ.get("INVATOMS_EXTENDED"))
 
 # the named pieces with their group orders
 _NAMED = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B3": 48, "B4": 384, "D4": 192,
@@ -76,3 +78,45 @@ def test_words_atoms_and_classes_agree_on_a_random_system(seed):
                 assert system.count_reduced_words(a) == len(reduced)
             if x == system.identity:
                 assert br.involution_braid_class(system, min(words), twist) == set(words)
+
+
+def _folds_lengths_and_routes_agree(seed):
+    rng = random.Random(seed)
+    system, twist = _random_system(rng)
+    ys = tw.enumerate_twisted(system, twist)
+    pairs = []
+    for y in rng.sample(ys, min(len(ys), 4)):
+        below = [x for x in ys if tw.weak_leq_T(system, x, y, twist)]
+        pairs += [(x, y) for x in [system.identity] + rng.sample(below, min(len(below), 2))]
+    answers = []
+    for x, y in pairs:
+        # the fold along a reduced word is the Demazure product formula
+        w = system.product(rng.randint(1, system.rank) for _ in range(rng.randint(0, 12)))
+        assert tw.dact_word(system, x, system.reduced_word(w), twist) == \
+            tw.dact_element_via_demazure(system, x, w, twist)
+        hat = tw.hat_length(system, y, twist) - tw.hat_length(system, x, twist)
+        atoms = tw.atoms(system, y, x, twist)
+        assert atoms and all(system.length(a) == hat for a in atoms)
+        # within the cap, every Hecke atom folds x to y
+        assert all(tw.dact_element_via_demazure(system, x, w, twist) == y
+                   for w in tw.hecke_atoms(system, y, x, twist))
+        answers.append((atoms, tw.involution_words(system, y, x, twist), hat))
+    # the routes above the cap give the same answers on a fresh system
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cx, "ENUMERATION_CAP", 1)
+        fresh = cx.CoxeterSystem(system.matrix, name=system.name)
+        assert fresh.id_table() is None
+        assert answers == [(tw.atoms(fresh, y, x, twist), tw.involution_words(fresh, y, x, twist),
+                            tw.hat_length(fresh, y, twist) - tw.hat_length(fresh, x, twist))
+                           for x, y in pairs]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_folds_lengths_and_routes_agree_on_a_random_system(seed):
+    _folds_lengths_and_routes_agree(seed)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for 200 random systems")
+def test_extended_folds_lengths_and_routes_agree_on_200_random_systems():
+    for seed in range(200):
+        _folds_lengths_and_routes_agree(seed)

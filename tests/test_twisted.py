@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import pytest
@@ -127,12 +128,26 @@ def test_transforming_words_are_the_atoms_reduced_words(monkeypatch):
                 assert tw.count_involution_words(system, y, x, twist) == len(words)
 
 
-# E6 is above the enumeration cap, so its steps rows are filled as they are
-# read; A2-A7 are the counts of Hamaker, Marberg and Pawlowski
-# (arXiv:1508.01823) for the involution words of w0 in S_n
+def _shifted_staircase_count(n):
+    """2^floor((n - 1)^2 / 4) times g(n - 1, n - 3, ...), the number of
+    standard shifted tableaux of that shape by Thrall's formula
+    g(l) = |l|! / prod l_i! * prod_{i<j} (l_i - l_j) / (l_i + l_j), in exact
+    integers: the number of involution words of w0 in S_n."""
+    shape = range(n - 1, 0, -2)
+    num, den = math.factorial(sum(shape)), math.prod(map(math.factorial, shape))
+    for i, a in enumerate(shape):
+        for b in shape[i + 1:]:
+            num, den = num * (a - b), den * (a + b)
+    assert num % den == 0
+    return 2 ** ((n - 1) ** 2 // 4) * (num // den)
+
+
+# E6, A8 and A9 are above the enumeration cap, so their steps rows are filled
+# as they are read; type A_{n-1} is S_n, whose counts come from the shifted
+# staircase formula
 @pytest.mark.parametrize("name, count", [
-    ("B3", 16), ("B4", 768), ("D4", 240), ("H3", 42), ("F4", 7616), ("E6", 396644320),
-    ("A2", 2), ("A3", 8), ("A4", 80), ("A5", 2688), ("A6", 236544), ("A7", 98402304)])
+    ("B3", 16), ("B4", 768), ("D4", 240), ("H3", 42), ("F4", 7616), ("E6", 396644320)] + [
+    ("A%d" % (n - 1), _shifted_staircase_count(n)) for n in range(3, 11)])
 def test_involution_words_of_the_longest_element(name, count):
     system = cx.build_system(name)
     w0 = system.longest_element()
@@ -636,10 +651,11 @@ def test_the_duality_check_keeps_one_fold_per_twist():
     system = cx.CoxeterSystem(cx.coxeter_matrix_from_name("D5"), name="D5")
     report = tw.check_duality(system, system.longest_element())
     assert report["pairs_checked"] == 9785 and report["failures"] == []
-    # one fold for each of the two twists, the identity and its w0-conjugate
-    # (the flip of the fork); the keys of the identity as None and as a tuple
-    assert system.cache_sizes() == {"twisted._twist_key": 3, "coxeter._twist_perms": 1,
-                                    "twisted._ids": 2, "twisted._id_fibers": 2, **_GROUP_TABLES}
+    # one table of ids for each of the two twists, the identity and its
+    # w0-conjugate (the flip of the fork), and no Hecke fibers: the atoms
+    # come from atom passes; the keys of the identity as None and as a tuple
+    assert system.cache_sizes() == {"twisted._twist_key": 2, "coxeter._twist_perms": 1,
+                                    "twisted._ids": 2, **_GROUP_TABLES}
 
 
 @pytest.mark.parametrize("name, twist", [("B3", None), ("A3", (3, 2, 1))])
@@ -668,14 +684,18 @@ def test_the_duality_check_reads_the_tables_only(monkeypatch, name, twist):
 
 def test_the_duality_check_lists_a_wrong_pair_and_goes_on(monkeypatch):
     system = cx.build_system("A3")
-    w0, x, real = system.longest_element(), system.product((2,)), tw.atoms
+    w0, x, real = system.longest_element(), system.product((2,)), tw._atom_pass
+    # the twist conjugated by w0, the flip, and the ids of w0 and x there
+    flip = tw._ids(system, (3, 2, 1))
+    top, bottom = flip.member(w0), flip.member(x)
 
-    def one_atom_short(system_, y, x_=None, twist=None):
-        # drop an atom of (x, w0) under the twist conjugated by w0, the flip
-        got = real(system_, y, x_, twist)
-        return got[1:] if (x_, y, twist) == (x, w0, (3, 2, 1)) else got
+    def one_atom_short(y, steps, *args):
+        # drop an atom of (x, w0) under the flip
+        for z, us in real(y, steps, *args):
+            short = steps is flip.steps and (y, z) == (top, bottom)
+            yield z, set(sorted(us)[1:]) if short else us
 
-    monkeypatch.setattr(tw, "atoms", one_atom_short)
+    monkeypatch.setattr(tw, "_atom_pass", one_atom_short)
     report = tw.check_duality(system, w0)
     assert report["pairs_checked"] == 123
     pair = {"x": [2], "y": [1, 2, 1, 3, 2, 1]}
