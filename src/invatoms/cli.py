@@ -285,6 +285,8 @@ def _cmd_sweep(args):
         raise UsageError("--jobs must be at least 1, got %d" % args.jobs)
     from . import twisted as tw
     system = cx.build_system(args.system)
+    if system.id_table() is None:  # decided from the order, before the ys are split
+        raise cx.too_large()
     reports = []
     for t in twist_list(system, args.twist):
         chunks = _sweep_chunks(tw.enumerate_twisted(system, t), args.jobs)

@@ -21,7 +21,6 @@ chain of ascents up to x, so nothing is kept per base.
 
 import operator
 from functools import partial
-from heapq import heappop, heappush
 
 from . import coxeter as cx
 from .coxeter import closure, is_involutive_twist, normalize_twist, report
@@ -104,9 +103,7 @@ class _TwistedIds:
             self.dact, self.steps = _Rows(self._fill), _Rows(self._fill)
             self.hat = _Rows(self._fill_hat)
             self.hat[self._id(system.identity[:system.rank], system.identity)] = 0
-            self._order_key = self.hat.__getitem__
             return
-        self._order_key = None
         right, left, descents = t.right, t.left, t.descents
         gens = [(s, twist[s] - 1) for s in range(len(right))]
         self.dact, self.steps = dact, steps = {}, {}
@@ -122,9 +119,9 @@ class _TwistedIds:
             dact[x] = tuple(x if d >> s & 1 else y for s, y in enumerate(ys))
             return dact[x]
 
-        closure(0, ascents)  # every twisted involution is reached by ascents
         self.hat = hat = {}
-        for x in sorted(steps):
+        # every twisted involution is reached by ascents, each after its steps down
+        for x in closure(0, ascents):
             hat[x] = hat[steps[x][0][1]] + 1 if steps[x] else 0
         self._number = {t.elements[x][:self._rank]: x for x in hat}
 
@@ -198,8 +195,9 @@ class _TwistedIds:
         return closure(y, lambda z: (v for _, v in self.steps[z]))
 
     def order(self):
-        """Every id, each after its steps down: by id within the cap, by hat above it."""
-        return sorted(closure(self.root, self.dact.__getitem__), key=self._order_key)
+        """Every id, each after its steps down: by id within the cap, as met above it."""
+        ids = closure(self.root, self.dact.__getitem__)
+        return ids if self._elements is None else sorted(ids)
 
 
 @cx.memo
@@ -384,7 +382,7 @@ def atoms(system, y, x=None, twist=None):
         return tuple(map(t.elements.__getitem__, us))
     # above the cap: the atom pass down from y to x, its atoms root permutations
     left = [partial(system.left_mult, s + 1) for s in range(system.rank)]
-    for z, us in _atom_pass(yi, ids.steps, left, system.identity, ids.hat):
+    for z, us in _atom_pass(yi, ids.steps, left, system.identity):
         if z == xi:
             return tuple(_by_word(system, us))
     return ()
@@ -441,32 +439,33 @@ def count_involution_words(system, y, x=None, twist=None):
 # and bruhat_hecke takes every length.
 
 
-def _atom_pass(y, steps, left, e, hat):
-    """Yield (x, A(x, y)) for every x in the weak down-set of the id y, each
-    set as soon as it is complete.
+def _atom_pass(y, steps, left, e):
+    """Yield (x, A(x, y)) for every x in the weak down-set of the id y, in
+    the order of ``down(y)``, each set as soon as it is complete.
 
     ``steps[z]`` gives a (letter, step down) pair for each right descent of
-    z, ``left[s]`` multiplies on the left by the letter s, e is the identity
-    and ``hat[z]`` is the hat length of z. From A(y, y) = {e}, each atom u
-    of z and each pair (s, z') of z give the atom s u of z'. No test of
-    s u > u is needed. A chain of ascents from z' to y folds z' to y as its
-    Demazure product does; that product is shorter than the chain unless
-    the chain is reduced, and nothing shorter than hat(y) - hat(z') folds
-    z' to y. The ids leave a heap by decreasing hat, each pushed when first
-    met: a step down lowers hat by exactly one, so every id comes out after
-    all the ids above it, and no down-set is listed or sorted first.
+    z, ``left[s]`` multiplies on the left by the letter s and e is the
+    identity. From A(y, y) = {e}, each atom u of z and each pair (s, z') of
+    z give the atom s u of z'. No test of s u > u is needed. A chain of
+    ascents from z' to y folds z' to y as its Demazure product does; that
+    product is shorter than the chain unless the chain is reduced, and
+    nothing shorter than hat(y) - hat(z') folds z' to y. A step down lowers
+    hat by exactly one, so the sets of one level are complete once the level
+    above is walked, breadth first as ``down`` walks it; each is dropped as
+    it is yielded.
     """
-    below, heap = {y: {e}}, [(-hat[y], y)]
-    while heap:
-        z = heappop(heap)[1]
-        us = below.pop(z)
-        for s, zs in steps[z]:
-            got = below.get(zs)
-            if got is None:
-                got = below[zs] = set()
-                heappush(heap, (-hat[zs], zs))
-            got.update(map(left[s], us))
-        yield z, us
+    level = {y: {e}}
+    while level:
+        below = {}
+        for z in list(level):
+            us = level.pop(z)
+            for s, zs in steps[z]:
+                got = below.get(zs)
+                if got is None:
+                    got = below[zs] = set()
+                got.update(map(left[s], us))
+            yield z, us
+        level = below
 
 
 def _star_row(t, y, twist):
@@ -607,7 +606,7 @@ def check_conjecture(system, twist=None, ys=None):
     for y in ids.order() if ys is None else [ids.member(v) for v in ys]:
         row = _star_row(t, y, twist)
         wrong = []
-        for x, us in _atom_pass(y, ids.steps, left, ids.root, ids.hat):
+        for x, us in _atom_pass(y, ids.steps, left, ids.root):
             pairs += 1
             expected = sorted(us)
             got = _first_hits(t, row, chains[x], _floor(t, y, x))
@@ -705,10 +704,10 @@ def check_duality(system, v0, twist=None):
 
 
 def _duality_atoms(system, star, dia, vx):
-    """Yield (y, x, verdict) for each y of the conjugated twist and each x in
-    its weak down-set, in that order, the verdict telling whether the atoms
-    of (x, y) there are the inverses of the atoms of (v0 y, v0 x) under the
-    twist; vx maps each id x there to the id of v0 x.
+    """Yield (y, x, verdict) for each y of the conjugated twist by order()
+    and each x of its weak down-set as the pass from y meets it, by down(y),
+    the verdict telling whether the atoms of (x, y) there are the inverses
+    of those of (v0 y, v0 x) under the twist; vx maps each x to v0 x's id.
 
     Left multiplication by v0 reverses the weak order, so the atom pass
     down from v0 x gives the atoms of (v0 y, v0 x) for every y above x,
@@ -733,13 +732,11 @@ def _duality_atoms(system, star, dia, vx):
     back = {z: x for x, z in vx.items()}
     held = {}
     for x, z in vx.items():
-        for w, us in _atom_pass(z, star.steps, right, e, star.hat):
+        for w, us in _atom_pass(z, star.steps, right, e):
             held[back.get(w), x] = hold(us)
     for y in dia.order():
-        same = {x: hold(us) == held.pop((y, x), frozenset())
-                for x, us in _atom_pass(y, dia.steps, left, e, dia.hat)}
-        for x in dia.down(y):
-            yield y, x, same[x]
+        for x, us in _atom_pass(y, dia.steps, left, e):
+            yield y, x, hold(us) == held.pop((y, x), frozenset())
 
 
 def _conjugations(ids, x):
@@ -787,6 +784,7 @@ def check_bruhat_descriptions(system, twist=None):
     """Compare the two routes to Hecke atoms of the longest element and to
     atoms of every twisted involution. Returns a JSON-ready report."""
     twist = _twist_key(system, twist)
+    _id_table(system)  # above the cap, raise before anything is enumerated
     w0, ys = system.longest_element(), enumerate_twisted(system, twist)
     failures = [{"check": "hecke-longest"}] if (
         hecke_atoms(system, w0, None, twist) != bruhat_hecke(system, w0, None, twist)) else []

@@ -177,6 +177,21 @@ def test_sweep_rejects_fewer_than_one_job(capsys):
         assert "--jobs" in err
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["sweep", "--jobs", "2"], ["verify", "b-prime"]])
+def test_whole_group_verbs_above_the_cap_exit_two_before_enumerating(capsys, monkeypatch, argv):
+    # E8's 199,952 twisted involutions are neither numbered nor split into
+    # chunks: the cap is decided from the group's order first
+    def enumerating(*args):
+        raise AssertionError("enumerate_twisted called")
+
+    monkeypatch.setattr(tw, "enumerate_twisted", enumerating)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--system", "E8")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert "too large" in err
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "atoms", "--system", "A4", "--y", "junk!")
     assert code == 2

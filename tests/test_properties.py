@@ -2,7 +2,9 @@
 
 Each case draws a product of named and dihedral pieces of order at most
 2000, relabels its generators at random, picks a random involutive twist
-and checks the word and atom identities of the paper on random pairs.
+and checks the word and atom identities of the paper on random pairs, the
+duality and braid checks on the whole system, and the answers of the
+relabelled system against those of the product it relabels.
 """
 
 import os
@@ -35,7 +37,9 @@ def _piece(rng, room, last):
 
 def _random_system(rng):
     """A random relabelled product of one to three pieces, its order at
-    most ORDER_CAP, and a random involutive twist of it."""
+    most ORDER_CAP, a random involutive twist of it, the product before
+    relabelling and the labelling: generator i + 1 of the relabelled
+    system is generator label[i] + 1 of the product."""
     pieces, order, got = [], 1, None
     while len(pieces) < 3 and (not pieces or rng.random() < 0.6):
         got = _piece(rng, ORDER_CAP // order, got)
@@ -56,13 +60,29 @@ def _random_system(rng):
     system = cx.CoxeterSystem(relabelled, name="x".join(pieces))
     assert system.order() == order
     twists = [t for t in system.diagram_automorphisms() if cx.is_involutive_twist(system, t)]
-    return system, rng.choice(twists)
+    return system, rng.choice(twists), cx.CoxeterSystem(matrix, name=system.name), label
+
+
+def _relabelling(system, twist, named, label):
+    """The map of words of the relabelled system onto words of the product,
+    its map of elements and the twist carried over."""
+    def word(letters):
+        return tuple(label[a - 1] + 1 for a in letters)
+
+    def element(w):
+        return named.product(word(system.reduced_word(w)))
+
+    carried = [0] * system.rank
+    for i, t in enumerate(twist):
+        carried[label[i]] = label[t - 1] + 1
+    return word, element, tuple(carried)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_words_atoms_and_classes_agree_on_a_random_system(seed):
     rng = random.Random(seed)
-    system, twist = _random_system(rng)
+    system, twist, named, label = _random_system(rng)
+    word, element, carried = _relabelling(system, twist, named, label)
     ys = tw.enumerate_twisted(system, twist)
     for y in rng.sample(ys, min(len(ys), 5)):
         below = [x for x in ys if tw.weak_leq_T(system, x, y, twist)]
@@ -78,11 +98,18 @@ def test_words_atoms_and_classes_agree_on_a_random_system(seed):
                 assert system.count_reduced_words(a) == len(reduced)
             if x == system.identity:
                 assert br.involution_braid_class(system, min(words), twist) == set(words)
+            # the product gives the same answers, its letters mapped back
+            ny, nx = element(y), element(x)
+            assert set(tw.involution_words(named, ny, nx, carried)) == set(map(word, words))
+            assert {frozenset(named.reduced_words(a)) for a in tw.atoms(named, ny, nx, carried)} \
+                == {frozenset(map(word, reduced)) for reduced in per_atom}
+            assert [tw.hat_length(named, v, carried) for v in (ny, nx)] == \
+                [tw.hat_length(system, v, twist) for v in (y, x)]
 
 
 def _folds_lengths_and_routes_agree(seed):
     rng = random.Random(seed)
-    system, twist = _random_system(rng)
+    system, twist, _, _ = _random_system(rng)
     ys = tw.enumerate_twisted(system, twist)
     pairs = []
     for y in rng.sample(ys, min(len(ys), 4)):
@@ -120,3 +147,35 @@ def test_folds_lengths_and_routes_agree_on_a_random_system(seed):
 def test_extended_folds_lengths_and_routes_agree_on_200_random_systems():
     for seed in range(200):
         _folds_lengths_and_routes_agree(seed)
+
+
+def _checks_agree_on_both_routes(seed, duality_above_up_to):
+    """The duality check through w0 and the braid check pass on a random
+    system, and a fresh one with the cap patched to 1 reports the same; the
+    duality check runs above the cap only up to the given group order."""
+    system, twist, _, _ = _random_system(random.Random(seed))
+
+    def reports(s, duality):
+        got = [br.check_braid_classes(s, twist)]
+        return got + [tw.check_duality(s, s.longest_element(), twist)] if duality else got
+
+    within = reports(system, True)
+    assert [r["failures"] for r in within] == [[], []]
+    duality = system.order() <= duality_above_up_to
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cx, "ENUMERATION_CAP", 1)
+        fresh = cx.CoxeterSystem(system.matrix, name=system.name)
+        assert fresh.id_table() is None
+        assert reports(fresh, duality) == within[:1 + duality]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_duality_and_braid_checks_agree_on_both_routes_of_a_random_system(seed):
+    _checks_agree_on_both_routes(seed, 1000)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set INVATOMS_EXTENDED=1 for 200 random systems")
+def test_extended_duality_and_braid_checks_agree_on_both_routes_of_200_random_systems():
+    # seeds 0-23 among them, each with the duality check above the cap too
+    for seed in range(200):
+        _checks_agree_on_both_routes(seed, ORDER_CAP)

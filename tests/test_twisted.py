@@ -363,8 +363,8 @@ def test_the_sweep_reports_a_pair_whose_atoms_disagree(monkeypatch):
     id_of = _id_lookup(system)
     real = tw._atom_pass
 
-    def dropping(top, steps, left, e, hat):
-        for z, us in real(top, steps, left, e, hat):
+    def dropping(top, steps, left, e):
+        for z, us in real(top, steps, left, e):
             if top == id_of(y) and z == id_of(x):
                 us = us - {id_of(system.generator(3))}
             yield z, us
@@ -408,7 +408,7 @@ def test_the_atom_pass_matches_the_hecke_fibers(name, twist):
     elements, id_of = t.elements, _id_lookup(system)
     left = [row.__getitem__ for row in t.left]
     for y in ids.hat:
-        below = dict(tw._atom_pass(y, ids.steps, left, 0, ids.hat))
+        below = dict(tw._atom_pass(y, ids.steps, left, 0))
         assert set(below) == ids.down(y)
         for x, got in below.items():
             fiber = tw.hecke_table(system, elements[x], twist).get(elements[y], ())
@@ -429,10 +429,11 @@ def _closure_then_sort_pass(y, ids, left, e):
 
 def _check_the_pass_order(ids, left, e):
     for y in ids.order():
-        got = list(tw._atom_pass(y, ids.steps, left, e, ids.hat))
+        got = list(tw._atom_pass(y, ids.steps, left, e))
         position = {z: i for i, (z, _) in enumerate(got)}
-        # each x of the down-set once, after every id above it
-        assert len(position) == len(got) and set(position) == ids.down(y)
+        # each x of the down-set once, after every id above it, in the order
+        # of down(y), which the duality check's verdicts follow
+        assert len(position) == len(got) and list(position) == list(ids.down(y))
         assert all(position[z] < position[v] for z in position for _, v in ids.steps[z])
         assert dict(got) == dict(_closure_then_sort_pass(y, ids, left, e))
 
@@ -585,8 +586,10 @@ def test_an_atoms_query_above_the_cap_numbers_only_the_down_set_and_its_neighbou
     assert tw.atoms(system, y) == within
     ids = tw._ids(system, tw._twist_key(system, None))
     down = ids.down(ids.member(y))
-    # the rows of the down-set are filled, and only its conjugation steps numbered
-    assert set(ids.dact) == set(ids.steps) == set(ids.hat) == down
+    # the rows of the down-set are filled, and only its conjugation steps
+    # numbered; the pass reads no hat length, so only the root's is stored
+    assert set(ids.dact) == set(ids.steps) == down
+    assert set(ids.hat) == {ids.root}
     numbered = down | {z for x in down for z in ids.dact[x]}
     assert len(down) == 4 and len(numbered) == 12  # of B4's 76 twisted involutions
     assert set(range(len(ids._keys))) == numbered
@@ -623,6 +626,17 @@ def test_bruhat_descriptions_of_hecke_sets_and_atoms():
     for name, twist in [("A4", None), ("B3", None), ("A3", (3, 2, 1))]:
         report = tw.check_bruhat_descriptions(cx.build_system(name), twist)
         assert report["failures"] == []
+
+
+def test_bruhat_descriptions_above_the_cap_raise_before_enumerating(monkeypatch):
+    # E7 has 10,208 twisted involutions; the check needs the group table, so
+    # it decides the cap first and numbers none of them
+    def enumerating(*args):
+        raise AssertionError("enumerate_twisted called")
+
+    monkeypatch.setattr(tw, "enumerate_twisted", enumerating)
+    with pytest.raises(ValueError, match="too large"):
+        tw.check_bruhat_descriptions(cx.build_system("E7"))
 
 
 def test_only_two_elements_conjugate_the_twist_in_s4():
