@@ -98,7 +98,7 @@ def test_words_atoms_and_classes_agree_on_a_random_system(seed):
                 assert system.count_reduced_words(a) == len(reduced)
             if x == system.identity:
                 assert br.involution_braid_class(system, min(words), twist) == set(words)
-            # the product gives the same answers, its letters mapped back
+            # the product gives the same answers once the letters are mapped
             ny, nx = element(y), element(x)
             assert set(tw.involution_words(named, ny, nx, carried)) == set(map(word, words))
             assert {frozenset(named.reduced_words(a)) for a in tw.atoms(named, ny, nx, carried)} \
